@@ -35,6 +35,10 @@ class MatrixMarketFormatError(MatrixError):
     pass
 
 
+class WidthOverflow(MatrixError):
+    pass
+
+
 # ---- configuration ----
 
 class ConfigError(FairpcError):
@@ -46,6 +50,10 @@ class EpsilonOutOfRange(ConfigError):
 
 
 class InvalidAlpha(ConfigError):
+    pass
+
+
+class InvalidBeta(ConfigError):
     pass
 
 

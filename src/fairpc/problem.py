@@ -19,11 +19,13 @@ from .errors import (
     DomainError,
     EpsilonOutOfRange,
     InvalidAlpha,
+    InvalidBeta,
     NegativeCoordinate,
     NegativeEntry,
     NonPositiveCoordinate,
+    WidthOverflow,
 )
-from .matrix import SparseNonnegMatrix, build_matrix
+from .matrix import Entries, SparseNonnegMatrix, as_entries, build_matrix, dense_entries
 
 PACK = "pack"
 COVER = "cover"
@@ -98,29 +100,37 @@ class CoveringInstance:
 
 
 def standardize(entries, m: int, n: int, mode: str = PACK, fairness: float = 0.0):
-    """Scale a raw nonnegative entry list into standard form.
+    """Scale raw nonnegative entries (an ``Entries`` or any triples) into standard form.
 
     Zero entries are dropped; afterwards every row and column must still be
-    nonempty. Returns the instance (packing or covering, per ``mode``) and
-    the ScalingRecord carrying the scale factor.
+    nonempty. Negative and non-finite values are rejected, and so is a width
+    (largest over smallest entry) that overflows float64. Returns the
+    instance (packing or covering, per ``mode``) and the ScalingRecord
+    carrying the scale factor.
     """
     if mode not in (PACK, COVER):
         raise ValueError(f"mode must be {PACK!r} or {COVER!r}, got {mode!r}")
-    kept = []
-    saw_any = False
-    for i, j, v in entries:
-        saw_any = True
+    entries = as_entries(entries)
+    rows, cols, vals = entries.rows, entries.cols, entries.vals
+    bad = np.flatnonzero((vals < 0.0) | ~np.isfinite(vals))
+    if bad.size:
+        i, j, v = entries[int(bad[0])]
         if v < 0.0:
             raise NegativeEntry(f"entry ({i}, {j}) is negative: {v}")
-        if v > 0.0:
-            kept.append((i, j, float(v)))
-    if not kept:
-        if saw_any:
-            raise AllZero("all entries are zero")
-        raise AllZero("no entries given")
-    c = min(v for _, _, v in kept)
-    scaled = [(i, j, v / c) for i, j, v in kept]
-    matrix = build_matrix(scaled, m, n)
+        raise NegativeEntry(f"entry ({i}, {j}) has non-finite value {v}")
+    kept = vals > 0.0
+    if not kept.any():
+        raise AllZero("all entries are zero" if vals.size else "no entries given")
+    if not kept.all():
+        rows, cols, vals = rows[kept], cols[kept], vals[kept]
+    c = float(vals.min())
+    top = float(vals.max())
+    if math.isinf(top / c):
+        raise WidthOverflow(
+            f"width {top!r}/{c!r} (largest over smallest nonzero entry) "
+            f"overflows float64; rescaling the instance would produce inf"
+        )
+    matrix = build_matrix(Entries(rows, cols, vals / c), m, n)
     rho = matrix.max_entry
     record = ScalingRecord(c=c, alpha_used=float(fairness))
     if mode == PACK:
@@ -129,10 +139,7 @@ def standardize(entries, m: int, n: int, mode: str = PACK, fairness: float = 0.0
 
 
 def instance_from_dense(dense, mode: str = PACK, fairness: float = 0.0):
-    dense = np.asarray(dense, dtype=np.float64)
-    m, n = dense.shape
-    ij = np.argwhere(dense != 0.0)
-    entries = [(int(i), int(j), float(dense[i, j])) for i, j in ij]
+    entries, m, n = dense_entries(dense)
     return standardize(entries, m, n, mode=mode, fairness=fairness)
 
 
@@ -157,6 +164,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in (PACK, COVER):
             raise ValueError(f"mode must be {PACK!r} or {COVER!r}, got {self.mode!r}")
+        if not math.isfinite(self.fairness):
+            name, error = ("alpha", InvalidAlpha) if self.mode == PACK else ("beta", InvalidBeta)
+            raise error(f"{name} must be finite, got {self.fairness}")
         if self.mode == PACK:
             if self.fairness < 0.0:
                 raise InvalidAlpha(f"alpha must be >= 0, got {self.fairness}")

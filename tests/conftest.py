@@ -49,14 +49,17 @@ def random_sparse_entries(rng, max_dim=50, max_rho=100.0):
     return entries, m, n
 
 
-def random_suite(count=50, seed=20240817, max_dim=50, max_rho=100.0, mode=PACK):
+def random_entry_suite(count=50, seed=20240817, max_dim=50, max_rho=100.0):
+    """The raw (entries, m, n) that ``random_suite`` standardizes, in order."""
     rng = np.random.default_rng(seed)
-    suite = []
-    for _ in range(count):
-        entries, m, n = random_sparse_entries(rng, max_dim=max_dim, max_rho=max_rho)
-        inst, _ = standardize(entries, m, n, mode=mode)
-        suite.append(inst)
-    return suite
+    return [random_sparse_entries(rng, max_dim=max_dim, max_rho=max_rho) for _ in range(count)]
+
+
+def random_suite(count=50, seed=20240817, max_dim=50, max_rho=100.0, mode=PACK):
+    return [
+        standardize(entries, m, n, mode=mode)[0]
+        for entries, m, n in random_entry_suite(count, seed, max_dim, max_rho)
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -224,3 +224,37 @@ def test_json_roundtrip_lossless(id3_path, tmp_path, capsys):
     sol = solve_packing(inst, SolverConfig(fairness=0.5, epsilon=0.1, max_iters=777))
     assert doc["solution"] == list(sol.x)  # 17 significant digits round-trip exactly
     assert doc["objective"] == sol.utility
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--mode", "pack", "--alpha", "nan"], ["--mode", "pack", "--alpha", "inf"],
+     ["--mode", "cover", "--beta", "nan"], ["--mode", "cover", "--beta", "inf"]],
+)
+def test_non_finite_fairness_exits_2(id3_path, capsys, flags):
+    code, out, err = run(flags + ["--epsilon", "0.1", "--input", str(id3_path)], capsys)
+    assert code == 2
+    assert "must be finite" in err and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        ("2 2 2\n1 1 1.0\n2 2 nan\n", "non-finite value nan at (2, 2)"),
+        ("1 2 2\n1 1 1e-300\n1 2 1e300\n", "width 1e+300/1e-300"),
+        ("2 2 0\n", "no entries given"),
+        ("1000000000000000 1 1\n1 1 1.0\n", "row 1 has no entries"),
+        ("10000000000 10000000000 1\n1 1 1.0\n", "int64"),
+    ],
+)
+def test_bad_matrix_exits_2_with_reason(tmp_path, capsys, content, reason):
+    p = tmp_path / "bad.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real general\n" + content)
+    code, out, err = run(
+        ["--mode", "pack", "--alpha", "1", "--epsilon", "0.1", "--input", str(p)], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: ") and reason in err
+    assert err.count("\n") == 1  # one line naming the reason, no warnings
+    assert out == ""

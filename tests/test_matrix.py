@@ -1,3 +1,6 @@
+import os
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from fairpc.errors import (
     MatrixMarketFormatError,
     NegativeEntry,
 )
-from fairpc.matrix import read_matrix_market, write_matrix_market
+from fairpc.matrix import Entries, read_matrix_market, write_matrix_market
 
 
 def test_build_and_views_consistent():
@@ -76,6 +79,13 @@ def test_matrix_market_roundtrip(tmp_path):
         "%%MatrixMarket matrix coordinate real general\n1 1 2\n1 1 1.0\n",   # nnz mismatch
         "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 0.0\n",   # explicit zero
         "%%MatrixMarket matrix coordinate real general\n1 1 1\n2 1 1.0\n",   # out of range
+        "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n1 2 nan\n",
+        "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 inf\n1 2 1.0\n",
+        "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 -inf\n",
+        "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1e400\n",  # parses to inf
+        "%%MatrixMarket matrix coordinate real general\n1 1 1\n1.0 1 1.0\n",  # non-integer index
+        "%%MatrixMarket matrix coordinate real general\n1 2 2\n1 1 1.0\n1 2\n",  # missing token
+        "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0 7\n",  # extra token
     ],
 )
 def test_matrix_market_rejects_malformed(tmp_path, content):
@@ -103,3 +113,79 @@ def test_matrix_market_one_based_and_comments(tmp_path):
     entries, m, n = read_matrix_market(path)
     assert (m, n) == (2, 3)
     assert (0, 2, 5.0) in entries and (1, 0, 1.0) in entries
+
+
+def test_matrix_market_blank_lines_and_comments_anywhere(tmp_path):
+    path = tmp_path / "c.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "\n% before size\n2 2 2\n\n1 1 1.5 % trailing\n% between\n\n2 2 3.0\n\n%\n"
+    )
+    entries, m, n = read_matrix_market(path)
+    assert (m, n) == (2, 2)
+    assert entries == [(0, 0, 1.5), (1, 1, 3.0)]
+
+
+@pytest.mark.parametrize(
+    "body, error, message",
+    [
+        # the first offending entry in file order wins, named 1-based
+        ("1 1 1.0\n3 1 1.0\n1 1 0\n", MatrixMarketFormatError, "entry (3, 1) outside declared 2x2"),
+        ("1 1 0\n3 1 1.0\n", MatrixMarketFormatError, "explicit zero at (1, 1)"),
+        ("2 2 1.0\n1 2 nan\n2 2 4.0\n", MatrixMarketFormatError, "non-finite value nan at (1, 2)"),
+        ("1 2 1.0\n2 1 1.0\n1 2 4.0\n1 1 0\n", DuplicateEntry, "duplicate entry at (1, 2)"),
+        ("1 2 1.0\n1 1 0\n1 2 4.0\n", MatrixMarketFormatError, "explicit zero at (1, 1)"),
+        ("1 1 1.0\n", MatrixMarketFormatError, "declares 3 entries, file has 1"),
+        ("1 1 1.0\n2 2 1.0\n1 2 1.0\n2 1 1.0\n", MatrixMarketFormatError, "file has 4"),
+    ],
+)
+def test_matrix_market_names_first_offense(tmp_path, body, error, message):
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 3\n" + body)
+    with pytest.raises(error) as info:
+        read_matrix_market(path)
+    assert message in str(info.value)
+
+
+def test_matrix_market_reads_a_pipe():
+    # a pipe cannot be reopened: the entries are read on from the same handle
+    r, w = os.pipe()
+    os.write(w, b"%%MatrixMarket matrix coordinate real general\n% c\n2 2 2\n1 1 1.5\n2 2 2.5\n")
+    os.close(w)
+    try:
+        entries, m, n = read_matrix_market(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert entries == [(0, 0, 1.5), (1, 1, 2.5)] and (m, n) == (2, 2)
+
+
+def test_matrix_market_empty_body_is_silent(tmp_path):
+    path = tmp_path / "empty.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 0\n% nothing\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        entries, m, n = read_matrix_market(path)
+    assert len(entries) == 0 and (m, n) == (2, 2)
+
+
+def test_entries_sequence():
+    entries = Entries(np.array([0, 1]), np.array([1, 0]), np.array([2.5, 4.0]))
+    assert len(entries) == 2
+    assert list(entries) == [(0, 1, 2.5), (1, 0, 4.0)]
+    assert all(type(x) is int for x in entries[0][:2]) and type(entries[0][2]) is float
+    assert entries == [(0, 1, 2.5), (1, 0, 4.0)] and [(0, 1, 2.5), (1, 0, 4.0)] == entries
+    assert entries != [(1, 0, 4.0), (0, 1, 2.5)]
+    assert entries[1] == (1, 0, 4.0) and entries[-1] == entries[1]
+    assert (1, 0, 4.0) in entries and (1, 0, 2.5) not in entries
+    with pytest.raises(ValueError):
+        entries.vals[0] = 1.0  # read-only
+    with pytest.raises(DimensionMismatch):
+        Entries(np.array([0, 1]), np.array([0]), np.array([1.0, 1.0]))
+
+
+def test_build_matrix_huge_declared_size_is_cheap():
+    # far more rows than entries: an empty row is named without counting all of them
+    with pytest.raises(EmptyRowOrColumn, match="row 1 has no entries"):
+        build_matrix([(0, 0, 1.0)], 10**15, 1)
+    with pytest.raises(DimensionMismatch, match="int64"):
+        build_matrix([(0, 0, 1.0)], 10**10, 10**10)

@@ -21,10 +21,13 @@ from fairpc.errors import (
     AllZero,
     EmptyRowOrColumn,
     EpsilonOutOfRange,
+    FairpcError,
     InvalidAlpha,
+    InvalidBeta,
     NegativeCoordinate,
     NegativeEntry,
     NonPositiveCoordinate,
+    WidthOverflow,
 )
 from fairpc.matrix import constraint_loads
 
@@ -62,6 +65,19 @@ def test_standardize_rejects():
         standardize([], 1, 1)
     with pytest.raises(EmptyRowOrColumn):
         standardize([(0, 0, 1.0), (0, 1, 0.0)], 1, 2)  # col 1 empty after dropping zero
+    with pytest.raises(NegativeEntry, match="non-finite"):
+        standardize([(0, 0, 1.0), (0, 1, math.nan)], 1, 2)  # NaN is not a zero to drop
+    with pytest.raises(NegativeEntry, match="non-finite"):
+        standardize([(0, 0, math.inf)], 1, 1)
+
+
+def test_standardize_names_width_overflow():
+    # 1e300 / 1e-300 is inf: the width, not any single entry, is at fault
+    with pytest.raises(WidthOverflow, match="width 1e\\+300/1e-300") as info:
+        standardize([(0, 0, 1e-300), (0, 1, 1e300)], 1, 2)
+    assert isinstance(info.value, FairpcError)
+    inst, rec = standardize([(0, 0, 1e-150), (0, 1, 1e150)], 1, 2)  # wide but finite
+    assert rec.c == 1e-150 and inst.rho == 1e150 / 1e-150
 
 
 def test_standardize_idempotent():
@@ -219,3 +235,11 @@ def test_config_epsilon_bounds():
     with pytest.raises(EpsilonOutOfRange):
         SolverConfig(fairness=1.0, epsilon=0.51, mode=COVER)
     SolverConfig(fairness=-3.0, epsilon=0.5, mode=COVER)  # beta may be negative for covering
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_fairness(value):
+    with pytest.raises(InvalidAlpha, match="alpha must be finite"):
+        SolverConfig(fairness=value, epsilon=0.1, mode=PACK)
+    with pytest.raises(InvalidBeta, match="beta must be finite"):
+        SolverConfig(fairness=value, epsilon=0.1, mode=COVER)
