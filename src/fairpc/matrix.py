@@ -65,10 +65,6 @@ class Entries(Sequence):
     def __iter__(self):
         return zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist())
 
-    def __contains__(self, triple) -> bool:
-        i, j, v = triple
-        return bool(((self.rows == i) & (self.cols == j) & (self.vals == v)).any())
-
     def __eq__(self, other):
         if not isinstance(other, (Entries, list, tuple)):
             return NotImplemented

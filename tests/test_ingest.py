@@ -43,7 +43,7 @@ def test_ingest_bit_identical_to_list_path(tmp_path):
 
         got, got_rec = standardize(entries, m, n)
         ref, ref_rec = standardize(triples, m, n)
-        # the per-entry loop standardize used to run, kept as the reference
+        # reference: the scaling as a per-entry Python loop
         c = min(v for _, _, v in triples if v > 0.0)
         assert got.matrix.entries() == [(i, j, v / c) for i, j, v in triples if v > 0.0]
         assert got_rec.c == ref_rec.c == c and got.rho == ref.rho == inst.rho
