@@ -116,6 +116,7 @@ def _packing_result(args, instance, record, solution: PackingSolution, wall: flo
         },
         "iterations": solution.iterations_run,
         "stopped_early": solution.stopped_early,
+        "trace_rows_dropped": solution.trace_dropped,
         "objective": solution.utility,
         "solution": list(solution.x),
         "feasibility": {
@@ -157,6 +158,7 @@ def _covering_result(args, instance, record, solution: CoveringSolution, wall: f
             "logC": params.logC,
         },
         "iterations": solution.iterations_run,
+        "trace_rows_dropped": solution.trace_dropped,
         "objective": solution.cost,
         "solution": list(solution.y),
         "feasibility": {

@@ -52,6 +52,7 @@ class CoveringSolution:
     dual_certificate: np.ndarray
     trace: list[TraceRow]
     params: CoveringRegParams
+    trace_dropped: int = 0   # oldest trace rows evicted past the buffer's capacity
 
 
 @dataclass(frozen=True)
@@ -165,6 +166,7 @@ def finalize_covering(state: CoveringState, instance: CoveringInstance,
         dual_certificate=state.x.copy(),
         trace=state.trace.rows(),
         params=params,
+        trace_dropped=state.trace.dropped,
     )
 
 

@@ -57,6 +57,10 @@ class InvalidBeta(ConfigError):
     pass
 
 
+class DerivedConstantOverflow(ConfigError):
+    """A run constant derived from (m, n, rho, epsilon) leaves float range."""
+
+
 # ---- math domain ----
 
 class DomainError(FairpcError):

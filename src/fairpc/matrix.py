@@ -15,6 +15,8 @@ entry.
 
 from __future__ import annotations
 
+import itertools
+import re
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -135,11 +137,6 @@ class SparseNonnegMatrix:
         dense[self.ent_row, self.ent_col] = self.ent_val
         return dense
 
-    def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Incident rows and values of column ``j``, in column order."""
-        lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
-        return self.col_row[lo:hi].copy(), self.col_val[lo:hi].copy()
-
 
 def _outside(rows: np.ndarray, cols: np.ndarray, m: int, n: int) -> np.ndarray:
     return (rows < 0) | (rows >= m) | (cols < 0) | (cols >= n)
@@ -246,6 +243,34 @@ def column_loads(matrix: SparseNonnegMatrix, y: np.ndarray) -> np.ndarray:
     return np.add.reduceat(terms, matrix.col_ptr[:-1])
 
 
+_LOADTXT_ROW = re.compile(r" at row (\d+)(?:, column (\d+))?")
+
+
+def _entry_block_error(exc: ValueError, lines, first_line: int) -> MatrixMarketFormatError:
+    """loadtxt's error, pointed at the 1-based file line it is about.
+
+    loadtxt counts only the data rows of the entry block (the block's
+    ``lines`` start after file line ``first_line``): 0-based when a token
+    fails to convert, 1-based when the token count is wrong. A pipe cannot
+    be read again (``lines`` is None): its error names the 1-based entry.
+    """
+    reason = str(exc).split("; use `usecols`")[0].rstrip(".")
+    found = _LOADTXT_ROW.search(reason)
+    if found is None:
+        return MatrixMarketFormatError(f"malformed entry line: {reason}")
+    target = int(found.group(1)) - (not reason.startswith("could not convert"))
+    token = f" (token {found.group(2)})" if found.group(2) else ""
+    reason = reason[:found.start()] + reason[found.end():]
+    line_no = None
+    if lines is not None:
+        numbered = enumerate(lines, first_line + 1)
+        data = (no for no, line in numbered if line.split("%", 1)[0].strip())
+        line_no = next(itertools.islice(data, target, None), None)
+    if line_no is None:
+        return MatrixMarketFormatError(f"malformed entry {target + 1}{token}: {reason}")
+    return MatrixMarketFormatError(f"malformed entry line {line_no}{token}: {reason}")
+
+
 def read_matrix_market(path) -> tuple[Entries, int, int]:
     """Parse a MatrixMarket coordinate file into 0-based raw entries.
 
@@ -284,7 +309,8 @@ def read_matrix_market(path) -> tuple[Entries, int, int]:
         # given a path, loadtxt reads in bulk, ~30% faster at 1M entries than
         # line by line from ``fh``; a pipe can be read only once, so there
         # the entries are read on from ``fh``
-        source, skip = (path, consumed) if fh.seekable() else (fh, 0)
+        seekable = fh.seekable()
+        source, skip = (path, consumed) if seekable else (fh, 0)
         with warnings.catch_warnings():
             # an empty entry block is not a format error; nnz decides below
             warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
@@ -292,10 +318,11 @@ def read_matrix_market(path) -> tuple[Entries, int, int]:
                 data = np.loadtxt(source, dtype=_MM_ENTRY, comments="%", ndmin=1,
                                   skiprows=skip, encoding="utf-8")
             except ValueError as exc:
-                # loadtxt names the row (within the entry block) and column;
-                # its hint about ``usecols`` does not apply to a file
-                reason = str(exc).split("; use `usecols`")[0]
-                raise MatrixMarketFormatError(f"malformed entry line: {reason}") from exc
+                lines = None
+                if seekable:
+                    fh.seek(0)
+                    lines = itertools.islice(fh, consumed, None)
+                raise _entry_block_error(exc, lines, consumed) from exc
 
     rows = data["i"] - 1
     cols = data["j"] - 1

@@ -47,19 +47,19 @@ class TraceRow:
 
 
 class TraceBuffer:
-    """Bounded trace storage; oldest rows are dropped past capacity."""
+    """Bounded trace storage; past capacity the oldest rows are dropped and counted."""
 
     def __init__(self, capacity: int = TRACE_CAPACITY):
         self._rows = deque(maxlen=capacity)
+        self.dropped = 0
 
     def append(self, row: TraceRow) -> None:
+        if len(self._rows) == self._rows.maxlen:
+            self.dropped += 1
         self._rows.append(row)
 
     def rows(self) -> list[TraceRow]:
         return list(self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
 
 
 @dataclass(eq=False)
@@ -86,6 +86,7 @@ class PackingSolution:
     trace: list[TraceRow]
     params: PackingRegParams
     stopped_early: bool = False
+    trace_dropped: int = 0   # oldest trace rows evicted past the buffer's capacity
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ def init_packing(instance: PackingInstance, config: SolverConfig,
     return PackingState(x_hat=x_hat, z=z, u=u, k=0, kernel=kernel)
 
 
-def _require_feasible(loads: np.ndarray, k: int) -> None:
+def require_feasible(loads: np.ndarray, k: int) -> None:
     if float(loads.max()) > 1.0:
         raise FeasibilityViolation(
             f"constraint load {float(loads.max())} exceeded 1 at iteration {k}; "
@@ -170,7 +171,7 @@ def step(state: PackingState, instance: PackingInstance, params: PackingRegParam
         u = kernel.allocation(x_hat)
         loads = kernel.loads_of(u)
         if check_feasibility:
-            _require_feasible(loads, state.k + 1)
+            require_feasible(loads, state.k + 1)
         pair = kernel.evaluate(x_hat, u=u, loads=loads)
         state.z = mirror_update(state.z, pair.truncated, mirror_step_scale(params))
         state.x_hat = x_hat
@@ -178,13 +179,13 @@ def step(state: PackingState, instance: PackingInstance, params: PackingRegParam
     elif alpha == 1.0:
         pair = kernel.evaluate(state.x_hat, u=state.u)
         if check_feasibility:
-            _require_feasible(pair.loads, state.k)
+            require_feasible(pair.loads, state.k)
         state.x_hat = additive_update(state.x_hat, pair.truncated, additive_step_scale(params))
         state.u = np.exp(state.x_hat)
     else:
         pair = kernel.evaluate(state.x_hat, u=state.u)
         if check_feasibility:
-            _require_feasible(pair.loads, state.k)
+            require_feasible(pair.loads, state.k)
         state.x_hat = multiplicative_update(
             state.x_hat, pair.truncated, multiplicative_step_scale(params, alpha)
         )
@@ -275,7 +276,7 @@ class PackingRunRecorder:
         kernel = self.kernel
         loads = kernel.loads_of(u)
         if self.check_feasibility:
-            _require_feasible(loads, k)
+            require_feasible(loads, k)
         utility = f_alpha_value(u, self.alpha)
         f_r = kernel.f_r(x_hat, loads=loads)
         gap = None
@@ -346,6 +347,7 @@ def finalize_packing(state: PackingState, instance: PackingInstance,
         trace=state.trace.rows(),
         params=params,
         stopped_early=stopped_early,
+        trace_dropped=state.trace.dropped,
     )
 
 

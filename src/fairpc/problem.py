@@ -48,11 +48,6 @@ class ScalingRecord:
     def original_solution(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(v, dtype=np.float64) / self.c
 
-    def original_utility(self, standardized_value: float, size: int) -> float:
-        if self.alpha_used == 1.0:
-            return standardized_value + size * math.log(1.0 / self.c)
-        return self.c ** (self.alpha_used - 1.0) * standardized_value
-
 
 def _check_standardized(matrix: SparseNonnegMatrix, rho: float) -> None:
     if matrix.min_entry != 1.0:

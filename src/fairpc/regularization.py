@@ -13,8 +13,9 @@ truncated analytically, and f_r reports a positive-overflow marker instead
 of a finite lie.
 
 Every floating-point step here is shared verbatim between the monolithic
-solver and the per-coordinate distributed update (see ``rounds``), which is
-what makes the two engines bit-identical.
+solver and the column-block shards of the round engine (see ``rounds``):
+both run the column truncation through ``truncated_columns``, which is what
+makes the two engines bit-identical.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EpsilonOutOfRange, InvalidAlpha, TruncationDomainViolation
+from .errors import (
+    DerivedConstantOverflow,
+    DomainError,
+    EpsilonOutOfRange,
+    InvalidAlpha,
+    TruncationDomainViolation,
+)
 from .matrix import SparseNonnegMatrix
 from .problem import epsilon_upper_bound
 
@@ -76,6 +83,17 @@ class CoveringRegParams:
     logC: float = 0.0
 
 
+def _finite(name: str, value: float, m: int, n: int, rho: float, epsilon: float) -> float:
+    """``value`` when finite and nonzero; a product of m, n, rho and 1/epsilon
+    near the float range overflows and turns a derived constant into 0 or inf."""
+    if math.isfinite(value) and value != 0.0:
+        return value
+    raise DerivedConstantOverflow(
+        f"derived constant {name} = {value} is out of floating-point range for "
+        f"m={m}, n={n}, rho={rho:g}, epsilon={epsilon:g}"
+    )
+
+
 def derive_packing_params(m: int, n: int, rho: float, alpha: float, epsilon: float) -> PackingRegParams:
     """Evaluate the packing run constants for the given standardized shape."""
     if alpha < 0.0:
@@ -89,26 +107,31 @@ def derive_packing_params(m: int, n: int, rho: float, alpha: float, epsilon: flo
     if m < 1 or n < 1 or rho < 1.0:
         raise ValueError("need m, n >= 1 and rho >= 1")
 
-    beta = (epsilon / 4.0) / ((1.0 + alpha) * math.log(4.0 * m * n * rho / epsilon))
-    logC = math.log(1.0 + epsilon / 2.0) / beta
+    def finite(name: str, value: float) -> float:
+        return _finite(name, value, m, n, rho, epsilon)
+
+    beta = finite(
+        "beta", (epsilon / 4.0) / ((1.0 + alpha) * math.log(4.0 * m * n * rho / epsilon))
+    )
+    logC = finite("logC", math.log(1.0 + epsilon / 2.0) / beta)
+    beta_prime = None
+    h = None
     if alpha < 1.0:
-        beta_prime = (1.0 - alpha) * (epsilon / 4.0) / math.log(n * rho / (1.0 - epsilon))
-        h = (1.0 - alpha) * beta * beta_prime / (16.0 * epsilon * (1.0 + alpha * beta))
-        K = math.ceil(2.0 / ((1.0 - alpha) * h * epsilon))
+        beta_prime = finite(
+            "beta_prime", (1.0 - alpha) * (epsilon / 4.0) / math.log(n * rho / (1.0 - epsilon))
+        )
+        h = finite("h", (1.0 - alpha) * beta * beta_prime / (16.0 * epsilon * (1.0 + alpha * beta)))
+        K = finite("K", 2.0 / ((1.0 - alpha) * h * epsilon))
     elif alpha == 1.0:
-        beta_prime = None
-        h = None
-        K = math.ceil(10.0 * math.log(8.0 * rho * m * n / epsilon) ** 2 / (epsilon * beta))
+        K = finite("K", 10.0 * math.log(8.0 * rho * m * n / epsilon) ** 2 / (epsilon * beta))
     else:
-        beta_prime = None
-        h = None
         gap = min(alpha - 1.0, 1.0)
-        K = math.ceil(
-            800.0 * (1.0 + alpha) ** 2 * math.log(n * rho / (epsilon * gap)) / (beta * gap)
+        K = finite(
+            "K", 800.0 * (1.0 + alpha) ** 2 * math.log(n * rho / (epsilon * gap)) / (beta * gap)
         )
     return PackingRegParams(
         alpha=alpha, epsilon=epsilon, beta=beta, logC=logC,
-        beta_prime=beta_prime, h=h, K=int(K),
+        beta_prime=beta_prime, h=h, K=math.ceil(K),
     )
 
 
@@ -119,7 +142,10 @@ def derive_covering_params(m: int, n: int, rho: float, beta: float, epsilon: flo
     if m < 1 or n < 1 or rho < 1.0:
         raise ValueError("need m, n >= 1 and rho >= 1")
 
-    floor = (epsilon / 4.0) / math.log(m * n * rho / epsilon)
+    def finite(name: str, value: float) -> float:
+        return _finite(name, value, m, n, rho, epsilon)
+
+    floor = finite("beta floor", (epsilon / 4.0) / math.log(m * n * rho / epsilon))
     was_reset = beta <= 0.0
     if was_reset:
         beta = floor
@@ -131,11 +157,13 @@ def derive_covering_params(m: int, n: int, rho: float, beta: float, epsilon: flo
             SubThresholdBetaWarning,
             stacklevel=2,
         )
-    beta_prime = (epsilon / 4.0) / ((1.0 + beta) * math.log(m * n * rho / epsilon))
-    h = beta * beta_prime / (16.0 * epsilon)
-    K = 1 + math.ceil(2.0 / (h * epsilon))
+    beta_prime = finite(
+        "beta_prime", (epsilon / 4.0) / ((1.0 + beta) * math.log(m * n * rho / epsilon))
+    )
+    h = finite("h", beta * beta_prime / (16.0 * epsilon))
+    K = 1 + math.ceil(finite("K", 2.0 / (h * epsilon)))
     return CoveringRegParams(
-        epsilon=epsilon, beta=beta, beta_prime=beta_prime, h=h, K=int(K),
+        epsilon=epsilon, beta=beta, beta_prime=beta_prime, h=h, K=K,
         was_reset=was_reset, below_guarantee_floor=below,
     )
 
@@ -145,28 +173,46 @@ class GradientPair:
     """Gradient data at one iterate.
 
     ``truncated`` is the scaled-and-clipped gradient, every entry in
-    [-1, 1]. Saturated coordinates (combined exponent above EXP_SAT) carry
-    a signed-infinity sentinel in ``grad`` and exactly 1.0 in ``truncated``;
-    no arithmetic is ever performed on the sentinel.
+    [-1, 1]; a saturated coordinate (combined exponent above EXP_SAT)
+    truncates to exactly 1.0. The solvers read only ``truncated`` and the
+    loads. ``grad``, the raw gradient, is filled in by ``grad_f_r`` alone:
+    saturated coordinates carry a signed-infinity sentinel there, and no
+    arithmetic is ever performed on it.
     """
 
-    grad: np.ndarray
     truncated: np.ndarray
     loads: np.ndarray
     log_loads: np.ndarray
-
-    @property
-    def max_load(self) -> float:
-        return float(self.loads.max())
+    grad: np.ndarray | None = None
 
 
-def entry_exponents(lcv_logc, t, q):
-    """Combined per-entry log exponent; grouping is part of the contract.
+def truncated_columns(lcv_logc, t_entry, q, entry_row, col_starts):
+    """Scaled gradient ``s`` of each column segment, its saturation mask and truncation.
 
-    Both engines must evaluate ``(lcv_logc + t) + q`` with this exact
-    association so their floating-point results agree bitwise.
+    The per-entry terms are in column-major order, ``q`` is per row and is
+    gathered here at ``entry_row`` (so the nnz-wide gather is freed before
+    the ``exp``), and ``col_starts`` opens each column's segment. Both
+    engines run every column through this one function, so the grouping
+    ``(lcv_logc + t) + q`` and every later step agree bitwise. Exponents
+    above EXP_SAT are never materialized: their column is saturated (``s``
+    is meaningless there) and truncates to exactly 1.0. ``saturated`` is
+    None when nothing saturates.
     """
-    return (lcv_logc + t) + q
+    e = (lcv_logc + t_entry) + q.take(entry_row)
+    saturated = None
+    if float(np.maximum.reduce(e)) > EXP_SAT:
+        saturated = np.maximum.reduceat(e, col_starts) > EXP_SAT
+        e = np.where(e > EXP_SAT, -np.inf, e)
+    s = np.add.reduceat(np.exp(e), col_starts) - 1.0
+    smin = np.minimum.reduce(s)
+    if not smin >= -1.0:  # also catches NaN
+        raise TruncationDomainViolation(
+            f"scaled gradient fell below -1 (min {smin}); solver state is corrupted"
+        )
+    truncated = np.minimum(s, 1.0)
+    if saturated is not None:
+        truncated[saturated] = 1.0
+    return s, saturated, truncated
 
 
 def transform_to_allocation(x_hat, alpha: float):
@@ -220,47 +266,28 @@ class GradientKernel:
         terms = self.matrix.row_val * u[self.matrix.row_col]
         return np.add.reduceat(terms, self._row_starts)
 
-    def evaluate(self, x_hat: np.ndarray, u: np.ndarray | None = None,
-                 loads: np.ndarray | None = None) -> GradientPair:
-        """Scaled, truncated, and raw gradient at ``x_hat``."""
+    def columns(self, x_hat: np.ndarray, u: np.ndarray | None = None,
+                loads: np.ndarray | None = None):
+        """``truncated_columns`` on every column: (s, saturated, truncated, loads, log_loads)."""
         mat = self.matrix
-        alpha = self.alpha
         if u is None:
             u = self.allocation(x_hat)
         if loads is None:
             loads = self.loads_of(u)
         log_loads = np.log(loads)
         q = self.inv_beta * log_loads
-
-        t = log_allocation_term(x_hat, u, alpha)
+        t = log_allocation_term(x_hat, u, self.alpha)
         t_entry = t if np.isscalar(t) else np.take(t, mat.col_colidx)
-        e = entry_exponents(self.lcv_logc, t_entry, np.take(q, mat.col_row))
+        s, saturated, truncated = truncated_columns(
+            self.lcv_logc, t_entry, q, mat.col_row, self._col_starts
+        )
+        return s, saturated, truncated, loads, log_loads
 
-        emax = float(e.max())
-        saturated_cols = None
-        if emax > EXP_SAT:
-            col_max = np.maximum.reduceat(e, self._col_starts)
-            saturated_cols = col_max > EXP_SAT
-            e = np.where(e > EXP_SAT, -np.inf, e)
-        positive_part = np.add.reduceat(np.exp(e), self._col_starts)
-        s = positive_part - 1.0
-
-        smin = s.min()
-        if np.isnan(smin) or smin < -1.0:
-            raise TruncationDomainViolation(
-                f"scaled gradient fell below -1 (min {smin}); solver state is corrupted"
-            )
-        truncated = np.minimum(s, 1.0)
-        if alpha == 1.0:
-            grad = s.copy()
-            sentinel = np.inf
-        else:
-            grad = s / (1.0 - alpha)
-            sentinel = np.inf if alpha < 1.0 else -np.inf
-        if saturated_cols is not None and saturated_cols.any():
-            truncated[saturated_cols] = 1.0
-            grad[saturated_cols] = sentinel
-        return GradientPair(grad=grad, truncated=truncated, loads=loads, log_loads=log_loads)
+    def evaluate(self, x_hat: np.ndarray, u: np.ndarray | None = None,
+                 loads: np.ndarray | None = None) -> GradientPair:
+        """Scaled and truncated gradient at ``x_hat``, with the loads it used."""
+        _s, _saturated, truncated, loads, log_loads = self.columns(x_hat, u, loads)
+        return GradientPair(truncated=truncated, loads=loads, log_loads=log_loads)
 
     def f_r(self, x_hat: np.ndarray, loads: np.ndarray | None = None) -> float:
         """Regularized objective value; may return POSITIVE_OVERFLOW."""
@@ -301,11 +328,23 @@ def f_r_value(instance, params, x_hat, alpha: float) -> float:
 
 
 def grad_f_r(instance, params, x_hat, alpha: float) -> GradientPair:
-    """Gradient of f_r with its truncated companion, in log-domain."""
+    """Gradient of f_r with its truncated companion, in log-domain.
+
+    The raw gradient is ``s`` unscaled: ``s`` itself at alpha = 1, else
+    ``s / (1 - alpha)``; saturated coordinates get the sentinel of the sign
+    the unscaled gradient would have.
+    """
     x_hat = _check_domain(x_hat, alpha)
     kernel = GradientKernel(instance.matrix, alpha, params.beta, params.logC)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        return kernel.evaluate(x_hat)
+        s, saturated, truncated, loads, log_loads = kernel.columns(x_hat)
+        if alpha == 1.0:
+            grad, sentinel = s, np.inf
+        else:
+            grad, sentinel = s / (1.0 - alpha), (np.inf if alpha < 1.0 else -np.inf)
+    if saturated is not None:
+        grad[saturated] = sentinel
+    return GradientPair(truncated=truncated, loads=loads, log_loads=log_loads, grad=grad)
 
 
 def truncate(grad_j: float, alpha: float) -> float:

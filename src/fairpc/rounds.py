@@ -1,130 +1,84 @@
-"""Lockstep round-based execution with a locality audit.
+"""Lockstep round-based execution over column-block shards, with a locality audit.
 
-One agent per coordinate holds only its own matrix column plus global
-scalars. Every round the environment broadcasts the constraint loads; each
-agent receives exactly the loads of its incident constraints and applies a
-pure per-coordinate update. Rounds are deterministic lockstep, so the final
-state is bit-identical to the monolithic solver (both engines share every
-floating-point helper and the same summation primitives).
+The columns are split into ``SHARD_COUNT`` contiguous blocks of the
+column-major arrays. Every round the environment publishes the allocations,
+computes the constraint loads once and sends each shard only the loads of
+its incident rows; the shard updates its whole block in one vectorized pass
+through the monolithic kernel's own ``truncated_columns`` and update
+expressions, so the result is bit-identical to the monolithic solver.
 
-In audit mode every matrix read an agent performs is logged and checked,
-per round, to stay inside the agent's own column.
+Locality is structural: a shard reads the matrix only through gather
+indices inside its own ``col_ptr`` range. That is checked when the shard is
+built and, with the audit on, every round, along with each message's row
+set, which must equal the shard's incident rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LocalityViolation, MissingLoad, TruncationDomainViolation
+from .errors import LocalityViolation, MissingLoad
 from .matrix import constraint_loads
-from .problem import (
-    COVER,
-    PACK,
-    CoveringInstance,
-    PackingInstance,
-    ScalingRecord,
-    SolverConfig,
-)
+from .problem import COVER, PACK, CoveringInstance, PackingInstance, ScalingRecord, SolverConfig
 from .packing import (
-    PackingRunRecorder,
-    PackingState,
-    TraceBuffer,
-    additive_step_scale,
-    additive_update,
-    dual_vector,
-    finalize_packing,
-    init_packing,
-    mirror_iterate,
-    mirror_step_scale,
-    mirror_update,
-    multiplicative_step_scale,
-    multiplicative_update,
-    plan_iterations,
+    PackingRunRecorder, additive_step_scale, additive_update, dual_vector, finalize_packing,
+    init_packing, mirror_iterate, mirror_step_scale, mirror_update, multiplicative_step_scale,
+    multiplicative_update, plan_iterations, require_feasible,
 )
-from .covering import (
-    CoveringState,
-    covering_trace_row,
-    finalize_covering,
-    init_covering,
-    running_average,
-)
+from .covering import covering_trace_row, finalize_covering, init_covering, running_average
 from .regularization import (
-    EXP_SAT,
-    derive_covering_params,
-    derive_packing_params,
-    entry_exponents,
-    log_allocation_term,
-    transform_to_allocation,
+    GradientKernel, derive_covering_params, derive_packing_params, log_allocation_term,
+    transform_to_allocation, truncated_columns,
 )
 
-_SEG_START = np.array([0], dtype=np.int64)
+# column blocks per run, capped at the number of columns
+SHARD_COUNT = 4
 
 
-class AccessLog:
-    """Collects and immediately verifies per-round matrix accesses."""
+@dataclass(frozen=True, eq=False)
+class Shard:
+    """Columns ``[c0, c1)``: everything the block may read, plus run scalars."""
 
-    def __init__(self, allowed_rows_by_agent: dict[int, frozenset[int]]):
-        self.allowed = allowed_rows_by_agent
-        self.touched: dict[int, set[tuple[int, int]]] = {j: set() for j in allowed_rows_by_agent}
-        self.violations: list[tuple[int, int, int, int]] = []  # (round, agent, row, col)
-        self.current_round = 0
-
-    def note(self, agent_j: int, rows: np.ndarray, col: int) -> None:
-        allowed = self.allowed[agent_j]
-        for i in rows:
-            i = int(i)
-            self.touched[agent_j].add((i, col))
-            if col != agent_j or i not in allowed:
-                self.violations.append((self.current_round, agent_j, i, col))
-
-
-@dataclass(eq=False)
-class LocalView:
-    """Everything coordinate ``j`` may read: its column and global scalars."""
-
-    j: int
-    col_rows: np.ndarray
-    col_vals: np.ndarray
-    lcv_logc: np.ndarray     # ln(A_ij) + logC, derived from the column only
+    index: int
+    c0: int
+    c1: int
+    gather: np.ndarray      # column-major entry indices the shard reads
+    rows: np.ndarray        # sorted incident rows
+    row_pos: np.ndarray     # each entry's position in ``rows``
+    col_local: np.ndarray   # each entry's column, counted from c0
+    col_starts: np.ndarray  # each column's first entry, counted from the block's first
+    lcv_logc: np.ndarray    # ln(A_ij) + logC of each entry
     alpha: float
     inv_beta: float
     beta_prime: float | None
     step_scale: float
-    epsilon: float
-    m: int
-    n: int
-    rho: float
-    access_log: AccessLog | None = None
-
-    def incident(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The sanctioned matrix read; logged when auditing."""
-        if self.access_log is not None:
-            self.access_log.note(self.j, self.col_rows, self.j)
-        return self.col_rows, self.col_vals, self.lcv_logc
 
 
-@dataclass(frozen=True)
-class RoundMessage:
+class ShardMessage(NamedTuple):
+    """The loads of ``rows``, in that order, for one shard and round."""
+
     round_index: int
-    loads: dict[int, float]
+    rows: np.ndarray
+    loads: np.ndarray
 
 
-@dataclass(frozen=True)
-class AgentState:
-    x_hat: float
-    z: float | None
+class BlockState(NamedTuple):
+    x_hat: np.ndarray
+    z: np.ndarray | None          # mirror state, alpha < 1 only
     k: int
+    u: np.ndarray | None = None   # the allocation published this round, if any
 
 
 @dataclass(eq=False)
 class LocalityAudit:
     performed: bool
     rounds: int = 0
-    out_of_column: list = field(default_factory=list)
-    message_key_mismatches: list = field(default_factory=list)
-    touched_counts: dict = field(default_factory=dict)
+    out_of_column: list = field(default_factory=list)           # (round, shard, entry)
+    message_key_mismatches: list = field(default_factory=list)  # (round, shard)
+    touched_counts: dict = field(default_factory=dict)          # column -> entries read
 
     @property
     def ok(self) -> bool:
@@ -138,94 +92,99 @@ class LocalityAudit:
             )
 
 
-def _uses_mirror(alpha: float) -> bool:
-    return alpha < 1.0
+def _outside_block(gather: np.ndarray, col_ptr: np.ndarray, c0: int, c1: int) -> np.ndarray:
+    """The gather indices that leave the entry range of columns [c0, c1)."""
+    lo, hi = col_ptr[c0], col_ptr[c1]
+    if gather.size and lo <= np.minimum.reduce(gather) and np.maximum.reduce(gather) < hi:
+        return gather[:0]
+    return gather[(gather < lo) | (gather >= hi)]
 
 
-def publish_allocation(view: LocalView, agent: AgentState) -> float:
-    """The allocation value agent ``j`` exposes to its constraints this round."""
-    if _uses_mirror(view.alpha):
-        x_hat = mirror_iterate(np.float64(agent.z), view.beta_prime)
-    else:
-        x_hat = np.float64(agent.x_hat)
-    return transform_to_allocation(x_hat, view.alpha)
-
-
-def local_update(view: LocalView, msg: RoundMessage, agent: AgentState) -> AgentState:
-    """Pure per-coordinate update from the local view and round message."""
-    rows, _vals, lcv = view.incident()
-    try:
-        incident_loads = np.array([msg.loads[int(i)] for i in rows], dtype=np.float64)
-    except KeyError as exc:
-        raise MissingLoad(
-            f"round {msg.round_index}: load for constraint {exc.args[0]} "
-            f"missing from agent {view.j}'s message"
-        ) from exc
-
-    alpha = view.alpha
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        if _uses_mirror(alpha):
-            x_hat = mirror_iterate(np.float64(agent.z), view.beta_prime)
-        else:
-            x_hat = np.float64(agent.x_hat)
-        u = transform_to_allocation(x_hat, alpha)
-        t = log_allocation_term(x_hat, u, alpha)
-        q = view.inv_beta * np.log(incident_loads)
-        e = entry_exponents(lcv, t, q)
-        if float(np.max(e)) > EXP_SAT:
-            truncated = 1.0
-        else:
-            positive_part = float(np.add.reduceat(np.exp(e), _SEG_START)[0])
-            s = positive_part - 1.0
-            if np.isnan(s) or s < -1.0:
-                raise TruncationDomainViolation(
-                    f"agent {view.j}: scaled gradient {s} below -1"
-                )
-            truncated = min(s, 1.0)
-
-        if _uses_mirror(alpha):
-            z_new = mirror_update(np.float64(agent.z), truncated, view.step_scale)
-            return AgentState(x_hat=float(x_hat), z=float(z_new), k=agent.k + 1)
-        if alpha == 1.0:
-            x_new = additive_update(np.float64(agent.x_hat), truncated, view.step_scale)
-        else:
-            x_new = multiplicative_update(np.float64(agent.x_hat), truncated, view.step_scale)
-        return AgentState(x_hat=float(x_new), z=None, k=agent.k + 1)
-
-
-def _build_views(matrix, alpha, inv_beta, logc, beta_prime, step_scale, epsilon, rho,
-                 log: AccessLog | None) -> list[LocalView]:
-    views = []
-    for j in range(matrix.n):
-        rows, vals = matrix.column(j)
-        views.append(
-            LocalView(
-                j=j,
-                col_rows=rows,
-                col_vals=vals,
-                lcv_logc=np.log(vals) + logc,
-                alpha=alpha,
-                inv_beta=inv_beta,
-                beta_prime=beta_prime,
-                step_scale=step_scale,
-                epsilon=epsilon,
-                m=matrix.m,
-                n=matrix.n,
-                rho=rho,
-                access_log=log,
-            )
+def build_shard(kernel: GradientKernel, index: int, c0: int, c1: int, gather: np.ndarray,
+                step_scale: float, beta_prime: float | None) -> Shard:
+    """Gather the block's entries, the shard's only matrix reads; any index
+    outside the entries of columns [c0, c1) raises."""
+    matrix = kernel.matrix
+    outside = _outside_block(gather, matrix.col_ptr, c0, c1)
+    if outside.size:
+        raise LocalityViolation(
+            f"shard {index} (columns {c0}..{c1 - 1}) gathers entry {int(outside[0])} "
+            "outside its columns"
         )
-    return views
+    rows, row_pos = np.unique(matrix.col_row[gather], return_inverse=True)
+    return Shard(
+        index=index, c0=c0, c1=c1, gather=gather, rows=rows, row_pos=row_pos,
+        col_local=matrix.col_colidx[gather] - c0,
+        col_starts=matrix.col_ptr[c0:c1] - matrix.col_ptr[c0],
+        lcv_logc=kernel.lcv_logc[gather],
+        alpha=kernel.alpha, inv_beta=kernel.inv_beta,
+        beta_prime=beta_prime, step_scale=step_scale,
+    )
 
 
-def _messages_for(views, loads, k, log: AccessLog | None, audit_obj: LocalityAudit):
-    msgs = []
-    for view in views:
-        keys = [int(i) for i in view.col_rows]
-        msgs.append(RoundMessage(round_index=k, loads={i: float(loads[i]) for i in keys}))
-        if log is not None and set(keys) != log.allowed[view.j]:
-            audit_obj.message_key_mismatches.append((k, view.j))
-    return msgs
+def build_shards(kernel: GradientKernel, step_scale: float, beta_prime: float | None,
+                 count: int) -> list[Shard]:
+    """``count`` (at most n) contiguous column blocks of near-equal width."""
+    n, col_ptr = kernel.matrix.n, kernel.matrix.col_ptr
+    count = min(count, n)
+    bounds = [n * s // count for s in range(count + 1)]
+    return [
+        build_shard(kernel, i, c0, c1, np.arange(col_ptr[c0], col_ptr[c1]), step_scale, beta_prime)
+        for i, (c0, c1) in enumerate(zip(bounds[:-1], bounds[1:]))
+    ]
+
+
+def shard_message(shard: Shard, loads: np.ndarray, k: int) -> ShardMessage:
+    return ShardMessage(round_index=k, rows=shard.rows, loads=loads[shard.rows])
+
+
+def publish(shard: Shard, block: BlockState) -> BlockState:
+    """The block at its current iterate, with the allocation it exposes this round."""
+    x_hat = mirror_iterate(block.z, shard.beta_prime) if shard.alpha < 1.0 else block.x_hat
+    return block._replace(x_hat=x_hat, u=transform_to_allocation(x_hat, shard.alpha))
+
+
+def _carries_rows(msg: ShardMessage, shard: Shard) -> bool:
+    """Whether the message's rows are exactly the shard's incident rows."""
+    return msg.rows is shard.rows or np.array_equal(msg.rows, shard.rows)
+
+
+def local_update(shard: Shard, msg: ShardMessage, block: BlockState) -> BlockState:
+    """Pure block update from the shard's own entries and its round message.
+
+    ``block`` is as ``publish`` left it this round; an unpublished block is
+    published here first.
+    """
+    if not _carries_rows(msg, shard):
+        missing = np.setdiff1d(shard.rows, msg.rows)
+        lacks = f"the load of row {int(missing[0])}" if missing.size else "its incident rows"
+        raise MissingLoad(f"round {msg.round_index}: shard {shard.index}'s message lacks {lacks}")
+    alpha = shard.alpha
+    x_hat, z, k, u = block if block.u is not None else publish(shard, block)
+    t = log_allocation_term(x_hat, u, alpha)
+    t_entry = t if alpha == 0.0 else t.take(shard.col_local)
+    q = shard.inv_beta * np.log(msg.loads)
+    _s, _saturated, truncated = truncated_columns(
+        shard.lcv_logc, t_entry, q, shard.row_pos, shard.col_starts
+    )
+    if alpha < 1.0:
+        return BlockState(x_hat, mirror_update(z, truncated, shard.step_scale), k + 1)
+    if alpha == 1.0:
+        x_new = additive_update(x_hat, truncated, shard.step_scale)
+    else:
+        x_new = multiplicative_update(x_hat, truncated, shard.step_scale)
+    return BlockState(x_new, None, k + 1)
+
+
+def audit_round(shards: list[Shard], msgs: list[ShardMessage], col_ptr: np.ndarray,
+                k: int, audit: LocalityAudit) -> None:
+    """Re-check every shard's gather range and message rows; raise on a breach."""
+    for shard, msg in zip(shards, msgs):
+        outside = _outside_block(shard.gather, col_ptr, shard.c0, shard.c1)
+        audit.out_of_column += [(k, shard.index, int(e)) for e in outside]
+        if not _carries_rows(msg, shard):
+            audit.message_key_mismatches.append((k, shard.index))
+    audit.require_clean()
 
 
 def run_distributed(instance, config: SolverConfig, mode: str | None = None,
@@ -233,8 +192,9 @@ def run_distributed(instance, config: SolverConfig, mode: str | None = None,
     """Execute the solve as lockstep rounds; returns (solution, audit).
 
     The solution is bit-identical to the corresponding monolithic solver's
-    output. The audit reports, per round, every matrix entry each agent
-    read and fails if any read leaves the agent's own column.
+    output. With ``audit`` on, every round re-checks each shard's gather
+    range and message rows, and the audit reports how many entries of each
+    column were read.
     """
     if mode is None:
         mode = config.mode
@@ -249,10 +209,46 @@ def run_distributed(instance, config: SolverConfig, mode: str | None = None,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _allowed_rows(matrix) -> dict[int, frozenset[int]]:
-    return {
-        j: frozenset(int(i) for i in matrix.column(j)[0]) for j in range(matrix.n)
-    }
+class _Lockstep:
+    """The environment of one run: the shards, their block states and the audit."""
+
+    def __init__(self, kernel: GradientKernel, step_scale: float, beta_prime: float | None,
+                 x_hat: np.ndarray, z: np.ndarray | None, audit: bool):
+        self.matrix = kernel.matrix
+        self.shards = build_shards(kernel, step_scale, beta_prime, SHARD_COUNT)
+        self.blocks = [BlockState(x_hat[s.c0:s.c1], None if z is None else z[s.c0:s.c1], 0)
+                       for s in self.shards]
+        self.audit = LocalityAudit(performed=audit)
+
+    def round(self, k: int, packing: bool) -> np.ndarray:
+        """Publish, compute the loads once, message every shard, update every block."""
+        shards = self.shards
+        blocks = [publish(s, b) for s, b in zip(shards, self.blocks)]
+        u = np.concatenate([b.u for b in blocks])
+        loads = constraint_loads(self.matrix, u)
+        if packing:
+            require_feasible(loads, k)
+        msgs = [shard_message(s, loads, k) for s in shards]
+        if self.audit.performed:
+            audit_round(shards, msgs, self.matrix.col_ptr, k, self.audit)
+        self.blocks = [local_update(s, m, b) for s, m, b in zip(shards, msgs, blocks)]
+        self.audit.rounds = k
+        return loads
+
+    def joined(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The whole iterate and mirror state, as the monolithic solver holds them."""
+        x_hat = np.concatenate([b.x_hat for b in self.blocks])
+        z = None if self.blocks[0].z is None else np.concatenate([b.z for b in self.blocks])
+        return x_hat, z
+
+    def close(self) -> LocalityAudit:
+        audit = self.audit
+        if audit.performed:
+            read = np.concatenate([s.gather for s in self.shards])
+            counts = np.bincount(self.matrix.col_colidx[read], minlength=self.matrix.n)
+            audit.touched_counts = {j: int(c) for j, c in enumerate(counts)}
+            audit.require_clean()
+        return audit
 
 
 def _run_packing(instance: PackingInstance, config: SolverConfig,
@@ -261,69 +257,35 @@ def _run_packing(instance: PackingInstance, config: SolverConfig,
     params = derive_packing_params(instance.m, instance.n, instance.rho, alpha, config.epsilon)
     if scaling is None:
         scaling = ScalingRecord(c=1.0, alpha_used=alpha)
-    matrix = instance.matrix
     planned, stride = plan_iterations(config, params)
-
-    log = AccessLog(_allowed_rows(matrix)) if audit else None
-    audit_obj = LocalityAudit(performed=audit)
-
     if alpha < 1.0:
         step_scale = mirror_step_scale(params)
     elif alpha == 1.0:
         step_scale = additive_step_scale(params)
     else:
         step_scale = multiplicative_step_scale(params, alpha)
-    views = _build_views(
-        matrix, alpha, 1.0 / params.beta, params.logC, params.beta_prime,
-        step_scale, config.epsilon, instance.rho, log,
-    )
 
-    seed = init_packing(instance, config, params)
-    agents = [
-        AgentState(
-            x_hat=float(seed.x_hat[j]),
-            z=float(seed.z[j]) if seed.z is not None else None,
-            k=0,
-        )
-        for j in range(matrix.n)
-    ]
-    kernel = seed.kernel  # environment-side observer for traces and finalization
-    recorder = PackingRunRecorder(kernel, instance, params, config)
-    trace = TraceBuffer()
+    # the environment's whole-vector view, for traces and finalization only
+    state = init_packing(instance, config, params)
+    env = _Lockstep(state.kernel, step_scale, params.beta_prime, state.x_hat, state.z, audit)
+    recorder = PackingRunRecorder(state.kernel, instance, params, config)
 
-    def assemble() -> PackingState:
-        x_hat = np.array([a.x_hat for a in agents])
-        z = np.array([a.z for a in agents]) if alpha < 1.0 else None
-        u = kernel.allocation(x_hat)
-        return PackingState(x_hat=x_hat, z=z, u=u, k=k, trace=trace, kernel=kernel)
+    def record(k: int) -> bool:
+        state.x_hat, state.z = env.joined()
+        state.u, state.k = state.kernel.allocation(state.x_hat), k
+        return recorder.should_stop(recorder.record(state.x_hat, state.u, k, state.trace))
 
-    k = 0
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        snap = assemble()
-        row = recorder.record(snap.x_hat, snap.u, 0, trace)
-        stopped_early = recorder.should_stop(row)
+        stopped_early = record(0)
+        k = 0
         while k < planned and not stopped_early:
             k += 1
-            if log is not None:
-                log.current_round = k
-            published = np.array([publish_allocation(v, a) for v, a in zip(views, agents)])
-            loads = constraint_loads(matrix, published)
-            msgs = _messages_for(views, loads, k, log, audit_obj)
-            agents = [local_update(v, m, a) for v, m, a in zip(views, msgs, agents)]
+            env.round(k, packing=True)
             if k % stride == 0 or k == planned:
-                snap = assemble()
-                row = recorder.record(snap.x_hat, snap.u, k, trace)
-                stopped_early = recorder.should_stop(row)
+                stopped_early = record(k)
 
-    audit_obj.rounds = k
-    if log is not None:
-        audit_obj.out_of_column = log.violations
-        audit_obj.touched_counts = {j: len(s) for j, s in log.touched.items()}
-        audit_obj.require_clean()
-
-    final = assemble()
-    solution = finalize_packing(final, instance, params, config, scaling, stopped_early)
-    return solution, audit_obj
+    audit_obj = env.close()  # the last round was recorded, so ``state`` is current
+    return finalize_packing(state, instance, params, config, scaling, stopped_early), audit_obj
 
 
 def _run_covering(instance: CoveringInstance, config: SolverConfig,
@@ -333,49 +295,20 @@ def _run_covering(instance: CoveringInstance, config: SolverConfig,
     )
     if scaling is None:
         scaling = ScalingRecord(c=1.0, alpha_used=-params.beta)
-    matrix = instance.matrix
     planned, stride = plan_iterations(config, params)
 
-    log = AccessLog(_allowed_rows(matrix)) if audit else None
-    audit_obj = LocalityAudit(performed=audit)
-    views = _build_views(
-        matrix, 0.0, 1.0 / params.beta, 0.0, params.beta_prime,
-        mirror_step_scale(params), config.epsilon, instance.rho, log,
-    )
-
-    seed = init_covering(instance, config, params)
-    agents = [
-        AgentState(x_hat=float(seed.x[j]), z=float(seed.z[j]), k=0)
-        for j in range(matrix.n)
-    ]
-    kernel = seed.kernel
-    trace = TraceBuffer()
-    y_avg = seed.y_avg
-
-    def assemble() -> CoveringState:
-        x = np.array([a.x_hat for a in agents])
-        z = np.array([a.z for a in agents])
-        return CoveringState(x=x, z=z, y_avg=y_avg, k=k, trace=trace, kernel=kernel)
-
-    k = 0
+    state = init_covering(instance, config, params)
+    kernel = state.kernel
+    env = _Lockstep(kernel, mirror_step_scale(params), params.beta_prime, state.x, state.z, audit)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        trace.append(covering_trace_row(kernel, assemble().x, 0))
+        state.trace.append(covering_trace_row(kernel, state.x, 0))
         for k in range(1, planned + 1):
-            if log is not None:
-                log.current_round = k
-            published = np.array([publish_allocation(v, a) for v, a in zip(views, agents)])
-            loads = constraint_loads(matrix, published)
-            msgs = _messages_for(views, loads, k, log, audit_obj)
-            agents = [local_update(v, m, a) for v, m, a in zip(views, msgs, agents)]
-            y_avg = running_average(y_avg, dual_vector(kernel, np.log(loads)), k)
+            loads = env.round(k, packing=False)
+            state.y_avg = running_average(state.y_avg, dual_vector(kernel, np.log(loads)), k)
             if k % stride == 0 or k == planned:
-                trace.append(covering_trace_row(kernel, assemble().x, k))
+                state.x, state.z = env.joined()
+                state.k = k
+                state.trace.append(covering_trace_row(kernel, state.x, k))
 
-    audit_obj.rounds = k
-    if log is not None:
-        audit_obj.out_of_column = log.violations
-        audit_obj.touched_counts = {j: len(s) for j, s in log.touched.items()}
-        audit_obj.require_clean()
-
-    solution = finalize_covering(assemble(), instance, params, config, scaling)
-    return solution, audit_obj
+    audit_obj = env.close()  # the last round was traced, so ``state`` is current
+    return finalize_covering(state, instance, params, config, scaling), audit_obj

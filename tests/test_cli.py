@@ -246,15 +246,44 @@ def test_non_finite_fairness_exits_2(id3_path, capsys, flags):
         ("2 2 0\n", "no entries given"),
         ("1000000000000000 1 1\n1 1 1.0\n", "row 1 has no entries"),
         ("10000000000 10000000000 1\n1 1 1.0\n", "int64"),
+        # width 1e308 is finite, but 4*m*n*rho/eps is not
+        ("1 2 2\n1 1 1e-154\n1 2 1e154\n", "derived constant beta = 0.0"),
     ],
 )
-def test_bad_matrix_exits_2_with_reason(tmp_path, capsys, content, reason):
+@pytest.mark.parametrize("flags", [["--mode", "pack", "--alpha", "1"],
+                                   ["--mode", "cover", "--beta", "1"]])
+def test_bad_matrix_exits_2_with_reason(tmp_path, capsys, content, reason, flags):
+    if flags[1] == "cover":
+        reason = reason.replace("constant beta =", "constant beta floor =")
     p = tmp_path / "bad.mtx"
     p.write_text("%%MatrixMarket matrix coordinate real general\n" + content)
-    code, out, err = run(
-        ["--mode", "pack", "--alpha", "1", "--epsilon", "0.1", "--input", str(p)], capsys
-    )
+    code, out, err = run(flags + ["--epsilon", "0.1", "--input", str(p)], capsys)
     assert code == 2
     assert err.startswith("error: ") and reason in err
     assert err.count("\n") == 1  # one line naming the reason, no warnings
     assert out == ""
+
+
+@pytest.mark.parametrize("engine", ["monolithic", "rounds"])
+def test_dropped_trace_rows_are_counted(tmp_path, capsys, engine):
+    # 5001 rows (iterations 0..5000) into a 4096-row buffer: the oldest 905 go
+    p = tmp_path / "one.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0\n")
+    trace = tmp_path / "t.csv"
+    code, out, _ = run(
+        ["--mode", "pack", "--alpha", "1", "--epsilon", "0.1", "--input", str(p),
+         "--max-iters", "5000", "--trace-stride", "1", "--trace", str(trace),
+         "--engine", engine],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["trace_rows_dropped"] == 905
+    lines = trace.read_text().splitlines()
+    assert lines[1].split(",")[0] == "905" and len(lines) == 1 + 4096
+
+
+def test_no_trace_rows_dropped_is_reported_as_zero(id2_path, capsys):
+    for flags in (["--mode", "pack", "--alpha", "0.5"], ["--mode", "cover", "--beta", "1"]):
+        code, out, _ = run(flags + ["--epsilon", "0.1", "--input", str(id2_path),
+                                    "--max-iters", "50"], capsys)
+        assert code == 0 and json.loads(out)["trace_rows_dropped"] == 0

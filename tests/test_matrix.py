@@ -147,6 +147,40 @@ def test_matrix_market_names_first_offense(tmp_path, body, error, message):
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "body, message, pipe_message",
+    [
+        # a bad token on file line 6 (entry 1), after comment and blank lines
+        ("% c\n2 2 2\n% c\n\n1 x 1.0\n2 2 1.0\n",
+         "malformed entry line 6 (token 2): could not convert string 'x' to int64",
+         "malformed entry 1 (token 2): could not convert string 'x' to int64"),
+        # a wrong token count on file line 7 (entry 2), after a trailing comment
+        ("2 2 2\n% c\n1 1 1.0 % t\n% c\n\n2 2\n",
+         "malformed entry line 7: the dtype passed requires 3 columns but 2 were found",
+         "malformed entry 2: the dtype passed requires 3 columns but 2 were found"),
+    ],
+)
+@pytest.mark.parametrize("pipe", [False, True])
+def test_matrix_market_names_the_file_line(tmp_path, body, message, pipe_message, pipe):
+    text = "%%MatrixMarket matrix coordinate real general\n" + body
+    if pipe:
+        r, w = os.pipe()
+        os.write(w, text.encode())
+        os.close(w)
+        path = f"/dev/fd/{r}"
+    else:
+        path = tmp_path / "bad.mtx"
+        path.write_text(text)
+    try:
+        with pytest.raises(MatrixMarketFormatError) as info:
+            read_matrix_market(path)
+    finally:
+        if pipe:
+            os.close(r)
+    # a pipe cannot be read again to find the line: it names the entry
+    assert str(info.value) == (pipe_message if pipe else message)
+
+
 def test_matrix_market_reads_a_pipe():
     # a pipe cannot be reopened: the entries are read on from the same handle
     r, w = os.pipe()

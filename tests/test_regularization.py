@@ -14,7 +14,7 @@ from fairpc import (
     is_positive_overflow,
     truncate,
 )
-from fairpc.errors import EpsilonOutOfRange, TruncationDomainViolation
+from fairpc.errors import DerivedConstantOverflow, EpsilonOutOfRange, TruncationDomainViolation
 from fairpc.regularization import SubThresholdBetaWarning
 
 from conftest import identity_instance
@@ -67,6 +67,29 @@ def test_derive_is_pure():
     a = derive_packing_params(7, 5, 3.0, 0.5, 0.1)
     b = derive_packing_params(7, 5, 3.0, 0.5, 0.1)
     assert (a.beta, a.logC, a.beta_prime, a.h, a.K) == (b.beta, b.logC, b.beta_prime, b.h, b.K)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+def test_packing_params_overflow_is_named(alpha):
+    # 4*m*n*rho/eps overflows: beta would be 0 and logC a division by zero
+    with pytest.raises(DerivedConstantOverflow, match="derived constant beta = 0.0"):
+        derive_packing_params(1, 2, 1e308, alpha, 0.1)
+    # the alpha = 1 budget overflows on its own (8*rho*m*n/eps) a factor 2 later
+    if alpha == 1.0:
+        with pytest.raises(DerivedConstantOverflow, match="derived constant K = inf"):
+            derive_packing_params(1, 1, 3e306, alpha, 0.1)
+    assert derive_packing_params(1, 2, 1e300, alpha, 0.1).K > 0
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.0])
+def test_covering_params_overflow_is_named(beta):
+    with pytest.raises(DerivedConstantOverflow, match="derived constant beta floor = 0.0"):
+        derive_covering_params(1, 2, 1e308, beta, 0.1)
+    # a finite floor with a positive beta so small that the budget overflows
+    with pytest.raises(DerivedConstantOverflow, match="derived constant K = inf"):
+        with pytest.warns(SubThresholdBetaWarning):
+            derive_covering_params(1, 1, 1.0, 1e-320, 0.1)
+    assert derive_covering_params(1, 2, 1e300, beta, 0.1).K > 0
 
 
 # ---- f_r ----

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,11 +14,18 @@ from fairpc import (
     solve_packing,
     step,
 )
-from fairpc.errors import MissingLoad
+from fairpc import rounds
+from fairpc.cli import run_cli
+from fairpc.errors import LocalityViolation, MissingLoad
+from fairpc.matrix import write_matrix_market
+from fairpc.packing import additive_step_scale
+from fairpc.regularization import GradientKernel
 from fairpc.rounds import (
-    AgentState,
-    LocalView,
-    RoundMessage,
+    BlockState,
+    ShardMessage,
+    audit_round,
+    build_shard,
+    build_shards,
     local_update,
     run_distributed,
 )
@@ -25,66 +33,49 @@ from fairpc.rounds import (
 from conftest import identity_instance, single_row_instance
 
 
-def make_view(instance, j, alpha, params, step_scale):
-    rows, vals = instance.matrix.column(j)
-    return LocalView(
-        j=j,
-        col_rows=rows,
-        col_vals=vals,
-        lcv_logc=np.log(vals) + params.logC,
-        alpha=alpha,
-        inv_beta=1.0 / params.beta,
-        beta_prime=params.beta_prime,
-        step_scale=step_scale,
-        epsilon=params.epsilon,
-        m=instance.m,
-        n=instance.n,
-        rho=instance.rho,
-    )
+def one_shard(instance, params, step_scale):
+    kernel = GradientKernel(instance.matrix, 1.0, params.beta, params.logC)
+    (shard,) = build_shards(kernel, step_scale, params.beta_prime, count=1)
+    return shard
 
 
 def test_local_update_reproduces_monolithic_step():
-    from fairpc.packing import additive_step_scale
-
     inst = identity_instance(1)
     config = SolverConfig(fairness=1.0, epsilon=0.1)
     params = derive_packing_params(1, 1, 1.0, 1.0, 0.1)
     state = init_packing(inst, config, params)
-    view = make_view(inst, 0, 1.0, params, additive_step_scale(params))
-    agent = AgentState(x_hat=float(state.x_hat[0]), z=None, k=0)
-    msg = RoundMessage(round_index=1, loads={0: float(state.u[0])})
-    updated = local_update(view, msg, agent)
+    shard = one_shard(inst, params, additive_step_scale(params))
+    block = BlockState(x_hat=state.x_hat.copy(), z=None, k=0)
+    msg = ShardMessage(round_index=1, rows=np.array([0]), loads=state.u.copy())
+    updated = local_update(shard, msg, block)
 
     step(state, inst, params, 1.0)
-    assert updated.x_hat == state.x_hat[0]
+    assert updated.x_hat[0] == state.x_hat[0]
     assert updated.k == 1
-    assert updated.x_hat == pytest.approx(-0.10451623583222594, rel=1e-9)
+    assert updated.x_hat[0] == pytest.approx(-0.10451623583222594, rel=1e-9)
 
 
 def test_local_update_zero_gradient_is_noop():
-    from fairpc.packing import additive_step_scale
-
     inst = identity_instance(1)
     params = derive_packing_params(1, 1, 1.0, 1.0, 0.1)
-    view = make_view(inst, 0, 1.0, params, additive_step_scale(params))
+    shard = one_shard(inst, params, additive_step_scale(params))
     # at load exp(-logC * beta) the weighted sum is exactly 1 -> gradient 0
     x_hat = -params.logC * params.beta / (1.0 + params.beta)
-    agent = AgentState(x_hat=x_hat, z=None, k=3)
-    msg = RoundMessage(round_index=4, loads={0: math.exp(x_hat)})
-    updated = local_update(view, msg, agent)
-    assert updated.x_hat == pytest.approx(x_hat, abs=1e-12)
+    block = BlockState(x_hat=np.array([x_hat]), z=None, k=3)
+    msg = ShardMessage(round_index=4, rows=np.array([0]), loads=np.array([math.exp(x_hat)]))
+    updated = local_update(shard, msg, block)
+    assert updated.x_hat[0] == pytest.approx(x_hat, abs=1e-12)
     assert updated.k == 4
 
 
 def test_local_update_missing_load():
-    from fairpc.packing import additive_step_scale
-
     inst = single_row_instance([1.0, 1.0])
     params = derive_packing_params(1, 2, 1.0, 1.0, 0.1)
-    view = make_view(inst, 0, 1.0, params, additive_step_scale(params))
-    agent = AgentState(x_hat=-1.0, z=None, k=0)
+    shard = one_shard(inst, params, additive_step_scale(params))
+    block = BlockState(x_hat=np.array([-1.0, -1.0]), z=None, k=0)
+    empty = ShardMessage(round_index=1, rows=np.array([], dtype=np.int64), loads=np.array([]))
     with pytest.raises(MissingLoad):
-        local_update(view, RoundMessage(round_index=1, loads={}), agent)
+        local_update(shard, empty, block)
 
 
 @pytest.mark.parametrize("alpha,eps", [(0.0, 0.1), (0.5, 0.1), (0.9, 0.1), (1.0, 0.1), (1.5, 0.1), (3.0, 0.05)])
@@ -137,7 +128,7 @@ def test_audit_reports_touched_entries():
     config = SolverConfig(fairness=0.0, epsilon=0.1, max_iters=5)
     _, audit = run_distributed(inst, config)
     assert audit.performed and audit.ok
-    assert audit.touched_counts == {0: 2, 1: 1}  # column nnz per agent
+    assert audit.touched_counts == {0: 2, 1: 1}  # column nnz
     assert audit.out_of_column == []
 
 
@@ -147,3 +138,120 @@ def test_audit_disabled():
     sol, audit = run_distributed(inst, config, audit=False)
     assert not audit.performed
     assert sol.is_feasible
+
+
+# ---- shard partitions and the structural audit ----
+
+def partition_instance():
+    """A 7 x 9 instance with uneven columns, so every partition below differs."""
+    rng = np.random.default_rng(7)
+    dense = np.where(rng.random((7, 9)) < 0.35, rng.uniform(1.0, 50.0, (7, 9)), 0.0)
+    dense[np.arange(9) % 7, np.arange(9)] += 1.0  # no empty row or column
+    inst, _ = instance_from_dense(dense)
+    return inst
+
+
+@pytest.mark.parametrize("alpha,eps", [(0.0, 0.1), (0.5, 0.1), (1.0, 0.1), (1.5, 0.1), (3.0, 0.05)])
+@pytest.mark.parametrize("count", [1, 2, 4, None])
+def test_bit_identical_over_partitions(monkeypatch, alpha, eps, count):
+    inst = partition_instance()
+    monkeypatch.setattr(rounds, "SHARD_COUNT", inst.n if count is None else count)
+    config = SolverConfig(fairness=alpha, epsilon=eps, max_iters=150, trace_stride=7)
+    mono = solve_packing(inst, config)
+    dist, audit = run_distributed(inst, config)
+    assert mono.x.tobytes() == dist.x.tobytes()
+    assert mono.utility == dist.utility
+    assert [r.f_r for r in mono.trace] == [r.f_r for r in dist.trace]
+    assert audit.ok and audit.rounds == 150
+    assert sum(audit.touched_counts.values()) == inst.matrix.nnz
+
+
+@pytest.mark.parametrize("count", [1, 2, 4, None])
+def test_covering_bit_identical_over_partitions(monkeypatch, count):
+    inst, _ = instance_from_dense(
+        np.array([[1.0, 0.0, 2.0, 0.0, 1.0],
+                  [0.0, 3.0, 0.0, 1.0, 0.0],
+                  [1.5, 0.0, 0.0, 2.0, 4.0],
+                  [0.0, 1.0, 1.0, 0.0, 0.0]]),
+        mode=COVER, fairness=1.0,
+    )
+    monkeypatch.setattr(rounds, "SHARD_COUNT", inst.n if count is None else count)
+    config = SolverConfig(fairness=1.0, epsilon=0.1, mode=COVER, max_iters=200)
+    mono = solve_covering(inst, config)
+    dist, audit = run_distributed(inst, config, mode=COVER)
+    assert mono.y.tobytes() == dist.y.tobytes()
+    assert mono.cost == dist.cost
+    assert audit.ok
+
+
+def test_shards_partition_the_columns():
+    inst = partition_instance()
+    params = derive_packing_params(inst.m, inst.n, inst.rho, 1.0, 0.1)
+    kernel = GradientKernel(inst.matrix, 1.0, params.beta, params.logC)
+    shards = build_shards(kernel, additive_step_scale(params), None, count=4)
+    assert shards[0].c0 == 0 and shards[-1].c1 == inst.n
+    assert all(a.c1 == b.c0 for a, b in zip(shards, shards[1:]))
+    for s in shards:
+        lo, hi = inst.matrix.col_ptr[s.c0], inst.matrix.col_ptr[s.c1]
+        assert s.gather.tolist() == list(range(lo, hi))
+        assert s.rows.tolist() == sorted(set(inst.matrix.col_row[lo:hi].tolist()))
+        assert (s.rows[s.row_pos] == inst.matrix.col_row[lo:hi]).all()
+
+
+def test_out_of_column_gather_raises():
+    inst = identity_instance(3)
+    params = derive_packing_params(3, 3, 1.0, 1.0, 0.1)
+    kernel = GradientKernel(inst.matrix, 1.0, params.beta, params.logC)
+    # the shard owns column 0 (entry 0) but gathers entry 1, which is column 1's
+    with pytest.raises(LocalityViolation, match="gathers entry 1"):
+        build_shard(kernel, 0, 0, 1, np.array([0, 1]), additive_step_scale(params), None)
+
+
+def test_per_round_audit_records_breaches():
+    inst = identity_instance(3)
+    params = derive_packing_params(3, 3, 1.0, 1.0, 0.1)
+    kernel = GradientKernel(inst.matrix, 1.0, params.beta, params.logC)
+    good = build_shards(kernel, additive_step_scale(params), None, count=3)
+    # a shard whose gather was altered after the build-time check
+    bad = [good[0], dataclasses.replace(good[1], gather=np.array([2])), good[2]]
+    msgs = [rounds.shard_message(s, np.ones(3), 5) for s in bad]
+    msgs[2] = ShardMessage(round_index=5, rows=np.array([0, 2]), loads=np.ones(2))
+    audit = rounds.LocalityAudit(performed=True)
+    with pytest.raises(LocalityViolation):
+        audit_round(bad, msgs, inst.matrix.col_ptr, 5, audit)
+    assert audit.out_of_column == [(5, 1, 2)]
+    assert audit.message_key_mismatches == [(5, 2)]
+
+
+def test_out_of_column_read_exits_3(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "id3.mtx"
+    write_matrix_market(path, identity_instance(3).matrix)
+
+    honest = rounds.build_shard
+
+    def overreach(kernel, index, c0, c1, gather, *rest):
+        # every shard also reads the entry after its last one
+        return honest(kernel, index, c0, c1, np.append(gather, gather[-1] + 1), *rest)
+
+    monkeypatch.setattr(rounds, "build_shard", overreach)
+    code = run_cli(["--mode", "pack", "--alpha", "1", "--epsilon", "0.1", "--input", str(path),
+                    "--engine", "rounds", "--max-iters", "5"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "solver assertion failed" in err and "outside its columns" in err
+
+
+def test_malformed_message_exits_3(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "id3.mtx"
+    write_matrix_market(path, identity_instance(3).matrix)
+    honest = rounds.shard_message
+
+    def short(shard, loads, k):
+        msg = honest(shard, loads, k)
+        return ShardMessage(round_index=k, rows=msg.rows[:0], loads=msg.loads[:0])
+
+    monkeypatch.setattr(rounds, "shard_message", short)
+    code = run_cli(["--mode", "pack", "--alpha", "1", "--epsilon", "0.1", "--input", str(path),
+                    "--engine", "rounds", "--max-iters", "5"])
+    assert code == 3
+    assert "malformed messages" in capsys.readouterr().err
