@@ -58,6 +58,10 @@ def emit_json(obj) -> str:
     if isinstance(obj, dict):
         inner = ", ".join(f'"{k}": {emit_json(v)}' for k, v in obj.items())
         return "{" + inner + "}"
+    if (isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64
+            and np.isfinite(obj).all()):
+        # one format over the whole vector, byte-equal to the per-value path
+        return "[" + ", ".join(["%.17g"] * obj.size) % tuple(obj.tolist()) + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(emit_json(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -118,7 +122,7 @@ def _packing_result(args, instance, record, solution: PackingSolution, wall: flo
         "stopped_early": solution.stopped_early,
         "trace_rows_dropped": solution.trace_dropped,
         "objective": solution.utility,
-        "solution": list(solution.x),
+        "solution": solution.x,
         "feasibility": {
             "max_load": solution.max_load,
             "is_feasible": solution.is_feasible,
@@ -129,7 +133,7 @@ def _packing_result(args, instance, record, solution: PackingSolution, wall: flo
             "basis": "returned utility stands in for the unknown optimum",
         },
         "dual": None if solution.dual_certificate is None else {
-            "certificate": list(solution.dual_certificate),
+            "certificate": solution.dual_certificate,
             "gap_estimate": solution.gap_estimate,
             "space": "standardized",
         },
@@ -160,7 +164,7 @@ def _covering_result(args, instance, record, solution: CoveringSolution, wall: f
         "iterations": solution.iterations_run,
         "trace_rows_dropped": solution.trace_dropped,
         "objective": solution.cost,
-        "solution": list(solution.y),
+        "solution": solution.y,
         "feasibility": {
             "min_load": solution.min_load,
             "is_feasible": solution.is_feasible,
@@ -174,7 +178,7 @@ def _covering_result(args, instance, record, solution: CoveringSolution, wall: f
             "form": "cost(y_avg) <= (1 + 3*eps*(1+beta)) * optimal cost",
         },
         "dual": {
-            "certificate": list(solution.dual_certificate),
+            "certificate": solution.dual_certificate,
             "gap_estimate": solution.gap_estimate,
             "space": "standardized",
         },

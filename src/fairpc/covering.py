@@ -5,7 +5,9 @@ fairness-0 regularized packing objective with C = 1 and the covering
 fairness exponent as the barrier exponent. The same mirror machinery as the
 packing solver drives the dual iterate; covering variables are recovered as
 the running average of the barrier weights and finally inflated by (1+eps)
-to make them strictly feasible.
+to make them strictly feasible. Each iterate's loads are computed once and
+carried with the state for the trace row and the finalization; the barrier
+weights are the ones the gradient kernel forms.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .problem import CoveringInstance, ScalingRecord, SolverConfig, g_beta_value
 from .packing import (
     TraceBuffer,
     TraceRow,
-    dual_vector,
     mirror_iterate,
     mirror_step_scale,
     mirror_update,
@@ -37,6 +38,7 @@ class CoveringState:
     k: int
     trace: TraceBuffer = field(default_factory=TraceBuffer)
     kernel: GradientKernel | None = None
+    loads: np.ndarray | None = None   # loads of ``x``
 
 
 @dataclass(eq=False)
@@ -77,7 +79,8 @@ def init_covering(instance: CoveringInstance, config: SolverConfig,
     x0 = np.full(n, (1.0 / (n * instance.rho)) * (1.0 / (m * instance.rho)) ** params.beta)
     z = np.power(x0, -params.beta_prime) - 1.0
     kernel = GradientKernel(instance.matrix, 0.0, params.beta, 0.0)
-    return CoveringState(x=x0, z=z, y_avg=np.zeros(m), k=0, kernel=kernel)
+    return CoveringState(x=x0, z=z, y_avg=np.zeros(m), k=0, kernel=kernel,
+                         loads=kernel.loads_of(x0))
 
 
 def step_covering(state: CoveringState, instance: CoveringInstance,
@@ -92,9 +95,9 @@ def step_covering(state: CoveringState, instance: CoveringInstance,
     pair = kernel.evaluate(x, u=x, loads=loads)
     state.z = mirror_update(state.z, pair.truncated, mirror_step_scale(params))
     state.x = x
+    state.loads = loads
     k = state.k + 1
-    y_k = dual_vector(kernel, pair.log_loads)
-    state.y_avg = running_average(state.y_avg, y_k, k)
+    state.y_avg = running_average(state.y_avg, pair.weights, k)
     state.k = k
     return state
 
@@ -109,9 +112,10 @@ def covering_residual(instance: CoveringInstance, y) -> CoveringResidualReport:
     return CoveringResidualReport(min_load=float(loads.min()), violated_cols=violated)
 
 
-def covering_trace_row(kernel: GradientKernel, x: np.ndarray, k: int) -> TraceRow:
-    """Trace row for the dual engine; the utility column is its linear term."""
-    loads = kernel.loads_of(x)
+def covering_trace_row(kernel: GradientKernel, x: np.ndarray, k: int,
+                       loads: np.ndarray) -> TraceRow:
+    """Trace row for the dual engine; the utility column is its linear term.
+    ``loads`` are those of ``x``."""
     return TraceRow(
         k=k,
         utility=float(np.add.reduce(x)),
@@ -148,7 +152,7 @@ def finalize_covering(state: CoveringState, instance: CoveringInstance,
         cost = g_beta_value(y, params.beta)
         cost_prescale = g_beta_value(y_avg_orig, params.beta)
         final_loads = column_loads(instance.matrix, y_std)
-        f_r_final = kernel.f_r(state.x)
+        f_r_final = kernel.f_r(state.x, loads=state.loads)
         gap = None
         if np.isfinite(f_r_final):
             # weak duality of the dual engine: cost(y) + f_r(x) >= 0, small near optimality
@@ -183,10 +187,10 @@ def solve_covering(instance: CoveringInstance, config: SolverConfig,
     kernel = state.kernel
 
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        state.trace.append(covering_trace_row(kernel, state.x, 0))
+        state.trace.append(covering_trace_row(kernel, state.x, 0, state.loads))
         for k in range(1, planned + 1):
             step_covering(state, instance, params)
             if k % stride == 0 or k == planned:
-                state.trace.append(covering_trace_row(kernel, state.x, k))
+                state.trace.append(covering_trace_row(kernel, state.x, k, state.loads))
 
     return finalize_covering(state, instance, params, config, scaling)

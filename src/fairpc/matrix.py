@@ -225,13 +225,25 @@ def from_dense(dense) -> SparseNonnegMatrix:
     return build_matrix(*dense_entries(dense))
 
 
+def segment_sums(starts: np.ndarray, idx: np.ndarray, vals: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """``sum(vals[e] * x[idx[e]])`` over each segment of entries opened by ``starts``.
+
+    The one sparse product body: ``Ax`` over the row view, ``A^T y`` over the
+    column view, and the column sums of the gradient kernel over a block of
+    columns. Segments are summed in stored entry order.
+    """
+    terms = x.take(idx)
+    terms *= vals
+    return np.add.reduceat(terms, starts)
+
+
 def constraint_loads(matrix: SparseNonnegMatrix, x: np.ndarray) -> np.ndarray:
     """Exact sparse product ``Ax``, rows summed in stored entry order."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (matrix.n,):
         raise DimensionMismatch(f"expected vector of length {matrix.n}, got {x.shape}")
-    terms = matrix.row_val * x[matrix.row_col]
-    return np.add.reduceat(terms, matrix.row_ptr[:-1])
+    return segment_sums(matrix.row_ptr[:-1], matrix.row_col, matrix.row_val, x)
 
 
 def column_loads(matrix: SparseNonnegMatrix, y: np.ndarray) -> np.ndarray:
@@ -239,8 +251,7 @@ def column_loads(matrix: SparseNonnegMatrix, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (matrix.m,):
         raise DimensionMismatch(f"expected vector of length {matrix.m}, got {y.shape}")
-    terms = matrix.col_val * y[matrix.col_row]
-    return np.add.reduceat(terms, matrix.col_ptr[:-1])
+    return segment_sums(matrix.col_ptr[:-1], matrix.col_row, matrix.col_val, y)
 
 
 _LOADTXT_ROW = re.compile(r" at row (\d+)(?:, column (\d+))?")

@@ -3,7 +3,9 @@
 Three update regimes share one loop: a mirror step driven by an
 accumulated dual state for fairness below 1, an additive step at exactly 1,
 and a multiplicative step above 1. Feasibility of every iterate is a hard
-invariant and is re-checked whenever loads are computed.
+invariant, checked (with no tolerance) when an iterate's loads are
+computed; that happens once per iterate, and the step, the trace record and
+the finalization all read the one copy the state carries.
 
 The per-branch update expressions, the trace bookkeeping and the solution
 finalization live in small shared helpers that the distributed round engine
@@ -28,7 +30,13 @@ from .errors import (
 )
 from .matrix import column_loads, constraint_loads
 from .problem import PackingInstance, ScalingRecord, SolverConfig, f_alpha_value
-from .regularization import GradientKernel, PackingRegParams, derive_packing_params
+from .regularization import (
+    GradientKernel,
+    PackingRegParams,
+    barrier_weights,
+    derive_packing_params,
+    transform_to_allocation,
+)
 
 TRACE_CAPACITY = 4096
 
@@ -70,6 +78,7 @@ class PackingState:
     k: int
     trace: TraceBuffer = field(default_factory=TraceBuffer)
     kernel: GradientKernel | None = None
+    loads: np.ndarray | None = None   # loads of ``u``, once computed (see iterate_loads)
 
 
 @dataclass(eq=False)
@@ -158,38 +167,49 @@ def require_feasible(loads: np.ndarray, k: int) -> None:
         )
 
 
+def iterate_loads(state: PackingState, k: int, check_feasibility: bool = True) -> np.ndarray:
+    """The loads of the state's allocation: computed (and checked for
+    feasibility, labelled iteration ``k``) the first time they are needed,
+    then read from the state until the iterate moves."""
+    if state.loads is None:
+        state.loads = state.kernel.loads_of(state.u)
+        if check_feasibility:
+            require_feasible(state.loads, k)
+    return state.loads
+
+
 def step(state: PackingState, instance: PackingInstance, params: PackingRegParams,
          alpha: float, check_feasibility: bool = True) -> PackingState:
-    """Advance one iteration of the matching fairness branch, in place."""
+    """Advance one iteration of the matching fairness branch, in place.
+
+    The mirror branch evaluates a fresh iterate and leaves it, with its
+    loads, in the state; the other branches evaluate the state's iterate
+    and replace it, leaving its loads to be computed when next needed.
+    """
     kernel = state.kernel
     if kernel is None:
         kernel = GradientKernel(instance.matrix, alpha, params.beta, params.logC)
         state.kernel = kernel
 
     if alpha < 1.0:
-        x_hat = mirror_iterate(state.z, params.beta_prime)
-        u = kernel.allocation(x_hat)
-        loads = kernel.loads_of(u)
-        if check_feasibility:
-            require_feasible(loads, state.k + 1)
-        pair = kernel.evaluate(x_hat, u=u, loads=loads)
+        state.x_hat = mirror_iterate(state.z, params.beta_prime)
+        state.u = kernel.allocation(state.x_hat)
+        state.loads = None
+        loads = iterate_loads(state, state.k + 1, check_feasibility)
+        pair = kernel.evaluate(state.x_hat, u=state.u, loads=loads)
         state.z = mirror_update(state.z, pair.truncated, mirror_step_scale(params))
-        state.x_hat = x_hat
-        state.u = u
-    elif alpha == 1.0:
-        pair = kernel.evaluate(state.x_hat, u=state.u)
-        if check_feasibility:
-            require_feasible(pair.loads, state.k)
-        state.x_hat = additive_update(state.x_hat, pair.truncated, additive_step_scale(params))
-        state.u = np.exp(state.x_hat)
     else:
-        pair = kernel.evaluate(state.x_hat, u=state.u)
-        if check_feasibility:
-            require_feasible(pair.loads, state.k)
-        state.x_hat = multiplicative_update(
-            state.x_hat, pair.truncated, multiplicative_step_scale(params, alpha)
-        )
-        state.u = np.power(state.x_hat, 1.0 / (1.0 - alpha))
+        loads = iterate_loads(state, state.k, check_feasibility)
+        pair = kernel.evaluate(state.x_hat, u=state.u, loads=loads)
+        if alpha == 1.0:
+            state.x_hat = additive_update(state.x_hat, pair.truncated, additive_step_scale(params))
+            state.u = np.exp(state.x_hat)
+        else:
+            state.x_hat = multiplicative_update(
+                state.x_hat, pair.truncated, multiplicative_step_scale(params, alpha)
+            )
+            state.u = np.power(state.x_hat, 1.0 / (1.0 - alpha))
+        state.loads = None
     state.k += 1
     return state
 
@@ -208,17 +228,23 @@ def feasibility_report(instance: PackingInstance, x) -> FeasibilityReport:
 
 def dual_vector(kernel: GradientKernel, log_loads: np.ndarray) -> np.ndarray:
     """Barrier-weight multiplier estimates; rows with zero load give 0."""
-    return np.exp(kernel.logC + kernel.inv_beta * log_loads)
+    return barrier_weights(kernel.inv_beta, kernel.logC, log_loads)
 
 
-def _dual_value(kernel: GradientKernel, instance: PackingInstance, alpha: float,
-                y: np.ndarray) -> float:
+def _dual_value(instance: PackingInstance, alpha: float, y: np.ndarray) -> float:
     aty = column_loads(instance.matrix, y)
     if (aty == 0.0).any():
         raise DualDomainError("a column receives zero dual mass; gap undefined")
     return -float(np.add.reduce(y)) - (alpha / (1.0 - alpha)) * float(
         np.add.reduce(np.power(aty, -(1.0 - alpha) / alpha))
     )
+
+
+def _duality_gap(instance: PackingInstance, alpha: float, x_hat: np.ndarray,
+                 y: np.ndarray) -> float:
+    """Primal value at ``x_hat`` minus the Lagrangian dual at multipliers ``y``."""
+    dual = _dual_value(instance, alpha, y)
+    return -float(np.add.reduce(x_hat)) / (1.0 - alpha) - dual
 
 
 def packing_duality_gap(instance: PackingInstance, x_hat, params: PackingRegParams,
@@ -232,14 +258,10 @@ def packing_duality_gap(instance: PackingInstance, x_hat, params: PackingRegPara
     if alpha <= 1.0:
         raise InvalidAlpha("duality gap certificate requires alpha > 1")
     x_hat = np.asarray(x_hat, dtype=np.float64)
-    kernel = GradientKernel(instance.matrix, alpha, params.beta, params.logC)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        u = kernel.allocation(x_hat)
-        loads = kernel.loads_of(u)
-        y = dual_vector(kernel, np.log(loads))
-        dual = _dual_value(kernel, instance, alpha, y)
-        primal = -float(np.add.reduce(x_hat)) / (1.0 - alpha)
-    return primal - dual
+        loads = constraint_loads(instance.matrix, transform_to_allocation(x_hat, alpha))
+        y = barrier_weights(1.0 / params.beta, params.logC, np.log(loads))
+        return _duality_gap(instance, alpha, x_hat, y)
 
 
 def guarantee_target(alpha: float, epsilon: float, n: int, utility: float) -> tuple[float, str]:
@@ -258,33 +280,30 @@ class PackingRunRecorder:
     policy, and the post-burn-in slackness diagnostic (warn only)."""
 
     def __init__(self, kernel: GradientKernel, instance: PackingInstance,
-                 params: PackingRegParams, config: SolverConfig,
-                 check_feasibility: bool = True):
+                 params: PackingRegParams, config: SolverConfig):
         self.kernel = kernel
         self.instance = instance
         self.params = params
         self.config = config
         self.alpha = config.alpha
-        self.check_feasibility = check_feasibility
         self.burn_in = math.ceil(10.0 / params.beta)
         self.stop_scale = (
             10.0 * config.epsilon * (self.alpha - 1.0) if self.alpha > 1.0 else None
         )
         self._warned = False
 
-    def record(self, x_hat: np.ndarray, u: np.ndarray, k: int, trace: TraceBuffer) -> TraceRow:
+    def record(self, x_hat: np.ndarray, u: np.ndarray, k: int, trace: TraceBuffer,
+               loads: np.ndarray) -> TraceRow:
+        """Trace row of iteration ``k``; ``loads`` are those of ``u``, as
+        ``iterate_loads`` computed and checked them."""
         kernel = self.kernel
-        loads = kernel.loads_of(u)
-        if self.check_feasibility:
-            require_feasible(loads, k)
         utility = f_alpha_value(u, self.alpha)
         f_r = kernel.f_r(x_hat, loads=loads)
         gap = None
         if self.alpha > 1.0:
             y = dual_vector(kernel, np.log(loads))
             try:
-                dual = _dual_value(kernel, self.instance, self.alpha, y)
-                gap = -float(np.add.reduce(x_hat)) / (1.0 - self.alpha) - dual
+                gap = _duality_gap(self.instance, self.alpha, x_hat, y)
             except DualDomainError:
                 gap = None
             if k > self.burn_in and not self._warned:
@@ -322,7 +341,7 @@ def finalize_packing(state: PackingState, instance: PackingInstance,
     alpha = config.alpha
     kernel = state.kernel
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        final_loads = kernel.loads_of(state.u)
+        final_loads = iterate_loads(state, state.k, check_feasibility=False)  # reported below
         x = scaling.original_solution(state.u)
         utility = f_alpha_value(x, alpha)
         eps_f, form = guarantee_target(alpha, config.epsilon, instance.n, utility)
@@ -331,7 +350,7 @@ def finalize_packing(state: PackingState, instance: PackingInstance,
         if alpha > 1.0:
             dual = dual_vector(kernel, np.log(final_loads))
             try:
-                gap = packing_duality_gap(instance, state.x_hat, params, alpha)
+                gap = _duality_gap(instance, alpha, state.x_hat, dual)
             except DualDomainError:
                 gap = None
     return PackingSolution(
@@ -368,18 +387,20 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
     planned, stride = plan_iterations(config, params)
 
     state = init_packing(instance, config, params)
-    recorder = PackingRunRecorder(state.kernel, instance, params, config, check_feasibility)
+    recorder = PackingRunRecorder(state.kernel, instance, params, config)
     stopped_early = False
 
+    def record(k: int) -> bool:
+        loads = iterate_loads(state, k, check_feasibility)
+        return recorder.should_stop(recorder.record(state.x_hat, state.u, k, state.trace, loads))
+
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        row = recorder.record(state.x_hat, state.u, 0, state.trace)
-        stopped_early = recorder.should_stop(row)
+        stopped_early = record(0)
         k = 0
         while k < planned and not stopped_early:
             k += 1
             step(state, instance, params, alpha, check_feasibility=check_feasibility)
             if k % stride == 0 or k == planned:
-                row = recorder.record(state.x_hat, state.u, k, state.trace)
-                stopped_early = recorder.should_stop(row)
+                stopped_early = record(k)
 
     return finalize_packing(state, instance, params, config, scaling, stopped_early)

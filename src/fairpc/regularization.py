@@ -1,21 +1,26 @@
-"""Regularized objective, derived constants, and log-domain gradients.
+"""Regularized objective, derived constants, and the gradient kernel.
 
 The constrained problem is replaced by minimizing
 
     f_r(x) = -(linear utility) + (beta/(1+beta)) * sum_i C * load_i**((1+beta)/beta)
 
 over the transformed iterate, where ``load_i`` is the i-th constraint load.
-With realistic parameters ``1/beta`` is in the hundreds, so any quantity of
-the form ``C * load**(1/beta)`` is carried as a natural-log exponent and only
-exponentiated after all logs are combined. Exponents above ``EXP_SAT`` are
-never materialized: the scaled gradient is then certainly above +1 and is
-truncated analytically, and f_r reports a positive-overflow marker instead
-of a finite lie.
+With realistic parameters ``1/beta`` is in the hundreds, so ``C`` and the
+barrier weights ``w_i = C * load_i**(1/beta)`` are formed from natural-log
+exponents, and f_r reports a positive-overflow marker instead of a finite
+lie once its exponent passes ``EXP_SAT``.
+
+The scaled gradient of coordinate j is ``u_j**alpha * (A^T w)_j - 1``. The
+kernel evaluates it in that product form (one gather, multiply and
+``reduceat`` over the entries, plus O(m + n) ``exp``/``log``) whenever a
+bound from the run constants proves every factor stays in float range, and
+otherwise falls back to exponentiating each entry's combined log exponent,
+never materializing one above ``EXP_SAT``. The form is chosen once per run.
 
 Every floating-point step here is shared verbatim between the monolithic
 solver and the column-block shards of the round engine (see ``rounds``):
-both run the column truncation through ``truncated_columns``, which is what
-makes the two engines bit-identical.
+both run the columns through ``truncated_columns`` with the same form, which
+is what makes the two engines bit-identical.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .errors import (
     InvalidAlpha,
     TruncationDomainViolation,
 )
-from .matrix import SparseNonnegMatrix
+from .matrix import SparseNonnegMatrix, segment_sums
 from .problem import epsilon_upper_bound
 
 # saturation threshold for combined log exponents, near the float64 overflow bound
@@ -173,37 +178,93 @@ class GradientPair:
     """Gradient data at one iterate.
 
     ``truncated`` is the scaled-and-clipped gradient, every entry in
-    [-1, 1]; a saturated coordinate (combined exponent above EXP_SAT)
-    truncates to exactly 1.0. The solvers read only ``truncated`` and the
-    loads. ``grad``, the raw gradient, is filled in by ``grad_f_r`` alone:
-    saturated coordinates carry a signed-infinity sentinel there, and no
-    arithmetic is ever performed on it.
+    [-1, 1]; a saturated coordinate truncates to exactly 1.0. The solvers
+    read only ``truncated`` and ``weights``: the barrier weights
+    ``C * load**(1/beta)`` when the kernel formed them (the product form at
+    alpha = 0, which covering always runs), else None. ``grad``, the raw
+    gradient, is filled in by ``grad_f_r`` alone: saturated coordinates
+    carry a signed-infinity sentinel there, and no arithmetic is ever
+    performed on it.
     """
 
     truncated: np.ndarray
     loads: np.ndarray
     log_loads: np.ndarray
     grad: np.ndarray | None = None
+    weights: np.ndarray | None = None
 
 
-def truncated_columns(lcv_logc, t_entry, q, entry_row, col_starts):
-    """Scaled gradient ``s`` of each column segment, its saturation mask and truncation.
+@dataclass(frozen=True)
+class ColumnForm:
+    """The run constants of the column routine, held by the kernel and every shard."""
 
-    The per-entry terms are in column-major order, ``q`` is per row and is
-    gathered here at ``entry_row`` (so the nnz-wide gather is freed before
-    the ``exp``), and ``col_starts`` opens each column's segment. Both
-    engines run every column through this one function, so the grouping
-    ``(lcv_logc + t) + q`` and every later step agree bitwise. Exponents
-    above EXP_SAT are never materialized: their column is saturated (``s``
-    is meaningless there) and truncates to exactly 1.0. ``saturated`` is
-    None when nothing saturates.
+    inv_beta: float
+    logC: float
+    product: bool   # product form; False selects the log-domain fallback
+
+
+def product_form_bound(matrix: SparseNonnegMatrix, alpha: float, logC: float) -> float:
+    """The largest exponent the product form can meet on a feasible packing iterate.
+
+    Loads <= 1 give ``A_ij u_j <= 1`` for every entry and ``q_i = ln(load_i)/beta
+    <= 0``, so both an entry's combined exponent ``ln A_ij + logC + alpha ln u_j
+    + q_i`` and its column factor's exponent ``logC + alpha ln u_j`` are at
+    most ``logC + max((1 - alpha) ln A_ij, -alpha ln A_ij)``. In standard form
+    (entries in [1, rho]) this is ``logC + max(0, 1 - alpha) ln rho``.
     """
-    e = (lcv_logc + t_entry) + q.take(entry_row)
+    lo, hi = math.log(matrix.min_entry), math.log(matrix.max_entry)
+    return logC + max((1.0 - alpha) * hi, (1.0 - alpha) * lo, -alpha * lo)
+
+
+def barrier_weights(inv_beta: float, logC: float, log_loads: np.ndarray) -> np.ndarray:
+    """``C * load**(1/beta)`` per row; rows with zero load give 0."""
+    return np.exp(logC + inv_beta * log_loads)
+
+
+def truncated_columns(form: ColumnForm, terms, entry_row, entry_col, col_starts, t, log_loads):
+    """Scaled gradient ``s`` of a run of whole columns, its saturation mask,
+    its truncation, and the barrier weights when formed.
+
+    ``terms`` are the run's column-major entries (``A_ij`` in product form,
+    ``ln A_ij + logC`` in the fallback); ``entry_row`` indexes each entry's
+    row in ``log_loads`` and ``entry_col`` its column in ``t``; ``col_starts``
+    opens each column's segment. ``t`` is ``log_allocation_term``: 0.0 at
+    alpha = 0, else one value per column.
+
+    Product form: ``s = exp(logC + t) * (A^T load**(1/beta)) - 1``. ``C`` sits
+    in the column factor, so on a feasible iterate the row factors lie in
+    [0, 1] and ``product_form_bound`` bounds the column factor's exponent.
+    At alpha = 0 there is no column factor and the row factors are the
+    barrier weights themselves (returned for reuse); one that overflows
+    makes ``s`` +inf, which truncates to 1. A saturated column is one whose
+    ``s`` is +inf, and ``saturated`` is None.
+
+    Log-domain fallback: each entry's exponent ``(terms + t) + q`` is
+    exponentiated; exponents above EXP_SAT are never materialized: their
+    column is saturated (``s`` is meaningless there) and truncates to
+    exactly 1.0. ``saturated`` marks those columns, or is None when
+    nothing saturates.
+
+    Both engines run every column through this one function with the same
+    form, so each column's arithmetic agrees bitwise.
+    """
+    weights = None
     saturated = None
-    if float(np.maximum.reduce(e)) > EXP_SAT:
-        saturated = np.maximum.reduceat(e, col_starts) > EXP_SAT
-        e = np.where(e > EXP_SAT, -np.inf, e)
-    s = np.add.reduceat(np.exp(e), col_starts) - 1.0
+    if form.product:
+        if np.isscalar(t):
+            weights = barrier_weights(form.inv_beta, form.logC, log_loads)
+            s = segment_sums(col_starts, entry_row, terms, weights)
+        else:
+            row_factor = np.exp(form.inv_beta * log_loads)
+            s = np.exp(form.logC + t) * segment_sums(col_starts, entry_row, terms, row_factor)
+        s -= 1.0
+    else:
+        t_entry = t if np.isscalar(t) else t.take(entry_col)
+        e = (terms + t_entry) + (form.inv_beta * log_loads).take(entry_row)
+        if float(np.maximum.reduce(e)) > EXP_SAT:
+            saturated = np.maximum.reduceat(e, col_starts) > EXP_SAT
+            e = np.where(e > EXP_SAT, -np.inf, e)
+        s = np.add.reduceat(np.exp(e), col_starts) - 1.0
     smin = np.minimum.reduce(s)
     if not smin >= -1.0:  # also catches NaN
         raise TruncationDomainViolation(
@@ -212,7 +273,7 @@ def truncated_columns(lcv_logc, t_entry, q, entry_row, col_starts):
     truncated = np.minimum(s, 1.0)
     if saturated is not None:
         truncated[saturated] = 1.0
-    return s, saturated, truncated
+    return s, saturated, truncated, weights
 
 
 def transform_to_allocation(x_hat, alpha: float):
@@ -245,7 +306,10 @@ class GradientKernel:
     """Precomputed arrays for repeated gradient evaluation on one instance.
 
     One kernel serves one (matrix, alpha, beta, logC) combination; solvers
-    build it once and call :meth:`evaluate` every iteration.
+    build it once and call :meth:`evaluate` every iteration. The column
+    routine's form is fixed here: the product form at alpha = 0 (covering
+    included) and whenever ``product_form_bound`` stays within EXP_SAT,
+    else the log-domain fallback.
     """
 
     def __init__(self, matrix: SparseNonnegMatrix, alpha: float, beta: float, logC: float):
@@ -255,7 +319,10 @@ class GradientKernel:
         self.logC = logC
         self.inv_beta = 1.0 / beta
         self.barrier_ratio = (1.0 + beta) / beta
-        self.lcv_logc = np.log(matrix.col_val) + logC
+        product_form = alpha == 0.0 or product_form_bound(matrix, alpha, logC) <= EXP_SAT
+        self.form = ColumnForm(self.inv_beta, logC, product_form)
+        # per-entry terms of the column routine; ln A_ij + logC only for the fallback
+        self.entry_terms = matrix.col_val if product_form else np.log(matrix.col_val) + logC
         self._col_starts = matrix.col_ptr[:-1]
         self._row_starts = matrix.row_ptr[:-1]
 
@@ -263,31 +330,30 @@ class GradientKernel:
         return transform_to_allocation(x_hat, self.alpha)
 
     def loads_of(self, u: np.ndarray) -> np.ndarray:
-        terms = self.matrix.row_val * u[self.matrix.row_col]
-        return np.add.reduceat(terms, self._row_starts)
+        """Constraint loads ``Au``: the body of ``matrix.constraint_loads``, unchecked."""
+        return segment_sums(self._row_starts, self.matrix.row_col, self.matrix.row_val, u)
 
     def columns(self, x_hat: np.ndarray, u: np.ndarray | None = None,
                 loads: np.ndarray | None = None):
-        """``truncated_columns`` on every column: (s, saturated, truncated, loads, log_loads)."""
+        """``truncated_columns`` on every column: (s, saturated, truncated, weights, loads, log_loads)."""
         mat = self.matrix
         if u is None:
             u = self.allocation(x_hat)
         if loads is None:
             loads = self.loads_of(u)
         log_loads = np.log(loads)
-        q = self.inv_beta * log_loads
         t = log_allocation_term(x_hat, u, self.alpha)
-        t_entry = t if np.isscalar(t) else np.take(t, mat.col_colidx)
-        s, saturated, truncated = truncated_columns(
-            self.lcv_logc, t_entry, q, mat.col_row, self._col_starts
+        s, saturated, truncated, weights = truncated_columns(
+            self.form, self.entry_terms, mat.col_row, mat.col_colidx, self._col_starts,
+            t, log_loads,
         )
-        return s, saturated, truncated, loads, log_loads
+        return s, saturated, truncated, weights, loads, log_loads
 
     def evaluate(self, x_hat: np.ndarray, u: np.ndarray | None = None,
                  loads: np.ndarray | None = None) -> GradientPair:
         """Scaled and truncated gradient at ``x_hat``, with the loads it used."""
-        _s, _saturated, truncated, loads, log_loads = self.columns(x_hat, u, loads)
-        return GradientPair(truncated=truncated, loads=loads, log_loads=log_loads)
+        _s, _saturated, truncated, weights, loads, log_loads = self.columns(x_hat, u, loads)
+        return GradientPair(truncated=truncated, loads=loads, log_loads=log_loads, weights=weights)
 
     def f_r(self, x_hat: np.ndarray, loads: np.ndarray | None = None) -> float:
         """Regularized objective value; may return POSITIVE_OVERFLOW."""
@@ -328,16 +394,17 @@ def f_r_value(instance, params, x_hat, alpha: float) -> float:
 
 
 def grad_f_r(instance, params, x_hat, alpha: float) -> GradientPair:
-    """Gradient of f_r with its truncated companion, in log-domain.
+    """Gradient of f_r with its truncated companion, through the run's kernel.
 
     The raw gradient is ``s`` unscaled: ``s`` itself at alpha = 1, else
     ``s / (1 - alpha)``; saturated coordinates get the sentinel of the sign
-    the unscaled gradient would have.
+    the unscaled gradient would have (in product form, where ``s`` is +inf
+    there, the division gives it).
     """
     x_hat = _check_domain(x_hat, alpha)
     kernel = GradientKernel(instance.matrix, alpha, params.beta, params.logC)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        s, saturated, truncated, loads, log_loads = kernel.columns(x_hat)
+        s, saturated, truncated, _weights, loads, log_loads = kernel.columns(x_hat)
         if alpha == 1.0:
             grad, sentinel = s, np.inf
         else:

@@ -4,8 +4,11 @@ The columns are split into ``SHARD_COUNT`` contiguous blocks of the
 column-major arrays. Every round the environment publishes the allocations,
 computes the constraint loads once and sends each shard only the loads of
 its incident rows; the shard updates its whole block in one vectorized pass
-through the monolithic kernel's own ``truncated_columns`` and update
-expressions, so the result is bit-identical to the monolithic solver.
+through the monolithic kernel's own ``truncated_columns``, in the form the
+kernel chose for the run, and its update expressions, so the result is
+bit-identical to the monolithic solver. The loads the environment computes
+are the iterate's only ``Ax``: the trace record and the finalization read
+them too.
 
 Locality is structural: a shard reads the matrix only through gather
 indices inside its own ``col_ptr`` range. That is checked when the shard is
@@ -21,17 +24,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LocalityViolation, MissingLoad
-from .matrix import constraint_loads
 from .problem import COVER, PACK, CoveringInstance, PackingInstance, ScalingRecord, SolverConfig
 from .packing import (
     PackingRunRecorder, additive_step_scale, additive_update, dual_vector, finalize_packing,
-    init_packing, mirror_iterate, mirror_step_scale, mirror_update, multiplicative_step_scale,
-    multiplicative_update, plan_iterations, require_feasible,
+    init_packing, iterate_loads, mirror_iterate, mirror_step_scale, mirror_update,
+    multiplicative_step_scale, multiplicative_update, plan_iterations, require_feasible,
 )
 from .covering import covering_trace_row, finalize_covering, init_covering, running_average
 from .regularization import (
-    GradientKernel, derive_covering_params, derive_packing_params, log_allocation_term,
-    transform_to_allocation, truncated_columns,
+    ColumnForm, GradientKernel, derive_covering_params, derive_packing_params,
+    log_allocation_term, transform_to_allocation, truncated_columns,
 )
 
 # column blocks per run, capped at the number of columns
@@ -50,9 +52,9 @@ class Shard:
     row_pos: np.ndarray     # each entry's position in ``rows``
     col_local: np.ndarray   # each entry's column, counted from c0
     col_starts: np.ndarray  # each column's first entry, counted from the block's first
-    lcv_logc: np.ndarray    # ln(A_ij) + logC of each entry
+    terms: np.ndarray       # each entry's term in the kernel's form: A_ij, or ln(A_ij) + logC
     alpha: float
-    inv_beta: float
+    form: ColumnForm
     beta_prime: float | None
     step_scale: float
 
@@ -116,8 +118,8 @@ def build_shard(kernel: GradientKernel, index: int, c0: int, c1: int, gather: np
         index=index, c0=c0, c1=c1, gather=gather, rows=rows, row_pos=row_pos,
         col_local=matrix.col_colidx[gather] - c0,
         col_starts=matrix.col_ptr[c0:c1] - matrix.col_ptr[c0],
-        lcv_logc=kernel.lcv_logc[gather],
-        alpha=kernel.alpha, inv_beta=kernel.inv_beta,
+        terms=kernel.entry_terms[gather],
+        alpha=kernel.alpha, form=kernel.form,
         beta_prime=beta_prime, step_scale=step_scale,
     )
 
@@ -161,11 +163,9 @@ def local_update(shard: Shard, msg: ShardMessage, block: BlockState) -> BlockSta
         raise MissingLoad(f"round {msg.round_index}: shard {shard.index}'s message lacks {lacks}")
     alpha = shard.alpha
     x_hat, z, k, u = block if block.u is not None else publish(shard, block)
-    t = log_allocation_term(x_hat, u, alpha)
-    t_entry = t if alpha == 0.0 else t.take(shard.col_local)
-    q = shard.inv_beta * np.log(msg.loads)
-    _s, _saturated, truncated = truncated_columns(
-        shard.lcv_logc, t_entry, q, shard.row_pos, shard.col_starts
+    _s, _saturated, truncated, _weights = truncated_columns(
+        shard.form, shard.terms, shard.row_pos, shard.col_local, shard.col_starts,
+        log_allocation_term(x_hat, u, alpha), np.log(msg.loads),
     )
     if alpha < 1.0:
         return BlockState(x_hat, mirror_update(z, truncated, shard.step_scale), k + 1)
@@ -214,20 +214,25 @@ class _Lockstep:
 
     def __init__(self, kernel: GradientKernel, step_scale: float, beta_prime: float | None,
                  x_hat: np.ndarray, z: np.ndarray | None, audit: bool):
+        self.kernel = kernel
         self.matrix = kernel.matrix
         self.shards = build_shards(kernel, step_scale, beta_prime, SHARD_COUNT)
         self.blocks = [BlockState(x_hat[s.c0:s.c1], None if z is None else z[s.c0:s.c1], 0)
                        for s in self.shards]
         self.audit = LocalityAudit(performed=audit)
 
-    def round(self, k: int, packing: bool) -> np.ndarray:
-        """Publish, compute the loads once, message every shard, update every block."""
+    def round(self, k: int, packing: bool, loads: np.ndarray | None = None) -> np.ndarray:
+        """Publish, compute the loads once, message every shard, update every block.
+
+        ``loads``, when given, are those of the allocations this round
+        publishes, already checked; they are returned either way.
+        """
         shards = self.shards
         blocks = [publish(s, b) for s, b in zip(shards, self.blocks)]
-        u = np.concatenate([b.u for b in blocks])
-        loads = constraint_loads(self.matrix, u)
-        if packing:
-            require_feasible(loads, k)
+        if loads is None:
+            loads = self.kernel.loads_of(np.concatenate([b.u for b in blocks]))
+            if packing:
+                require_feasible(loads, k)
         msgs = [shard_message(s, loads, k) for s in shards]
         if self.audit.performed:
             audit_round(shards, msgs, self.matrix.col_ptr, k, self.audit)
@@ -270,19 +275,24 @@ def _run_packing(instance: PackingInstance, config: SolverConfig,
     env = _Lockstep(state.kernel, step_scale, params.beta_prime, state.x_hat, state.z, audit)
     recorder = PackingRunRecorder(state.kernel, instance, params, config)
 
-    def record(k: int) -> bool:
+    def record(k: int, loads: np.ndarray | None) -> bool:
         state.x_hat, state.z = env.joined()
-        state.u, state.k = state.kernel.allocation(state.x_hat), k
-        return recorder.should_stop(recorder.record(state.x_hat, state.u, k, state.trace))
+        state.u, state.k, state.loads = state.kernel.allocation(state.x_hat), k, loads
+        loads = iterate_loads(state, k)
+        return recorder.should_stop(recorder.record(state.x_hat, state.u, k, state.trace, loads))
 
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        stopped_early = record(0)
+        stopped_early = record(0, None)
         k = 0
         while k < planned and not stopped_early:
             k += 1
-            env.round(k, packing=True)
+            # at alpha >= 1 a round publishes the iterate the previous round left,
+            # whose loads its record computed, and leaves a new one to record;
+            # below 1 it publishes a fresh mirror iterate, the one recorded after it
+            reuse = alpha >= 1.0 and state.k == k - 1
+            loads = env.round(k, packing=True, loads=state.loads if reuse else None)
             if k % stride == 0 or k == planned:
-                stopped_early = record(k)
+                stopped_early = record(k, loads if alpha < 1.0 else None)
 
     audit_obj = env.close()  # the last round was recorded, so ``state`` is current
     return finalize_packing(state, instance, params, config, scaling, stopped_early), audit_obj
@@ -301,14 +311,14 @@ def _run_covering(instance: CoveringInstance, config: SolverConfig,
     kernel = state.kernel
     env = _Lockstep(kernel, mirror_step_scale(params), params.beta_prime, state.x, state.z, audit)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        state.trace.append(covering_trace_row(kernel, state.x, 0))
+        state.trace.append(covering_trace_row(kernel, state.x, 0, state.loads))
         for k in range(1, planned + 1):
             loads = env.round(k, packing=False)
             state.y_avg = running_average(state.y_avg, dual_vector(kernel, np.log(loads)), k)
             if k % stride == 0 or k == planned:
                 state.x, state.z = env.joined()
-                state.k = k
-                state.trace.append(covering_trace_row(kernel, state.x, k))
+                state.k, state.loads = k, loads
+                state.trace.append(covering_trace_row(kernel, state.x, k, state.loads))
 
     audit_obj = env.close()  # the last round was traced, so ``state`` is current
     return finalize_covering(state, instance, params, config, scaling), audit_obj

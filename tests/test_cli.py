@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fairpc.cli import emit_json, emit_trace, run_cli
 from fairpc.packing import TraceRow
@@ -209,6 +213,26 @@ def test_emit_json_formatting():
     assert json.loads(text) == {"a": 0.1, "b": [1.0, True, None], "c": 'x"y'}
 
 
+EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0, 3.0]
+
+
+@pytest.mark.parametrize("special", [None, math.nan, math.inf, -math.inf])
+def test_emit_json_float_arrays_byte_identical_to_per_value(special):
+    rng = np.random.default_rng(11)
+    values = EDGE_FLOATS + list(rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50))
+    if special is not None:
+        values.insert(17, special)
+    arr = np.array(values)
+    per_value = "[" + ", ".join(emit_json(float(v)) for v in values) + "]"
+    assert emit_json(arr) == per_value == emit_json(list(arr))
+    assert emit_json({"v": arr}) == '{"v": ' + per_value + "}"
+    assert emit_json(np.array([])) == "[]"
+    if special is None:
+        assert json.loads(emit_json(arr)) == values
+    else:
+        assert ('"nan"' if math.isnan(special) else f'"{special}"') in emit_json(arr)
+
+
 def test_json_roundtrip_lossless(id3_path, tmp_path, capsys):
     out = tmp_path / "r.json"
     code, _, _ = run(
@@ -287,3 +311,50 @@ def test_no_trace_rows_dropped_is_reported_as_zero(id2_path, capsys):
         code, out, _ = run(flags + ["--epsilon", "0.1", "--input", str(id2_path),
                                     "--max-iters", "50"], capsys)
         assert code == 0 and json.loads(out)["trace_rows_dropped"] == 0
+
+
+_special = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "1e308", "1e-320", "1e400",
+                            "x"])
+_fairness = st.one_of(
+    _special,
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(0.0, 5.0).map(repr),
+    st.floats(5.0, 1e6).map(repr),
+)
+_epsilon = st.one_of(
+    _special,
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(1e-6, 0.5).map(repr),
+    st.floats(1e-300, 1e-6).map(repr),
+)
+_count = st.one_of(
+    st.integers(1, 50).map(str),
+    st.integers(-3, 0).map(str),
+    st.sampled_from(["nan", "inf", "1e3", "2.5", "x"]),
+)
+_stride = st.one_of(
+    st.integers(-3, 60).map(str),
+    st.just(str(10**30)),
+    st.sampled_from(["nan", "inf", "1.5", "x"]),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(mode=st.sampled_from(["pack", "cover"]), fairness=_fairness, epsilon=_epsilon,
+       max_iters=_count, stride=st.one_of(st.none(), _stride),
+       engine=st.sampled_from(["monolithic", "rounds"]))
+def test_parameter_values_exit_contract(id3_path, mode, fairness, epsilon, max_iters, stride,
+                                        engine):
+    flag = "--alpha" if mode == "pack" else "--beta"
+    argv = [f"--mode={mode}", f"{flag}={fairness}", f"--epsilon={epsilon}",
+            f"--max-iters={max_iters}", f"--engine={engine}", "--input", str(id3_path)]
+    if stride is not None:
+        argv.append(f"--trace-stride={stride}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["iterations"] <= 50
