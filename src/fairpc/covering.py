@@ -16,16 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificateShortfall, NegativeCoordinate
+from .errors import CertificateShortfall, InvalidBeta, NegativeCoordinate
 from .matrix import column_loads
 from .problem import CoveringInstance, ScalingRecord, SolverConfig, g_beta_value
 from .packing import (
     TraceBuffer,
     TraceRow,
     mirror_iterate,
-    mirror_step_scale,
-    mirror_update,
     plan_iterations,
+    update_rule,
 )
 from .regularization import CoveringRegParams, GradientKernel, derive_covering_params
 
@@ -36,9 +35,10 @@ class CoveringState:
     z: np.ndarray
     y_avg: np.ndarray
     k: int
+    kernel: GradientKernel
+    rule: tuple   # (step scale, update expression): the fairness-0 mirror rule
+    loads: np.ndarray   # loads of ``x``
     trace: TraceBuffer = field(default_factory=TraceBuffer)
-    kernel: GradientKernel | None = None
-    loads: np.ndarray | None = None   # loads of ``x``
 
 
 @dataclass(eq=False)
@@ -70,30 +70,39 @@ def running_average(y_avg, y_new, k: int):
 
 def init_covering(instance: CoveringInstance, config: SolverConfig,
                   params: CoveringRegParams | None = None) -> CoveringState:
-    """Start the dual iterate small enough that every barrier weight is < 1."""
+    """Start the dual iterate small enough that every barrier weight is < 1.
+
+    A beta so large that the start point, or the first mirror iterate
+    recomputed from it, underflows to 0 is rejected: from 0 the dual
+    iterate never moves and no covering is certified.
+    """
     if params is None:
         params = derive_covering_params(
             instance.m, instance.n, instance.rho, config.beta, config.epsilon
         )
-    n, m = instance.n, instance.m
-    x0 = np.full(n, (1.0 / (n * instance.rho)) * (1.0 / (m * instance.rho)) ** params.beta)
-    z = np.power(x0, -params.beta_prime) - 1.0
+    n, m, rho = instance.n, instance.m, instance.rho
+    x0 = np.full(n, (1.0 / (n * rho)) * (1.0 / (m * rho)) ** params.beta)
+    with np.errstate(divide="ignore"):   # a start point of 0 gives z = inf, caught below
+        z = np.power(x0, -params.beta_prime) - 1.0
+    if not mirror_iterate(z[:1], params.beta_prime)[0] > 0.0:
+        raise InvalidBeta(
+            f"covering beta={params.beta:g} is too large for m={m}, n={n}, rho={rho:g}: "
+            "the start point (1/(n rho)) * (1/(m rho))**beta underflows to 0"
+        )
     kernel = GradientKernel(instance.matrix, 0.0, params.beta, 0.0)
     return CoveringState(x=x0, z=z, y_avg=np.zeros(m), k=0, kernel=kernel,
-                         loads=kernel.loads_of(x0))
+                         rule=update_rule(params, 0.0), loads=kernel.loads_of(x0))
 
 
 def step_covering(state: CoveringState, instance: CoveringInstance,
                   params: CoveringRegParams) -> CoveringState:
     """One mirror step of the dual iterate plus the covering average update."""
     kernel = state.kernel
-    if kernel is None:
-        kernel = GradientKernel(instance.matrix, 0.0, params.beta, 0.0)
-        state.kernel = kernel
+    scale, update = state.rule
     x = mirror_iterate(state.z, params.beta_prime)
     loads = kernel.loads_of(x)
-    pair = kernel.evaluate(x, u=x, loads=loads)
-    state.z = mirror_update(state.z, pair.truncated, mirror_step_scale(params))
+    pair = kernel.evaluate(x, x, loads)
+    state.z = update(state.z, pair.truncated, scale)
     state.x = x
     state.loads = loads
     k = state.k + 1

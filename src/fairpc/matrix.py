@@ -231,7 +231,12 @@ def segment_sums(starts: np.ndarray, idx: np.ndarray, vals: np.ndarray,
 
     The one sparse product body: ``Ax`` over the row view, ``A^T y`` over the
     column view, and the column sums of the gradient kernel over a block of
-    columns. Segments are summed in stored entry order.
+    columns. ``np.add.reduceat`` sums each segment in an order of its own:
+    beyond two entries it is neither the stored left-to-right order nor
+    that of ``np.add.reduce`` over the same slice. What the engines'
+    bit-identity rests on is that a segment's sum does not depend on the
+    segment's offset in the array, so a block of columns reduced on its
+    own gets each column's sum exactly as the whole matrix does.
     """
     terms = x.take(idx)
     terms *= vals
@@ -239,7 +244,7 @@ def segment_sums(starts: np.ndarray, idx: np.ndarray, vals: np.ndarray,
 
 
 def constraint_loads(matrix: SparseNonnegMatrix, x: np.ndarray) -> np.ndarray:
-    """Exact sparse product ``Ax``, rows summed in stored entry order."""
+    """Sparse product ``Ax``; each row's sum as ``segment_sums`` forms it."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (matrix.n,):
         raise DimensionMismatch(f"expected vector of length {matrix.n}, got {x.shape}")
@@ -247,7 +252,7 @@ def constraint_loads(matrix: SparseNonnegMatrix, x: np.ndarray) -> np.ndarray:
 
 
 def column_loads(matrix: SparseNonnegMatrix, y: np.ndarray) -> np.ndarray:
-    """Exact sparse product ``A^T y``, columns summed in stored entry order."""
+    """Sparse product ``A^T y``; each column's sum as ``segment_sums`` forms it."""
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (matrix.m,):
         raise DimensionMismatch(f"expected vector of length {matrix.m}, got {y.shape}")

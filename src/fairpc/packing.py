@@ -10,7 +10,8 @@ the finalization all read the one copy the state carries.
 The per-branch update expressions, the trace bookkeeping and the solution
 finalization live in small shared helpers that the distributed round engine
 reuses verbatim; keeping a single floating-point path is what makes the two
-engines bit-identical.
+engines bit-identical. ``update_rule`` picks a run's update expression and
+step scale once, for the step and the round engine's shards alike.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from .problem import PackingInstance, ScalingRecord, SolverConfig, f_alpha_value
 from .regularization import (
     GradientKernel,
     PackingRegParams,
+    allocation_map,
     barrier_weights,
     derive_packing_params,
-    transform_to_allocation,
 )
 
 TRACE_CAPACITY = 4096
@@ -76,8 +77,9 @@ class PackingState:
     z: np.ndarray | None
     u: np.ndarray
     k: int
+    kernel: GradientKernel
+    rule: tuple   # (step scale, update expression), from ``update_rule``
     trace: TraceBuffer = field(default_factory=TraceBuffer)
-    kernel: GradientKernel | None = None
     loads: np.ndarray | None = None   # loads of ``u``, once computed (see iterate_loads)
 
 
@@ -105,19 +107,7 @@ class FeasibilityReport:
     is_feasible: bool
 
 
-# ---- branch step scales and update expressions (shared with the round engine) ----
-
-def mirror_step_scale(params) -> float:
-    return params.epsilon * params.h
-
-
-def additive_step_scale(params: PackingRegParams) -> float:
-    return params.beta / (4.0 * (1.0 + params.beta))
-
-
-def multiplicative_step_scale(params: PackingRegParams, alpha: float) -> float:
-    return params.beta * (1.0 - alpha) / (4.0 * (1.0 + alpha * params.beta))
-
+# ---- branch update expressions and their step scales (shared with the round engine) ----
 
 def mirror_iterate(z, beta_prime: float):
     return np.power(1.0 + z, -1.0 / beta_prime)
@@ -133,6 +123,22 @@ def additive_update(x_hat, truncated, c: float):
 
 def multiplicative_update(x_hat, truncated, c: float):
     return (1.0 - c * truncated) * x_hat
+
+
+def update_rule(params, alpha: float):
+    """The run's (step scale, update expression), chosen once from alpha.
+
+    Below 1 the mirror state moves by ``epsilon * h``; covering's dual
+    engine, the fairness-0 objective, takes this branch with its own
+    ``epsilon`` and ``h``. At 1 the iterate moves additively, above 1
+    multiplicatively.
+    """
+    if alpha < 1.0:
+        return params.epsilon * params.h, mirror_update
+    if alpha == 1.0:
+        return params.beta / (4.0 * (1.0 + params.beta)), additive_update
+    return (params.beta * (1.0 - alpha) / (4.0 * (1.0 + alpha * params.beta)),
+            multiplicative_update)
 
 
 def init_packing(instance: PackingInstance, config: SolverConfig,
@@ -155,14 +161,15 @@ def init_packing(instance: PackingInstance, config: SolverConfig,
     if alpha < 1.0:
         z = np.power(x_hat, -params.beta_prime) - 1.0
     kernel = GradientKernel(instance.matrix, alpha, params.beta, params.logC)
-    u = kernel.allocation(x_hat)
-    return PackingState(x_hat=x_hat, z=z, u=u, k=0, kernel=kernel)
+    return PackingState(x_hat=x_hat, z=z, u=kernel.allocation(x_hat), k=0, kernel=kernel,
+                        rule=update_rule(params, alpha))
 
 
 def require_feasible(loads: np.ndarray, k: int) -> None:
-    if float(loads.max()) > 1.0:
+    top = float(np.maximum.reduce(loads))
+    if top > 1.0:
         raise FeasibilityViolation(
-            f"constraint load {float(loads.max())} exceeded 1 at iteration {k}; "
+            f"constraint load {top} exceeded 1 at iteration {k}; "
             "this indicates an implementation bug"
         )
 
@@ -180,35 +187,25 @@ def iterate_loads(state: PackingState, k: int, check_feasibility: bool = True) -
 
 def step(state: PackingState, instance: PackingInstance, params: PackingRegParams,
          alpha: float, check_feasibility: bool = True) -> PackingState:
-    """Advance one iteration of the matching fairness branch, in place.
+    """Advance one iteration of the state's update rule, in place.
 
     The mirror branch evaluates a fresh iterate and leaves it, with its
     loads, in the state; the other branches evaluate the state's iterate
     and replace it, leaving its loads to be computed when next needed.
     """
     kernel = state.kernel
-    if kernel is None:
-        kernel = GradientKernel(instance.matrix, alpha, params.beta, params.logC)
-        state.kernel = kernel
-
+    scale, update = state.rule
     if alpha < 1.0:
         state.x_hat = mirror_iterate(state.z, params.beta_prime)
         state.u = kernel.allocation(state.x_hat)
         state.loads = None
         loads = iterate_loads(state, state.k + 1, check_feasibility)
-        pair = kernel.evaluate(state.x_hat, u=state.u, loads=loads)
-        state.z = mirror_update(state.z, pair.truncated, mirror_step_scale(params))
+        state.z = update(state.z, kernel.evaluate(state.x_hat, state.u, loads).truncated, scale)
     else:
         loads = iterate_loads(state, state.k, check_feasibility)
-        pair = kernel.evaluate(state.x_hat, u=state.u, loads=loads)
-        if alpha == 1.0:
-            state.x_hat = additive_update(state.x_hat, pair.truncated, additive_step_scale(params))
-            state.u = np.exp(state.x_hat)
-        else:
-            state.x_hat = multiplicative_update(
-                state.x_hat, pair.truncated, multiplicative_step_scale(params, alpha)
-            )
-            state.u = np.power(state.x_hat, 1.0 / (1.0 - alpha))
+        state.x_hat = update(state.x_hat, kernel.evaluate(state.x_hat, state.u, loads).truncated,
+                             scale)
+        state.u = kernel.allocation(state.x_hat)
         state.loads = None
     state.k += 1
     return state
@@ -259,7 +256,7 @@ def packing_duality_gap(instance: PackingInstance, x_hat, params: PackingRegPara
         raise InvalidAlpha("duality gap certificate requires alpha > 1")
     x_hat = np.asarray(x_hat, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        loads = constraint_loads(instance.matrix, transform_to_allocation(x_hat, alpha))
+        loads = constraint_loads(instance.matrix, allocation_map(alpha)(x_hat))
         y = barrier_weights(1.0 / params.beta, params.logC, np.log(loads))
         return _duality_gap(instance, alpha, x_hat, y)
 

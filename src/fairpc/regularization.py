@@ -15,7 +15,9 @@ kernel evaluates it in that product form (one gather, multiply and
 ``reduceat`` over the entries, plus O(m + n) ``exp``/``log``) whenever a
 bound from the run constants proves every factor stays in float range, and
 otherwise falls back to exponentiating each entry's combined log exponent,
-never materializing one above ``EXP_SAT``. The form is chosen once per run.
+never materializing one above ``EXP_SAT``. The form, like the allocation
+map and the allocation term, is bound once per run, when the kernel is
+built.
 
 Every floating-point step here is shared verbatim between the monolithic
 solver and the column-block shards of the round engine (see ``rounds``):
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,25 +176,21 @@ def derive_covering_params(m: int, n: int, rho: float, beta: float, epsilon: flo
     )
 
 
-@dataclass(frozen=True, eq=False)
-class GradientPair:
+class GradientPair(NamedTuple):
     """Gradient data at one iterate.
 
     ``truncated`` is the scaled-and-clipped gradient, every entry in
-    [-1, 1]; a saturated coordinate truncates to exactly 1.0. The solvers
-    read only ``truncated`` and ``weights``: the barrier weights
-    ``C * load**(1/beta)`` when the kernel formed them (the product form at
-    alpha = 0, which covering always runs), else None. ``grad``, the raw
-    gradient, is filled in by ``grad_f_r`` alone: saturated coordinates
-    carry a signed-infinity sentinel there, and no arithmetic is ever
-    performed on it.
+    [-1, 1]; a saturated coordinate truncates to exactly 1.0. ``weights``
+    are the barrier weights ``C * load**(1/beta)`` when the kernel formed
+    them (the product form at alpha = 0, which covering always runs), else
+    None. ``grad``, the raw gradient, is filled in by ``grad_f_r`` alone:
+    saturated coordinates carry a signed-infinity sentinel there, and no
+    arithmetic is ever performed on it.
     """
 
     truncated: np.ndarray
-    loads: np.ndarray
-    log_loads: np.ndarray
-    grad: np.ndarray | None = None
     weights: np.ndarray | None = None
+    grad: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -200,7 +199,8 @@ class ColumnForm:
 
     inv_beta: float
     logC: float
-    product: bool   # product form; False selects the log-domain fallback
+    product: bool        # product form; False selects the log-domain fallback
+    column_factor: bool  # False at alpha = 0, where the allocation term is 0.0
 
 
 def product_form_bound(matrix: SparseNonnegMatrix, alpha: float, logC: float) -> float:
@@ -228,16 +228,16 @@ def truncated_columns(form: ColumnForm, terms, entry_row, entry_col, col_starts,
     ``terms`` are the run's column-major entries (``A_ij`` in product form,
     ``ln A_ij + logC`` in the fallback); ``entry_row`` indexes each entry's
     row in ``log_loads`` and ``entry_col`` its column in ``t``; ``col_starts``
-    opens each column's segment. ``t`` is ``log_allocation_term``: 0.0 at
-    alpha = 0, else one value per column.
+    opens each column's segment. ``t`` is the run's ``allocation_term``: one
+    value per column, or 0.0 when ``form`` has no column factor (alpha = 0).
 
     Product form: ``s = exp(logC + t) * (A^T load**(1/beta)) - 1``. ``C`` sits
     in the column factor, so on a feasible iterate the row factors lie in
     [0, 1] and ``product_form_bound`` bounds the column factor's exponent.
-    At alpha = 0 there is no column factor and the row factors are the
-    barrier weights themselves (returned for reuse); one that overflows
-    makes ``s`` +inf, which truncates to 1. A saturated column is one whose
-    ``s`` is +inf, and ``saturated`` is None.
+    Without a column factor the row factors are the barrier weights
+    themselves (returned for reuse); one that overflows makes ``s`` +inf,
+    which truncates to 1. A saturated column is one whose ``s`` is +inf,
+    and ``saturated`` is None.
 
     Log-domain fallback: each entry's exponent ``(terms + t) + q`` is
     exponentiated; exponents above EXP_SAT are never materialized: their
@@ -251,21 +251,21 @@ def truncated_columns(form: ColumnForm, terms, entry_row, entry_col, col_starts,
     weights = None
     saturated = None
     if form.product:
-        if np.isscalar(t):
-            weights = barrier_weights(form.inv_beta, form.logC, log_loads)
-            s = segment_sums(col_starts, entry_row, terms, weights)
-        else:
+        if form.column_factor:
             row_factor = np.exp(form.inv_beta * log_loads)
             s = np.exp(form.logC + t) * segment_sums(col_starts, entry_row, terms, row_factor)
+        else:
+            weights = barrier_weights(form.inv_beta, form.logC, log_loads)
+            s = segment_sums(col_starts, entry_row, terms, weights)
         s -= 1.0
     else:
-        t_entry = t if np.isscalar(t) else t.take(entry_col)
+        t_entry = t.take(entry_col) if form.column_factor else t
         e = (terms + t_entry) + (form.inv_beta * log_loads).take(entry_row)
         if float(np.maximum.reduce(e)) > EXP_SAT:
             saturated = np.maximum.reduceat(e, col_starts) > EXP_SAT
             e = np.where(e > EXP_SAT, -np.inf, e)
         s = np.add.reduceat(np.exp(e), col_starts) - 1.0
-    smin = np.minimum.reduce(s)
+    smin = float(np.minimum.reduce(s))
     if not smin >= -1.0:  # also catches NaN
         raise TruncationDomainViolation(
             f"scaled gradient fell below -1 (min {smin}); solver state is corrupted"
@@ -276,40 +276,50 @@ def truncated_columns(form: ColumnForm, terms, entry_row, entry_col, col_starts,
     return s, saturated, truncated, weights
 
 
-def transform_to_allocation(x_hat, alpha: float):
-    """F(x_hat): the allocation-space image of a transformed iterate.
+def _identity(x_hat):
+    return x_hat
 
-    alpha = 0 is the identity and returns the input unchanged so that both
+
+def allocation_map(alpha: float):
+    """F, the allocation-space image of a transformed iterate, as a
+    one-argument function chosen once per run.
+
+    alpha = 0 is the identity and returns its input unchanged so that both
     execution engines see literally the same values.
     """
     if alpha == 0.0:
-        return x_hat
+        return _identity
     if alpha == 1.0:
-        return np.exp(x_hat)
-    return np.power(x_hat, 1.0 / (1.0 - alpha))
+        return np.exp
+    power = 1.0 / (1.0 - alpha)
+    return lambda x_hat: np.power(x_hat, power)
 
 
-def log_allocation_term(x_hat, u, alpha: float):
-    """The per-coordinate log factor multiplying the barrier sum.
+def allocation_term(alpha: float):
+    """The per-coordinate log factor of the column factor, as a function of
+    ``(x_hat, u)`` chosen once per run.
 
-    alpha = 0 contributes nothing; alpha = 1 uses the iterate itself (it is
-    already the log of the allocation, exactly); otherwise alpha * ln(u).
+    alpha = 0 has no column factor and gives 0.0; alpha = 1 uses the
+    iterate itself (it is already the log of the allocation, exactly);
+    otherwise alpha * ln(u).
     """
     if alpha == 0.0:
-        return 0.0
+        return lambda x_hat, u: 0.0
     if alpha == 1.0:
-        return x_hat
-    return alpha * np.log(u)
+        return lambda x_hat, u: x_hat
+    return lambda x_hat, u: alpha * np.log(u)
 
 
 class GradientKernel:
     """Precomputed arrays for repeated gradient evaluation on one instance.
 
     One kernel serves one (matrix, alpha, beta, logC) combination; solvers
-    build it once and call :meth:`evaluate` every iteration. The column
-    routine's form is fixed here: the product form at alpha = 0 (covering
-    included) and whenever ``product_form_bound`` stays within EXP_SAT,
-    else the log-domain fallback.
+    build it once and call :meth:`evaluate` every iteration. Everything
+    that depends on the run alone is bound here, so an evaluation decides
+    nothing: the allocation map, the allocation term, and the column
+    routine's form: the product form at alpha = 0 (covering included;
+    there without a column factor) and whenever ``product_form_bound``
+    stays within EXP_SAT, else the log-domain fallback.
     """
 
     def __init__(self, matrix: SparseNonnegMatrix, alpha: float, beta: float, logC: float):
@@ -319,41 +329,28 @@ class GradientKernel:
         self.logC = logC
         self.inv_beta = 1.0 / beta
         self.barrier_ratio = (1.0 + beta) / beta
+        self.allocation = allocation_map(alpha)
+        self.allocation_term = allocation_term(alpha)
         product_form = alpha == 0.0 or product_form_bound(matrix, alpha, logC) <= EXP_SAT
-        self.form = ColumnForm(self.inv_beta, logC, product_form)
+        self.form = ColumnForm(self.inv_beta, logC, product_form, alpha != 0.0)
         # per-entry terms of the column routine; ln A_ij + logC only for the fallback
         self.entry_terms = matrix.col_val if product_form else np.log(matrix.col_val) + logC
         self._col_starts = matrix.col_ptr[:-1]
         self._row_starts = matrix.row_ptr[:-1]
 
-    def allocation(self, x_hat: np.ndarray) -> np.ndarray:
-        return transform_to_allocation(x_hat, self.alpha)
-
     def loads_of(self, u: np.ndarray) -> np.ndarray:
         """Constraint loads ``Au``: the body of ``matrix.constraint_loads``, unchecked."""
         return segment_sums(self._row_starts, self.matrix.row_col, self.matrix.row_val, u)
 
-    def columns(self, x_hat: np.ndarray, u: np.ndarray | None = None,
-                loads: np.ndarray | None = None):
-        """``truncated_columns`` on every column: (s, saturated, truncated, weights, loads, log_loads)."""
+    def evaluate(self, x_hat: np.ndarray, u: np.ndarray, loads: np.ndarray) -> GradientPair:
+        """Truncated gradient at ``x_hat``, whose allocation ``u`` has the
+        constraint loads ``loads``, with the barrier weights when formed."""
         mat = self.matrix
-        if u is None:
-            u = self.allocation(x_hat)
-        if loads is None:
-            loads = self.loads_of(u)
-        log_loads = np.log(loads)
-        t = log_allocation_term(x_hat, u, self.alpha)
-        s, saturated, truncated, weights = truncated_columns(
+        _s, _saturated, truncated, weights = truncated_columns(
             self.form, self.entry_terms, mat.col_row, mat.col_colidx, self._col_starts,
-            t, log_loads,
+            self.allocation_term(x_hat, u), np.log(loads),
         )
-        return s, saturated, truncated, weights, loads, log_loads
-
-    def evaluate(self, x_hat: np.ndarray, u: np.ndarray | None = None,
-                 loads: np.ndarray | None = None) -> GradientPair:
-        """Scaled and truncated gradient at ``x_hat``, with the loads it used."""
-        _s, _saturated, truncated, weights, loads, log_loads = self.columns(x_hat, u, loads)
-        return GradientPair(truncated=truncated, loads=loads, log_loads=log_loads, weights=weights)
+        return GradientPair(truncated, weights)
 
     def f_r(self, x_hat: np.ndarray, loads: np.ndarray | None = None) -> float:
         """Regularized objective value; may return POSITIVE_OVERFLOW."""
@@ -403,15 +400,20 @@ def grad_f_r(instance, params, x_hat, alpha: float) -> GradientPair:
     """
     x_hat = _check_domain(x_hat, alpha)
     kernel = GradientKernel(instance.matrix, alpha, params.beta, params.logC)
+    mat = instance.matrix
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        s, saturated, truncated, _weights, loads, log_loads = kernel.columns(x_hat)
+        u = kernel.allocation(x_hat)
+        s, saturated, truncated, _weights = truncated_columns(
+            kernel.form, kernel.entry_terms, mat.col_row, mat.col_colidx, mat.col_ptr[:-1],
+            kernel.allocation_term(x_hat, u), np.log(kernel.loads_of(u)),
+        )
         if alpha == 1.0:
             grad, sentinel = s, np.inf
         else:
             grad, sentinel = s / (1.0 - alpha), (np.inf if alpha < 1.0 else -np.inf)
     if saturated is not None:
         grad[saturated] = sentinel
-    return GradientPair(truncated=truncated, loads=loads, log_loads=log_loads, grad=grad)
+    return GradientPair(truncated, grad=grad)
 
 
 def truncate(grad_j: float, alpha: float) -> float:

@@ -19,21 +19,19 @@ set, which must equal the shard's incident rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import LocalityViolation, MissingLoad
 from .problem import COVER, PACK, CoveringInstance, PackingInstance, ScalingRecord, SolverConfig
 from .packing import (
-    PackingRunRecorder, additive_step_scale, additive_update, dual_vector, finalize_packing,
-    init_packing, iterate_loads, mirror_iterate, mirror_step_scale, mirror_update,
-    multiplicative_step_scale, multiplicative_update, plan_iterations, require_feasible,
+    PackingRunRecorder, dual_vector, finalize_packing, init_packing, iterate_loads,
+    mirror_iterate, plan_iterations, require_feasible,
 )
 from .covering import covering_trace_row, finalize_covering, init_covering, running_average
 from .regularization import (
-    ColumnForm, GradientKernel, derive_covering_params, derive_packing_params,
-    log_allocation_term, transform_to_allocation, truncated_columns,
+    ColumnForm, GradientKernel, derive_covering_params, derive_packing_params, truncated_columns,
 )
 
 # column blocks per run, capped at the number of columns
@@ -42,7 +40,8 @@ SHARD_COUNT = 4
 
 @dataclass(frozen=True, eq=False)
 class Shard:
-    """Columns ``[c0, c1)``: everything the block may read, plus run scalars."""
+    """Columns ``[c0, c1)``: everything the block may read, plus the run's
+    constants and the expressions its kernel and update rule bound."""
 
     index: int
     c0: int
@@ -53,10 +52,12 @@ class Shard:
     col_local: np.ndarray   # each entry's column, counted from c0
     col_starts: np.ndarray  # each column's first entry, counted from the block's first
     terms: np.ndarray       # each entry's term in the kernel's form: A_ij, or ln(A_ij) + logC
-    alpha: float
     form: ColumnForm
-    beta_prime: float | None
+    allocation: Callable        # the kernel's allocation map
+    allocation_term: Callable   # the kernel's allocation term
     step_scale: float
+    update: Callable            # the run's update expression, from ``packing.update_rule``
+    beta_prime: float | None    # mirror exponent; None when the block has no mirror state
 
 
 class ShardMessage(NamedTuple):
@@ -103,7 +104,7 @@ def _outside_block(gather: np.ndarray, col_ptr: np.ndarray, c0: int, c1: int) ->
 
 
 def build_shard(kernel: GradientKernel, index: int, c0: int, c1: int, gather: np.ndarray,
-                step_scale: float, beta_prime: float | None) -> Shard:
+                rule: tuple, beta_prime: float | None) -> Shard:
     """Gather the block's entries, the shard's only matrix reads; any index
     outside the entries of columns [c0, c1) raises."""
     matrix = kernel.matrix
@@ -119,19 +120,20 @@ def build_shard(kernel: GradientKernel, index: int, c0: int, c1: int, gather: np
         col_local=matrix.col_colidx[gather] - c0,
         col_starts=matrix.col_ptr[c0:c1] - matrix.col_ptr[c0],
         terms=kernel.entry_terms[gather],
-        alpha=kernel.alpha, form=kernel.form,
-        beta_prime=beta_prime, step_scale=step_scale,
+        form=kernel.form, allocation=kernel.allocation, allocation_term=kernel.allocation_term,
+        step_scale=rule[0], update=rule[1], beta_prime=beta_prime,
     )
 
 
-def build_shards(kernel: GradientKernel, step_scale: float, beta_prime: float | None,
+def build_shards(kernel: GradientKernel, rule: tuple, beta_prime: float | None,
                  count: int) -> list[Shard]:
-    """``count`` (at most n) contiguous column blocks of near-equal width."""
+    """``count`` (at most n) contiguous column blocks of near-equal width;
+    ``rule`` is the run's (step scale, update expression)."""
     n, col_ptr = kernel.matrix.n, kernel.matrix.col_ptr
     count = min(count, n)
     bounds = [n * s // count for s in range(count + 1)]
     return [
-        build_shard(kernel, i, c0, c1, np.arange(col_ptr[c0], col_ptr[c1]), step_scale, beta_prime)
+        build_shard(kernel, i, c0, c1, np.arange(col_ptr[c0], col_ptr[c1]), rule, beta_prime)
         for i, (c0, c1) in enumerate(zip(bounds[:-1], bounds[1:]))
     ]
 
@@ -142,8 +144,8 @@ def shard_message(shard: Shard, loads: np.ndarray, k: int) -> ShardMessage:
 
 def publish(shard: Shard, block: BlockState) -> BlockState:
     """The block at its current iterate, with the allocation it exposes this round."""
-    x_hat = mirror_iterate(block.z, shard.beta_prime) if shard.alpha < 1.0 else block.x_hat
-    return block._replace(x_hat=x_hat, u=transform_to_allocation(x_hat, shard.alpha))
+    x_hat = block.x_hat if block.z is None else mirror_iterate(block.z, shard.beta_prime)
+    return block._replace(x_hat=x_hat, u=shard.allocation(x_hat))
 
 
 def _carries_rows(msg: ShardMessage, shard: Shard) -> bool:
@@ -161,19 +163,14 @@ def local_update(shard: Shard, msg: ShardMessage, block: BlockState) -> BlockSta
         missing = np.setdiff1d(shard.rows, msg.rows)
         lacks = f"the load of row {int(missing[0])}" if missing.size else "its incident rows"
         raise MissingLoad(f"round {msg.round_index}: shard {shard.index}'s message lacks {lacks}")
-    alpha = shard.alpha
     x_hat, z, k, u = block if block.u is not None else publish(shard, block)
     _s, _saturated, truncated, _weights = truncated_columns(
         shard.form, shard.terms, shard.row_pos, shard.col_local, shard.col_starts,
-        log_allocation_term(x_hat, u, alpha), np.log(msg.loads),
+        shard.allocation_term(x_hat, u), np.log(msg.loads),
     )
-    if alpha < 1.0:
-        return BlockState(x_hat, mirror_update(z, truncated, shard.step_scale), k + 1)
-    if alpha == 1.0:
-        x_new = additive_update(x_hat, truncated, shard.step_scale)
-    else:
-        x_new = multiplicative_update(x_hat, truncated, shard.step_scale)
-    return BlockState(x_new, None, k + 1)
+    if z is not None:   # mirror: the update moves the mirror state
+        return BlockState(x_hat, shard.update(z, truncated, shard.step_scale), k + 1)
+    return BlockState(shard.update(x_hat, truncated, shard.step_scale), None, k + 1)
 
 
 def audit_round(shards: list[Shard], msgs: list[ShardMessage], col_ptr: np.ndarray,
@@ -212,11 +209,11 @@ def run_distributed(instance, config: SolverConfig, mode: str | None = None,
 class _Lockstep:
     """The environment of one run: the shards, their block states and the audit."""
 
-    def __init__(self, kernel: GradientKernel, step_scale: float, beta_prime: float | None,
+    def __init__(self, kernel: GradientKernel, rule: tuple, beta_prime: float | None,
                  x_hat: np.ndarray, z: np.ndarray | None, audit: bool):
         self.kernel = kernel
         self.matrix = kernel.matrix
-        self.shards = build_shards(kernel, step_scale, beta_prime, SHARD_COUNT)
+        self.shards = build_shards(kernel, rule, beta_prime, SHARD_COUNT)
         self.blocks = [BlockState(x_hat[s.c0:s.c1], None if z is None else z[s.c0:s.c1], 0)
                        for s in self.shards]
         self.audit = LocalityAudit(performed=audit)
@@ -263,16 +260,10 @@ def _run_packing(instance: PackingInstance, config: SolverConfig,
     if scaling is None:
         scaling = ScalingRecord(c=1.0, alpha_used=alpha)
     planned, stride = plan_iterations(config, params)
-    if alpha < 1.0:
-        step_scale = mirror_step_scale(params)
-    elif alpha == 1.0:
-        step_scale = additive_step_scale(params)
-    else:
-        step_scale = multiplicative_step_scale(params, alpha)
 
     # the environment's whole-vector view, for traces and finalization only
     state = init_packing(instance, config, params)
-    env = _Lockstep(state.kernel, step_scale, params.beta_prime, state.x_hat, state.z, audit)
+    env = _Lockstep(state.kernel, state.rule, params.beta_prime, state.x_hat, state.z, audit)
     recorder = PackingRunRecorder(state.kernel, instance, params, config)
 
     def record(k: int, loads: np.ndarray | None) -> bool:
@@ -309,7 +300,7 @@ def _run_covering(instance: CoveringInstance, config: SolverConfig,
 
     state = init_covering(instance, config, params)
     kernel = state.kernel
-    env = _Lockstep(kernel, mirror_step_scale(params), params.beta_prime, state.x, state.z, audit)
+    env = _Lockstep(kernel, state.rule, params.beta_prime, state.x, state.z, audit)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         state.trace.append(covering_trace_row(kernel, state.x, 0, state.loads))
         for k in range(1, planned + 1):

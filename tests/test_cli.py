@@ -262,6 +262,24 @@ def test_non_finite_fairness_exits_2(id3_path, capsys, flags):
     assert out == ""
 
 
+@pytest.mark.parametrize("engine", ["monolithic", "rounds"])
+@pytest.mark.parametrize("beta", ["700", "1e6"])
+def test_cover_beta_whose_start_underflows_exits_2(id3_path, capsys, recwarn, engine, beta):
+    code, out, err = run(["--mode", "cover", "--beta", beta, "--epsilon", "0.1",
+                          "--input", str(id3_path), "--engine", engine], capsys)
+    assert code == 2
+    assert err.startswith("error: covering beta=") and "underflows to 0" in err
+    assert err.count("\n") == 1 and out == ""
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_cover_beta_with_subnormal_start_still_solves(id3_path, capsys):
+    # 3**-677 is subnormal but positive: the largest beta the 3x3 identity admits
+    code, out, _ = run(["--mode", "cover", "--beta", "676", "--epsilon", "0.1",
+                        "--input", str(id3_path)], capsys)
+    assert code == 0 and json.loads(out)["feasibility"]["is_feasible"]
+
+
 @pytest.mark.parametrize(
     "content, reason",
     [

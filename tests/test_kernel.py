@@ -15,9 +15,9 @@ from fairpc.regularization import (
     EXP_SAT,
     ColumnForm,
     GradientKernel,
+    allocation_term,
     derive_covering_params,
     derive_packing_params,
-    log_allocation_term,
     truncated_columns,
 )
 
@@ -71,8 +71,8 @@ def _columns(inst, alpha, beta, logC, u, product):
     terms = mat.col_val if product else np.log(mat.col_val) + logC
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         return truncated_columns(
-            ColumnForm(1.0 / beta, logC, product), terms, mat.col_row, mat.col_colidx,
-            mat.col_ptr[:-1], log_allocation_term(_x_hat(u, alpha), u, alpha),
+            ColumnForm(1.0 / beta, logC, product, alpha != 0.0), terms, mat.col_row,
+            mat.col_colidx, mat.col_ptr[:-1], allocation_term(alpha)(_x_hat(u, alpha), u),
             np.log(mat.to_dense() @ u),
         )
 
@@ -88,7 +88,7 @@ def test_product_form_matches_log_domain(seed, case):
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         # each column's largest combined exponent, as the fallback forms it
         mat = inst.matrix
-        t = log_allocation_term(x_hat, u, alpha)
+        t = allocation_term(alpha)(x_hat, u)
         t_entry = t if np.isscalar(t) else t[mat.col_colidx]
         q = np.log(mat.to_dense() @ u) / beta
         e = np.log(mat.col_val) + logC + t_entry + q[mat.col_row]

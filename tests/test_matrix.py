@@ -12,7 +12,7 @@ from fairpc.errors import (
     MatrixMarketFormatError,
     NegativeEntry,
 )
-from fairpc.matrix import Entries, read_matrix_market, write_matrix_market
+from fairpc.matrix import Entries, read_matrix_market, segment_sums, write_matrix_market
 
 
 def test_build_and_views_consistent():
@@ -59,6 +59,27 @@ def test_column_loads_transpose_identity():
     mat = from_dense(dense)
     y = rng.random(4)
     np.testing.assert_allclose(column_loads(mat, y), dense.T @ y, rtol=1e-13)
+
+
+def test_column_block_sums_do_not_depend_on_the_block_offset():
+    """A column block reduced on its own, as a shard reduces it, sums every
+    column bitwise as the whole matrix does, for blocks opening at odd offsets."""
+    rng = np.random.default_rng(5)
+    m, n = 40, 24
+    dense = rng.uniform(1.0, 100.0, (m, n)) * (rng.random((m, n)) < rng.random(n))
+    dense[rng.integers(0, m, n), np.arange(n)] = 1.0   # no empty column
+    dense[np.arange(m), rng.integers(0, n, m)] = 1.0   # and no empty row
+    mat = from_dense(dense * 10.0 ** rng.uniform(-6, 6, (m, n)))
+    y = rng.random(m) * 10.0 ** rng.uniform(-6, 6, m)
+    whole = segment_sums(mat.col_ptr[:-1], mat.col_row, mat.col_val, y)
+    blocks = [(c0, c1) for c0 in range(n) for c1 in range(c0 + 1, n + 1)
+              if mat.col_ptr[c0] % 2 == 1]
+    assert len({mat.col_ptr[c0] % 8 for c0, _ in blocks}) > 1
+    assert np.diff(mat.col_ptr).max() > 8
+    for c0, c1 in blocks:
+        lo, hi = mat.col_ptr[c0], mat.col_ptr[c1]
+        block = segment_sums(mat.col_ptr[c0:c1] - lo, mat.col_row[lo:hi], mat.col_val[lo:hi], y)
+        assert block.tobytes() == whole[c0:c1].tobytes()
 
 
 def test_matrix_market_roundtrip(tmp_path):

@@ -18,7 +18,7 @@ from fairpc import rounds
 from fairpc.cli import run_cli
 from fairpc.errors import LocalityViolation, MissingLoad
 from fairpc.matrix import write_matrix_market
-from fairpc.packing import additive_step_scale
+from fairpc.packing import update_rule
 from fairpc.regularization import GradientKernel
 from fairpc.rounds import (
     BlockState,
@@ -33,9 +33,9 @@ from fairpc.rounds import (
 from conftest import identity_instance, single_row_instance
 
 
-def one_shard(instance, params, step_scale):
+def one_shard(instance, params, rule):
     kernel = GradientKernel(instance.matrix, 1.0, params.beta, params.logC)
-    (shard,) = build_shards(kernel, step_scale, params.beta_prime, count=1)
+    (shard,) = build_shards(kernel, rule, params.beta_prime, count=1)
     return shard
 
 
@@ -44,7 +44,7 @@ def test_local_update_reproduces_monolithic_step():
     config = SolverConfig(fairness=1.0, epsilon=0.1)
     params = derive_packing_params(1, 1, 1.0, 1.0, 0.1)
     state = init_packing(inst, config, params)
-    shard = one_shard(inst, params, additive_step_scale(params))
+    shard = one_shard(inst, params, update_rule(params, 1.0))
     block = BlockState(x_hat=state.x_hat.copy(), z=None, k=0)
     msg = ShardMessage(round_index=1, rows=np.array([0]), loads=state.u.copy())
     updated = local_update(shard, msg, block)
@@ -58,7 +58,7 @@ def test_local_update_reproduces_monolithic_step():
 def test_local_update_zero_gradient_is_noop():
     inst = identity_instance(1)
     params = derive_packing_params(1, 1, 1.0, 1.0, 0.1)
-    shard = one_shard(inst, params, additive_step_scale(params))
+    shard = one_shard(inst, params, update_rule(params, 1.0))
     # at load exp(-logC * beta) the weighted sum is exactly 1 -> gradient 0
     x_hat = -params.logC * params.beta / (1.0 + params.beta)
     block = BlockState(x_hat=np.array([x_hat]), z=None, k=3)
@@ -71,7 +71,7 @@ def test_local_update_zero_gradient_is_noop():
 def test_local_update_missing_load():
     inst = single_row_instance([1.0, 1.0])
     params = derive_packing_params(1, 2, 1.0, 1.0, 0.1)
-    shard = one_shard(inst, params, additive_step_scale(params))
+    shard = one_shard(inst, params, update_rule(params, 1.0))
     block = BlockState(x_hat=np.array([-1.0, -1.0]), z=None, k=0)
     empty = ShardMessage(round_index=1, rows=np.array([], dtype=np.int64), loads=np.array([]))
     with pytest.raises(MissingLoad):
@@ -188,7 +188,7 @@ def test_shards_partition_the_columns():
     inst = partition_instance()
     params = derive_packing_params(inst.m, inst.n, inst.rho, 1.0, 0.1)
     kernel = GradientKernel(inst.matrix, 1.0, params.beta, params.logC)
-    shards = build_shards(kernel, additive_step_scale(params), None, count=4)
+    shards = build_shards(kernel, update_rule(params, 1.0), None, count=4)
     assert shards[0].c0 == 0 and shards[-1].c1 == inst.n
     assert all(a.c1 == b.c0 for a, b in zip(shards, shards[1:]))
     for s in shards:
@@ -204,14 +204,14 @@ def test_out_of_column_gather_raises():
     kernel = GradientKernel(inst.matrix, 1.0, params.beta, params.logC)
     # the shard owns column 0 (entry 0) but gathers entry 1, which is column 1's
     with pytest.raises(LocalityViolation, match="gathers entry 1"):
-        build_shard(kernel, 0, 0, 1, np.array([0, 1]), additive_step_scale(params), None)
+        build_shard(kernel, 0, 0, 1, np.array([0, 1]), update_rule(params, 1.0), None)
 
 
 def test_per_round_audit_records_breaches():
     inst = identity_instance(3)
     params = derive_packing_params(3, 3, 1.0, 1.0, 0.1)
     kernel = GradientKernel(inst.matrix, 1.0, params.beta, params.logC)
-    good = build_shards(kernel, additive_step_scale(params), None, count=3)
+    good = build_shards(kernel, update_rule(params, 1.0), None, count=3)
     # a shard whose gather was altered after the build-time check
     bad = [good[0], dataclasses.replace(good[1], gather=np.array([2])), good[2]]
     msgs = [rounds.shard_message(s, np.ones(3), 5) for s in bad]
