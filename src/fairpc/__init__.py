@@ -38,13 +38,14 @@ from .regularization import (
     truncate,
 )
 from .packing import (
+    Certificate,
     FeasibilityReport,
     PackingSolution,
     PackingState,
     TraceRow,
+    certify,
     feasibility_report,
     init_packing,
-    packing_duality_gap,
     solve_packing,
     step,
 )

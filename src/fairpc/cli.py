@@ -95,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=[MONOLITHIC, ROUNDS], default=MONOLITHIC)
     p.add_argument("--max-iters", type=int, help="override the derived iteration budget")
     p.add_argument("--early-stop", action="store_true",
-                   help="stop when the duality-gap certificate is small (alpha > 1 only)")
+                   help="packing: start from the scaled feasible point and stop once the "
+                        "dual bound proves the regime's guarantee (any alpha)")
     p.add_argument("--trace-stride", type=int, help="record every N-th iteration")
     return p
 
@@ -130,7 +131,7 @@ def _packing_result(args, instance, record, solution: PackingSolution, wall: flo
         "guarantee": {
             "eps_f": solution.eps_f,
             "form": solution.eps_f_form,
-            "basis": "returned utility stands in for the unknown optimum",
+            "basis": solution.eps_f_basis,
         },
         "dual": None if solution.dual_certificate is None else {
             "certificate": solution.dual_certificate,

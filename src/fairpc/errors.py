@@ -75,10 +75,6 @@ class NegativeCoordinate(DomainError):
     pass
 
 
-class DualDomainError(DomainError):
-    pass
-
-
 # ---- solver internals: these indicate an implementation bug, never bad input ----
 
 class SolverAssertion(FairpcError):

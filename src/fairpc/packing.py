@@ -20,21 +20,16 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DualDomainError,
-    FeasibilityViolation,
-    InvalidAlpha,
-    NegativeCoordinate,
-)
+from .errors import FeasibilityViolation, InvalidAlpha, NegativeCoordinate
 from .matrix import column_loads, constraint_loads
 from .problem import PackingInstance, ScalingRecord, SolverConfig, f_alpha_value
 from .regularization import (
     GradientKernel,
     PackingRegParams,
-    allocation_map,
     barrier_weights,
     derive_packing_params,
 )
@@ -87,8 +82,9 @@ class PackingState:
 class PackingSolution:
     x: np.ndarray
     utility: float
-    eps_f: float
+    eps_f: float | None
     eps_f_form: str
+    eps_f_basis: str
     iterations_run: int
     max_load: float
     is_feasible: bool
@@ -143,7 +139,13 @@ def update_rule(params, alpha: float):
 
 def init_packing(instance: PackingInstance, config: SolverConfig,
                  params: PackingRegParams | None = None) -> PackingState:
-    """Initial state: allocation (1 - eps)/(n rho) on every coordinate.
+    """Initial state: the same allocation on every coordinate.
+
+    That is the paper's (1 - eps)/(n rho), which its budget ``K`` assumes.
+    Under ``config.early_stop``, where the certificate and not ``K`` ends
+    the run, it is the scaled (1 - eps)/max_i (A 1)_i instead: still
+    feasible, with the fullest row (1 - eps)-tight. An alpha whose
+    transformed start ``u0**(1 - alpha)`` overflows is rejected.
 
     For fairness below 1 the mirror state starts at z_j = x_hat_j**(-b') - 1,
     which makes the first mirror recomputation reproduce the initial iterate.
@@ -151,16 +153,26 @@ def init_packing(instance: PackingInstance, config: SolverConfig,
     alpha = config.alpha
     if params is None:
         params = derive_packing_params(instance.m, instance.n, instance.rho, alpha, config.epsilon)
-    n = instance.n
-    u0 = np.full(n, (1.0 - config.epsilon) / (n * instance.rho))
+    n, rho = instance.n, instance.rho
+    kernel = GradientKernel(instance.matrix, alpha, params.beta, params.logC)
+    if config.early_stop:
+        top = float(np.maximum.reduce(kernel.loads_of(np.ones(n))))
+        u0 = np.full(n, (1.0 - config.epsilon) / top)
+    else:
+        u0 = np.full(n, (1.0 - config.epsilon) / (n * rho))
     if alpha == 1.0:
         x_hat = np.log(u0)
     else:
-        x_hat = np.power(u0, 1.0 - alpha)
+        with np.errstate(over="ignore"):   # an overflow is rejected just below
+            x_hat = np.power(u0, 1.0 - alpha)
+        if not math.isfinite(x_hat[0]):
+            raise InvalidAlpha(
+                f"alpha={alpha:g} is too large for n={n}, rho={rho:g}: the start point's "
+                f"transform {u0[0]:g}**(1 - alpha) overflows"
+            )
     z = None
     if alpha < 1.0:
         z = np.power(x_hat, -params.beta_prime) - 1.0
-    kernel = GradientKernel(instance.matrix, alpha, params.beta, params.logC)
     return PackingState(x_hat=x_hat, z=z, u=kernel.allocation(x_hat), k=0, kernel=kernel,
                         rule=update_rule(params, alpha))
 
@@ -228,37 +240,52 @@ def dual_vector(kernel: GradientKernel, log_loads: np.ndarray) -> np.ndarray:
     return barrier_weights(kernel.inv_beta, kernel.logC, log_loads)
 
 
-def _dual_value(instance: PackingInstance, alpha: float, y: np.ndarray) -> float:
-    aty = column_loads(instance.matrix, y)
-    if (aty == 0.0).any():
-        raise DualDomainError("a column receives zero dual mass; gap undefined")
-    return -float(np.add.reduce(y)) - (alpha / (1.0 - alpha)) * float(
+class Certificate(NamedTuple):
+    """The Lagrangian dual bound at one iterate's barrier weights."""
+
+    dual: np.ndarray   # y: the barrier weights at the iterate's loads
+    bound: float       # g(y) >= OPT by weak duality; inf where undefined
+    value: float       # the iterate's utility, read from x_hat
+
+    @property
+    def gap(self) -> float:
+        """``bound - value``: at least the iterate's true optimality gap."""
+        return self.bound - self.value
+
+
+def dual_bound(matrix, alpha: float, y: np.ndarray) -> float:
+    """The Lagrangian dual of alpha-fair packing at multipliers ``y >= 0``.
+
+    alpha = 0: sum(y) / min_j (A^T y)_j; alpha = 1: sum(y) - sum_j
+    (ln (A^T y)_j + 1); otherwise sum(y) + alpha/(1-alpha) * sum_j
+    (A^T y)_j**(-(1-alpha)/alpha). inf when a column receives no dual mass.
+    """
+    aty = column_loads(matrix, y)
+    least = float(np.minimum.reduce(aty))
+    if not least > 0.0:
+        return math.inf
+    mass = float(np.add.reduce(y))
+    if alpha == 0.0:
+        return mass / least
+    if alpha == 1.0:
+        return mass - float(np.add.reduce(np.log(aty) + 1.0))
+    return mass + (alpha / (1.0 - alpha)) * float(
         np.add.reduce(np.power(aty, -(1.0 - alpha) / alpha))
     )
 
 
-def _duality_gap(instance: PackingInstance, alpha: float, x_hat: np.ndarray,
-                 y: np.ndarray) -> float:
-    """Primal value at ``x_hat`` minus the Lagrangian dual at multipliers ``y``."""
-    dual = _dual_value(instance, alpha, y)
-    return -float(np.add.reduce(x_hat)) / (1.0 - alpha) - dual
+def certify(kernel: GradientKernel, x_hat: np.ndarray, loads: np.ndarray) -> Certificate:
+    """The certificate of iterate ``x_hat``, whose allocation has ``loads``.
 
-
-def packing_duality_gap(instance: PackingInstance, x_hat, params: PackingRegParams,
-                        alpha: float) -> float:
-    """Upper bound on the optimality gap of a feasible iterate (fairness > 1).
-
-    Interprets the barrier weights at the current loads as Lagrange
-    multipliers and evaluates the Lagrangian dual; weak duality makes the
-    returned difference an upper bound on the true gap.
+    Its barrier weights serve as Lagrange multipliers. The iterate's value
+    is sum(x_hat)/(1 - alpha), or sum(x_hat) at alpha = 1: the utility of
+    its allocation, up to rounding.
     """
-    if alpha <= 1.0:
-        raise InvalidAlpha("duality gap certificate requires alpha > 1")
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        loads = constraint_loads(instance.matrix, allocation_map(alpha)(x_hat))
-        y = barrier_weights(1.0 / params.beta, params.logC, np.log(loads))
-        return _duality_gap(instance, alpha, x_hat, y)
+    alpha = kernel.alpha
+    y = dual_vector(kernel, np.log(loads))
+    total = float(np.add.reduce(x_hat))
+    value = total if alpha == 1.0 else total / (1.0 - alpha)
+    return Certificate(y, dual_bound(kernel.matrix, alpha, y), value)
 
 
 def guarantee_target(alpha: float, epsilon: float, n: int, utility: float) -> tuple[float, str]:
@@ -271,10 +298,31 @@ def guarantee_target(alpha: float, epsilon: float, n: int, utility: float) -> tu
     return 10.0 * epsilon * (alpha - 1.0) * abs(utility), "10*eps*(alpha-1)*|utility|"
 
 
+def stop_radius(alpha: float, epsilon: float, n: int, bound: float,
+                value: float) -> tuple[float, str]:
+    """The gap ``bound - value`` that proves the paper's guarantee, and its form.
+
+    Below 1 the gap may reach 3 eps (1-alpha) value, since value <= OPT;
+    at 1, 3 eps n. Above 1 it is 10 eps (alpha-1) |bound|: OPT <= bound < 0
+    there makes |bound| <= |OPT|, where |value| >= |OPT| would prove less.
+    """
+    if alpha == 1.0:
+        return 3.0 * epsilon * n, "3*eps*n"
+    if alpha < 1.0:
+        return 3.0 * epsilon * (1.0 - alpha) * value, "3*eps*(1-alpha)*f"
+    return 10.0 * epsilon * (alpha - 1.0) * abs(bound), "10*eps*(alpha-1)*|g|"
+
+
 class PackingRunRecorder:
     """Per-run bookkeeping shared by the monolithic and round engines:
-    trace rows, the feasibility audit, gap certificates, the early-stop
-    policy, and the post-burn-in slackness diagnostic (warn only)."""
+    trace rows, the feasibility audit, certificates, the early-stop
+    policy, and the post-burn-in slackness diagnostic (warn only).
+
+    A traced row is certified above fairness 1, and in every regime under
+    early stop; the least finite dual bound seen is kept, since each one
+    bounds OPT. The run stops once that bound proves the last row within
+    ``stop_radius``; a row whose bound is not finite never stops it.
+    """
 
     def __init__(self, kernel: GradientKernel, instance: PackingInstance,
                  params: PackingRegParams, config: SolverConfig):
@@ -284,9 +332,9 @@ class PackingRunRecorder:
         self.config = config
         self.alpha = config.alpha
         self.burn_in = math.ceil(10.0 / params.beta)
-        self.stop_scale = (
-            10.0 * config.epsilon * (self.alpha - 1.0) if self.alpha > 1.0 else None
-        )
+        self.certifies = config.early_stop or self.alpha > 1.0
+        self.last: Certificate | None = None   # the latest row's
+        self.best: Certificate | None = None   # the least finite bound's
         self._warned = False
 
     def record(self, x_hat: np.ndarray, u: np.ndarray, k: int, trace: TraceBuffer,
@@ -297,31 +345,41 @@ class PackingRunRecorder:
         utility = f_alpha_value(u, self.alpha)
         f_r = kernel.f_r(x_hat, loads=loads)
         gap = None
-        if self.alpha > 1.0:
-            y = dual_vector(kernel, np.log(loads))
-            try:
-                gap = _duality_gap(self.instance, self.alpha, x_hat, y)
-            except DualDomainError:
-                gap = None
-            if k > self.burn_in and not self._warned:
-                lhs = float(np.add.reduce(y))
-                rhs = (1.0 + self.config.epsilon) * float(y @ loads)
-                if lhs > rhs * (1.0 + 1e-12):
-                    warnings.warn(
-                        f"dual mass {lhs:g} exceeds (1+eps) times its constraint "
-                        f"coverage {rhs:g} at iteration {k} (past burn-in {self.burn_in})",
-                        ComplementarySlacknessWarning,
-                        stacklevel=3,
-                    )
-                    self._warned = True
+        if self.certifies:
+            cert = self.last = certify(kernel, x_hat, loads)
+            if math.isfinite(cert.bound):
+                gap = cert.gap
+                if self.best is None or cert.bound < self.best.bound:
+                    self.best = cert
+        if self.alpha > 1.0 and k > self.burn_in and not self._warned:
+            y = self.last.dual
+            lhs = float(np.add.reduce(y))
+            rhs = (1.0 + self.config.epsilon) * float(y @ loads)
+            if lhs > rhs * (1.0 + 1e-12):
+                warnings.warn(
+                    f"dual mass {lhs:g} exceeds (1+eps) times its constraint "
+                    f"coverage {rhs:g} at iteration {k} (past burn-in {self.burn_in})",
+                    ComplementarySlacknessWarning,
+                    stacklevel=3,
+                )
+                self._warned = True
         row = TraceRow(k=k, utility=utility, max_load=float(loads.max()), f_r=f_r, gap=gap)
         trace.append(row)
         return row
 
-    def should_stop(self, row: TraceRow) -> bool:
-        if self.stop_scale is None or not self.config.early_stop or row.gap is None:
+    def reported(self) -> Certificate | None:
+        """The certificate the run reports for its last row: under early
+        stop the least bound seen, with that row's value; else the row's own."""
+        if self.config.early_stop and self.best is not None:
+            return self.best._replace(value=self.last.value)
+        return self.last
+
+    def should_stop(self) -> bool:
+        if not self.config.early_stop or self.best is None:
             return False
-        return row.gap <= self.stop_scale * abs(row.utility)
+        bound, value = self.best.bound, self.last.value
+        radius, _ = stop_radius(self.alpha, self.config.epsilon, self.instance.n, bound, value)
+        return bound - value <= radius
 
 
 def plan_iterations(config: SolverConfig, params) -> tuple[int, int]:
@@ -333,28 +391,46 @@ def plan_iterations(config: SolverConfig, params) -> tuple[int, int]:
 
 def finalize_packing(state: PackingState, instance: PackingInstance,
                      params: PackingRegParams, config: SolverConfig,
-                     scaling: ScalingRecord, stopped_early: bool) -> PackingSolution:
-    """Map the final iterate to original space and assemble the report."""
+                     scaling: ScalingRecord, stopped_early: bool,
+                     certificate: Certificate | None) -> PackingSolution:
+    """Map the final iterate to original space and assemble the report.
+
+    ``certificate`` is the recorder's report for the last traced row, which
+    is the final iterate. Without early stop the guarantee is the paper's
+    a-priori one; under it, the certified gap, scaled as the utility is.
+    A run that spent its budget first claims no more: the a-priori bound
+    assumes the paper's start, not the scaled one.
+    """
     alpha = config.alpha
-    kernel = state.kernel
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         final_loads = iterate_loads(state, state.k, check_feasibility=False)  # reported below
         x = scaling.original_solution(state.u)
         utility = f_alpha_value(x, alpha)
-        eps_f, form = guarantee_target(alpha, config.epsilon, instance.n, utility)
-        dual = None
-        gap = None
-        if alpha > 1.0:
-            dual = dual_vector(kernel, np.log(final_loads))
-            try:
-                gap = _duality_gap(instance, alpha, state.x_hat, dual)
-            except DualDomainError:
-                gap = None
+        dual = gap = None
+        if certificate is not None:
+            dual = certificate.dual
+            if math.isfinite(certificate.bound):
+                gap = certificate.gap
+        if not config.early_stop:
+            eps_f, form = guarantee_target(alpha, config.epsilon, instance.n, utility)
+            basis = "returned utility stands in for the unknown optimum"
+        else:
+            scale = 1.0 if alpha == 1.0 else float(np.power(scaling.c, alpha - 1.0))
+            eps_f = None if gap is None else gap * scale
+            form = "g-f: least dual bound g >= optimum, minus utility f"
+            if stopped_early:
+                _, rule = stop_radius(alpha, config.epsilon, instance.n,
+                                      certificate.bound, certificate.value)
+                basis = f"certified: the run stopped once g-f <= {rule}"
+            else:
+                basis = ("budget spent before the stop rule held; the a-priori bound "
+                         "assumes the paper's start, not the scaled one")
     return PackingSolution(
         x=x,
         utility=utility,
         eps_f=eps_f,
         eps_f_form=form,
+        eps_f_basis=basis,
         iterations_run=state.k,
         max_load=float(final_loads.max()),
         is_feasible=bool(final_loads.max() <= 1.0),
@@ -370,12 +446,12 @@ def finalize_packing(state: PackingState, instance: PackingInstance,
 def solve_packing(instance: PackingInstance, config: SolverConfig,
                   scaling: ScalingRecord | None = None,
                   check_feasibility: bool = True) -> PackingSolution:
-    """Run the fixed iteration budget and map the final iterate back.
+    """Run the iteration budget and map the final iterate back.
 
     The budget is the derived K unless ``config.max_iters`` overrides it.
-    With ``config.early_stop`` (fairness > 1 only) the run stops at the
-    first traced row whose duality-gap certificate is below
-    ``10 eps (alpha-1) |utility|``.
+    With ``config.early_stop`` the run starts from the scaled point (see
+    ``init_packing``) and stops at the first traced row that the least dual
+    bound so far proves within ``stop_radius``, in every regime.
     """
     alpha = config.alpha
     params = derive_packing_params(instance.m, instance.n, instance.rho, alpha, config.epsilon)
@@ -389,7 +465,8 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
 
     def record(k: int) -> bool:
         loads = iterate_loads(state, k, check_feasibility)
-        return recorder.should_stop(recorder.record(state.x_hat, state.u, k, state.trace, loads))
+        recorder.record(state.x_hat, state.u, k, state.trace, loads)
+        return recorder.should_stop()
 
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         stopped_early = record(0)
@@ -400,4 +477,5 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
             if k % stride == 0 or k == planned:
                 stopped_early = record(k)
 
-    return finalize_packing(state, instance, params, config, scaling, stopped_early)
+    return finalize_packing(state, instance, params, config, scaling, stopped_early,
+                            recorder.reported())

@@ -269,8 +269,8 @@ def _run_packing(instance: PackingInstance, config: SolverConfig,
     def record(k: int, loads: np.ndarray | None) -> bool:
         state.x_hat, state.z = env.joined()
         state.u, state.k, state.loads = state.kernel.allocation(state.x_hat), k, loads
-        loads = iterate_loads(state, k)
-        return recorder.should_stop(recorder.record(state.x_hat, state.u, k, state.trace, loads))
+        recorder.record(state.x_hat, state.u, k, state.trace, iterate_loads(state, k))
+        return recorder.should_stop()
 
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         stopped_early = record(0, None)
@@ -286,7 +286,9 @@ def _run_packing(instance: PackingInstance, config: SolverConfig,
                 stopped_early = record(k, loads if alpha < 1.0 else None)
 
     audit_obj = env.close()  # the last round was recorded, so ``state`` is current
-    return finalize_packing(state, instance, params, config, scaling, stopped_early), audit_obj
+    solution = finalize_packing(state, instance, params, config, scaling, stopped_early,
+                                recorder.reported())
+    return solution, audit_obj
 
 
 def _run_covering(instance: CoveringInstance, config: SolverConfig,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fairpc import single_constraint_packing_optimum
 from fairpc.cli import emit_json, emit_trace, run_cli
 from fairpc.packing import TraceRow
 
@@ -376,3 +377,54 @@ def test_parameter_values_exit_contract(id3_path, mode, fairness, epsilon, max_i
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert json.loads(out.getvalue())["iterations"] <= 50
+
+
+ROW3_WIDE = "%%MatrixMarket matrix coordinate real general\n1 3 3\n1 1 1\n1 2 1000\n1 3 1000\n"
+ROW5 = ("%%MatrixMarket matrix coordinate real general\n1 5 5\n"
+        "1 1 100\n1 2 100\n1 3 100\n1 4 1\n1 5 1\n")
+
+
+@pytest.mark.parametrize("engine", ["monolithic", "rounds"])
+@pytest.mark.parametrize("matrix, extra", [
+    (ID3, []),                      # the paper's start (1 - eps)/(n rho) = 0.3333
+    (ROW3_WIDE, ["--early-stop"]),  # the scaled start (1 - eps)/max_i (A 1)_i = 0.0005
+])
+def test_alpha_whose_start_overflows_exits_2(tmp_path, capsys, recwarn, engine, matrix, extra):
+    p = tmp_path / "a.mtx"
+    p.write_text(matrix)
+    code, out, err = run(["--mode", "pack", "--alpha", "1000", "--epsilon", "0.0001",
+                          "--input", str(p), "--engine", engine] + extra, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: alpha=1000 is too large for n=3, rho=")
+    assert "overflows" in err and err.count("\n") == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("engine", ["monolithic", "rounds"])
+def test_early_stop_above_one_proves_the_bound(tmp_path, capsys, engine):
+    # the rule once compared the gap with 10 eps (alpha-1) |f|: here it fired at
+    # iteration 0 with utility -2777.8, below the proven -2048
+    p = tmp_path / "row5.mtx"
+    p.write_text(ROW5)
+    code, out, _ = run(["--mode", "pack", "--alpha", "2", "--epsilon", "0.1", "--early-stop",
+                        "--trace-stride", "25", "--input", str(p), "--engine", engine], capsys)
+    doc = json.loads(out)
+    opt = single_constraint_packing_optimum([100.0, 100.0, 100.0, 1.0, 1.0], 2.0).objective
+    assert code == 0 and opt == pytest.approx(-1024.0)
+    assert doc["stopped_early"] and doc["iterations"] > 0
+    assert doc["objective"] >= (1.0 + 10 * 0.1 * (2.0 - 1.0)) * opt   # -2048
+    assert doc["guarantee"]["basis"].startswith("certified")
+    assert 0.0 <= doc["guarantee"]["eps_f"] <= 10 * 0.1 * abs(opt)
+
+
+def test_early_stop_budget_spent_claims_only_its_certified_gap(tmp_path, capsys):
+    p = tmp_path / "row5.mtx"
+    p.write_text(ROW5)
+    code, out, _ = run(["--mode", "pack", "--alpha", "0.5", "--epsilon", "0.1", "--early-stop",
+                        "--max-iters", "3", "--trace-stride", "1", "--input", str(p)], capsys)
+    doc = json.loads(out)
+    assert code == 0 and not doc["stopped_early"] and doc["iterations"] == 3
+    # no a-priori radius: the certified gap (scale factor 1 here) and why no more
+    assert doc["guarantee"]["eps_f"] == doc["dual"]["gap_estimate"] > 0.0
+    assert doc["guarantee"]["form"].startswith("g-f")
+    assert "budget spent" in doc["guarantee"]["basis"]

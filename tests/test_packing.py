@@ -2,20 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairpc import (
     SolverConfig,
+    certify,
     derive_packing_params,
     feasibility_report,
     init_packing,
     instance_from_dense,
-    packing_duality_gap,
+    single_constraint_packing_optimum,
+    small_dense_packing_optimum,
     solve_packing,
+    standardize,
     step,
 )
-from fairpc.errors import DualDomainError, InvalidAlpha, NegativeCoordinate
+from fairpc.errors import NegativeCoordinate
+from fairpc.packing import PackingRunRecorder, TraceBuffer, iterate_loads
+from fairpc.problem import epsilon_upper_bound
+from fairpc.regularization import GradientKernel
 
-from conftest import identity_instance, single_row_instance
+from conftest import identity_instance, random_sparse_entries, single_row_instance
 
 
 # ---- initialization ----
@@ -123,22 +131,30 @@ def test_feasibility_report_examples():
         feasibility_report(inst, np.array([-0.1, 0.0]))
 
 
-# ---- duality gap ----
+# ---- certificate: the Lagrangian dual bound at the barrier weights ----
+
+def certificate_at(inst, x_hat, params, alpha):
+    """``certify`` at an arbitrary iterate, its loads computed here."""
+    kernel = GradientKernel(inst.matrix, alpha, params.beta, params.logC)
+    x_hat = np.asarray(x_hat, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        return certify(kernel, x_hat, kernel.loads_of(kernel.allocation(x_hat)))
+
 
 def test_duality_gap_at_barrier_equilibrium():
     # 1x1 at allocation 1/(1+eps/2): dual weight is exactly 1 and the gap eps/2
     inst = identity_instance(1)
     params = derive_packing_params(1, 1, 1.0, 2.0, 0.05)
     x_hat = np.array([1.0 + 0.05 / 2.0])  # transformed: x = 1/(1+eps/2)
-    gap = packing_duality_gap(inst, x_hat, params, 2.0)
-    assert gap == pytest.approx(0.025, abs=1e-12)
+    cert = certificate_at(inst, x_hat, params, 2.0)
+    assert cert.gap == pytest.approx(0.025, abs=1e-12)
 
 
 def test_duality_gap_positive_off_optimum():
     inst = identity_instance(1)
     params = derive_packing_params(1, 1, 1.0, 2.0, 0.05)
-    gap = packing_duality_gap(inst, np.array([1.0 / 0.9]), params, 2.0)
-    assert gap > 0.0
+    cert = certificate_at(inst, np.array([1.0 / 0.9]), params, 2.0)
+    assert cert.gap > 0.0
 
 
 def test_duality_gap_weak_duality_random():
@@ -150,24 +166,69 @@ def test_duality_gap_weak_duality_random():
         # keep the load high enough that the dual weight does not underflow
         x *= rng.uniform(0.6, 0.95) / float(np.dot([1.0, 2.0], x))
         x_hat = x ** (1.0 - 2.0)
-        gap = packing_duality_gap(inst, x_hat, params, 2.0)
-        assert gap >= -1e-9
+        cert = certificate_at(inst, x_hat, params, 2.0)
+        assert cert.gap >= -1e-9
 
 
-def test_duality_gap_requires_alpha_above_one():
-    inst = identity_instance(1)
-    params = derive_packing_params(1, 1, 1.0, 0.5, 0.1)
-    with pytest.raises(InvalidAlpha):
-        packing_duality_gap(inst, np.array([0.5]), params, 0.5)
+def test_duality_gap_defined_at_every_alpha():
+    # the certificate once required alpha > 1; it now bounds OPT in every regime
+    inst = single_row_instance([1.0, 1.0])
+    for alpha in (0.0, 0.5, 1.0):
+        params = derive_packing_params(1, 2, 1.0, alpha, 0.1)
+        x = np.array([0.45, 0.45])
+        x_hat = np.log(x) if alpha == 1.0 else x ** (1.0 - alpha)
+        cert = certificate_at(inst, x_hat, params, alpha)
+        opt = single_constraint_packing_optimum([1.0, 1.0], alpha).objective
+        assert math.isfinite(cert.bound) and cert.bound >= opt - 1e-12
 
 
 def test_duality_gap_zero_dual_mass():
     # a zero allocation coordinate makes its column's dual mass vanish
     inst = identity_instance(2)
     params = derive_packing_params(2, 2, 1.0, 2.0, 0.05)
-    with pytest.raises(DualDomainError):
-        # huge transformed value -> allocation underflows to 0 -> zero load row
-        packing_duality_gap(inst, np.array([1e300, 2.0]), params, 2.0)
+    # huge transformed value -> allocation underflows to 0 -> zero load row
+    cert = certificate_at(inst, np.array([1e300, 2.0]), params, 2.0)
+    assert cert.bound == math.inf
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+def test_zero_dual_mass_never_stops(alpha):
+    # column 0's load is so low that its barrier weight underflows: (A^T y)_0 = 0
+    inst = identity_instance(2)
+    eps = min(0.1, epsilon_upper_bound(alpha))
+    config = SolverConfig(fairness=alpha, epsilon=eps, early_stop=True)
+    params = derive_packing_params(2, 2, 1.0, alpha, eps)
+    state = init_packing(inst, config, params)
+    recorder = PackingRunRecorder(state.kernel, inst, params, config)
+    u = np.array([1e-3, 0.9])
+    x_hat = np.log(u) if alpha == 1.0 else u ** (1.0 - alpha)
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        row = recorder.record(x_hat, u, 0, TraceBuffer(), state.kernel.loads_of(u))
+    assert recorder.last.dual[0] == 0.0 and recorder.last.bound == math.inf
+    assert row.gap is None and recorder.best is None
+    assert not recorder.should_stop()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+       scaled=st.booleans())
+def test_dual_bound_never_below_the_oracle(seed, alpha, scaled):
+    # every finite bound along a run, from either start, is at least OPT
+    entries, m, n = random_sparse_entries(np.random.default_rng(seed), max_dim=5, max_rho=10.0)
+    inst, _ = standardize(entries, m, n)
+    eps = min(0.1, epsilon_upper_bound(alpha))
+    config = SolverConfig(fairness=alpha, epsilon=eps, early_stop=scaled)
+    params = derive_packing_params(m, n, inst.rho, alpha, eps)
+    tol = 1e-6
+    opt = small_dense_packing_optimum(inst, alpha, tol=tol).objective
+    state = init_packing(inst, config, params)
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        for k in range(0, 601):
+            if k % 100 == 0:
+                cert = certify(state.kernel, state.x_hat, iterate_loads(state, k))
+                if math.isfinite(cert.bound):
+                    assert cert.bound >= opt - tol, (k, cert.bound, opt)
+            step(state, inst, params, alpha)
 
 
 # ---- solve-level behavior ----
@@ -243,6 +304,33 @@ def test_early_stop_only_with_flag():
     assert sol.stopped_early
     assert sol.gap_estimate <= 10 * 0.05 * 1.0 * abs(sol.utility)
     assert sol.utility >= -6.0
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("dense", [[[1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]],
+                                   [[1.0, 1.0], [0.0, 1.0]], [[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]])
+def test_early_stop_certifies_the_paper_bound_below_and_at_one(alpha, dense):
+    inst, _ = instance_from_dense(np.array(dense))
+    eps = 0.1
+    sol = solve_packing(inst, SolverConfig(fairness=alpha, epsilon=eps, early_stop=True,
+                                           trace_stride=25))
+    opt = small_dense_packing_optimum(inst, alpha, tol=1e-6).objective
+    bound = 3 * eps * inst.n if alpha == 1.0 else 3 * eps * (1 - alpha) * opt
+    assert sol.stopped_early and sol.is_feasible
+    assert opt - sol.utility <= bound
+    # the reported gap never under-reports the true one
+    assert sol.gap_estimate >= opt - sol.utility - 1e-6
+    assert sol.eps_f == sol.gap_estimate   # scale factor 1: the instances are standardized
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_no_certificate_at_or_below_one_without_early_stop(alpha):
+    inst = single_row_instance([1.0, 2.0])
+    sol = solve_packing(inst, SolverConfig(fairness=alpha, epsilon=0.1, max_iters=60,
+                                           trace_stride=10))
+    assert [row.gap for row in sol.trace] == [None] * 7
+    assert sol.dual_certificate is None and sol.gap_estimate is None
+    assert sol.eps_f_basis == "returned utility stands in for the unknown optimum"
 
 
 def test_eps_f_forms():

@@ -92,14 +92,16 @@ def test_bit_identical_to_monolithic(alpha, eps):
     assert audit.ok and audit.performed
 
 
-def test_bit_identical_with_early_stop():
-    inst = single_row_instance([1.0, 1.0])
-    config = SolverConfig(fairness=2.0, epsilon=0.05, early_stop=True, trace_stride=25)
+@pytest.mark.parametrize("alpha,eps", [(0.0, 0.1), (0.5, 0.1), (1.0, 0.1), (2.0, 0.05)])
+def test_bit_identical_with_early_stop(alpha, eps):
+    inst = single_row_instance([1.0, 2.0, 1.5])
+    config = SolverConfig(fairness=alpha, epsilon=eps, early_stop=True, trace_stride=25)
     mono = solve_packing(inst, config)
     dist, audit = run_distributed(inst, config)
     assert mono.stopped_early and dist.stopped_early
     assert mono.x.tobytes() == dist.x.tobytes()
     assert mono.iterations_run == dist.iterations_run
+    assert mono.gap_estimate == dist.gap_estimate and mono.trace == dist.trace
 
 
 def test_bit_identical_covering():
