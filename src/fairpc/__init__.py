@@ -22,7 +22,6 @@ from .problem import (
     instance_from_dense,
     optimum_bounds,
     standardize,
-    transform,
     transform_inverse,
 )
 from .regularization import (
@@ -35,7 +34,6 @@ from .regularization import (
     f_r_value,
     grad_f_r,
     is_positive_overflow,
-    truncate,
 )
 from .packing import (
     Certificate,

@@ -1,11 +1,11 @@
 """Sparse nonnegative constraint matrices and MatrixMarket ingestion.
 
-The matrix is kept in two synchronized layouts: row-major (for constraint
-loads ``Ax``) and column-major (for per-coordinate gradient sums and
-``A^T y``). Within a row or column, entries keep the order they were given
-in, and every segment reduction goes through ``np.add.reduceat`` so that
-results are deterministic and identical no matter which layout slice a
-caller sums over.
+The matrix is kept in two synchronized layouts, the only views the solvers
+read: row-major (for constraint loads ``Ax``) and column-major (for
+per-coordinate gradient sums and ``A^T y``). Within a row or column,
+entries keep the order they were given in, and every segment reduction
+goes through ``np.add.reduceat`` so that results are deterministic and
+identical no matter which layout slice a caller sums over.
 
 Ingestion is array-at-a-time: entries travel as an ``Entries`` (three
 parallel arrays) from the parser through standardization to the build, and
@@ -98,44 +98,44 @@ def dense_entries(dense) -> tuple[Entries, int, int]:
 class SparseNonnegMatrix:
     """An m x n sparse matrix with strictly positive stored entries.
 
-    ``ent_*`` hold the entries in their original insertion order;
     ``row_*``/``col_*`` are stable-sorted views (original order preserved
     within each row/column). Instances are immutable and safe to share.
     """
 
     m: int
     n: int
-    ent_row: np.ndarray
-    ent_col: np.ndarray
-    ent_val: np.ndarray
     row_ptr: np.ndarray = field(repr=False)
     row_col: np.ndarray = field(repr=False)
     row_val: np.ndarray = field(repr=False)
     col_ptr: np.ndarray = field(repr=False)
     col_row: np.ndarray = field(repr=False)
     col_val: np.ndarray = field(repr=False)
-    col_colidx: np.ndarray = field(repr=False)
 
     @property
     def nnz(self) -> int:
-        return int(self.ent_val.size)
+        return int(self.row_val.size)
 
     @property
     def min_entry(self) -> float:
-        return float(self.ent_val.min())
+        return float(self.row_val.min())
 
     @property
     def max_entry(self) -> float:
-        return float(self.ent_val.max())
+        return float(self.row_val.max())
 
     def entries(self) -> Entries:
-        """The (row, col, value) triples in original insertion order (0-based)."""
-        return Entries(self.ent_row, self.ent_col, self.ent_val)
+        """The (row, col, value) triples in row-major order (0-based)."""
+        return Entries(segment_index(self.row_ptr), self.row_col, self.row_val)
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.m, self.n))
-        dense[self.ent_row, self.ent_col] = self.ent_val
+        dense[segment_index(self.row_ptr), self.row_col] = self.row_val
         return dense
+
+
+def segment_index(ptr: np.ndarray) -> np.ndarray:
+    """Each entry's segment (its row from ``row_ptr``, its column from ``col_ptr``)."""
+    return np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
 
 
 def _outside(rows: np.ndarray, cols: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -208,16 +208,12 @@ def build_matrix(entries, m: int, n: int) -> SparseNonnegMatrix:
     return SparseNonnegMatrix(
         m=m,
         n=n,
-        ent_row=rows,
-        ent_col=cols,
-        ent_val=vals,
         row_ptr=row_ptr,
         row_col=cols[rorder],
         row_val=vals[rorder],
         col_ptr=col_ptr,
         col_row=rows[corder],
         col_val=vals[corder],
-        col_colidx=cols[corder],
     )
 
 

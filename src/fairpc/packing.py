@@ -26,7 +26,9 @@ import numpy as np
 
 from .errors import FeasibilityViolation, InvalidAlpha, NegativeCoordinate
 from .matrix import column_loads, constraint_loads
-from .problem import PackingInstance, ScalingRecord, SolverConfig, f_alpha_value
+from .problem import (
+    PACK, PackingInstance, ScalingRecord, SolverConfig, f_alpha_value, transform_inverse,
+)
 from .regularization import (
     GradientKernel,
     PackingRegParams,
@@ -35,6 +37,10 @@ from .regularization import (
 )
 
 TRACE_CAPACITY = 4096
+
+# the largest default trace stride under early stop: the certificate is checked
+# only at traced rows, and a run whose certificate holds steps on to the next one
+EARLY_STOP_STRIDE = 1000
 
 
 class ComplementarySlacknessWarning(UserWarning):
@@ -160,16 +166,13 @@ def init_packing(instance: PackingInstance, config: SolverConfig,
         u0 = np.full(n, (1.0 - config.epsilon) / top)
     else:
         u0 = np.full(n, (1.0 - config.epsilon) / (n * rho))
-    if alpha == 1.0:
-        x_hat = np.log(u0)
-    else:
-        with np.errstate(over="ignore"):   # an overflow is rejected just below
-            x_hat = np.power(u0, 1.0 - alpha)
-        if not math.isfinite(x_hat[0]):
-            raise InvalidAlpha(
-                f"alpha={alpha:g} is too large for n={n}, rho={rho:g}: the start point's "
-                f"transform {u0[0]:g}**(1 - alpha) overflows"
-            )
+    with np.errstate(over="ignore"):   # an overflow is rejected just below
+        x_hat = transform_inverse(u0, alpha)
+    if not math.isfinite(x_hat[0]):
+        raise InvalidAlpha(
+            f"alpha={alpha:g} is too large for n={n}, rho={rho:g}: the start point's "
+            f"transform {u0[0]:g}**(1 - alpha) overflows"
+        )
     z = None
     if alpha < 1.0:
         z = np.power(x_hat, -params.beta_prime) - 1.0
@@ -186,19 +189,18 @@ def require_feasible(loads: np.ndarray, k: int) -> None:
         )
 
 
-def iterate_loads(state: PackingState, k: int, check_feasibility: bool = True) -> np.ndarray:
+def iterate_loads(state: PackingState, k: int) -> np.ndarray:
     """The loads of the state's allocation: computed (and checked for
     feasibility, labelled iteration ``k``) the first time they are needed,
     then read from the state until the iterate moves."""
     if state.loads is None:
         state.loads = state.kernel.loads_of(state.u)
-        if check_feasibility:
-            require_feasible(state.loads, k)
+        require_feasible(state.loads, k)
     return state.loads
 
 
 def step(state: PackingState, instance: PackingInstance, params: PackingRegParams,
-         alpha: float, check_feasibility: bool = True) -> PackingState:
+         alpha: float) -> PackingState:
     """Advance one iteration of the state's update rule, in place.
 
     The mirror branch evaluates a fresh iterate and leaves it, with its
@@ -211,10 +213,10 @@ def step(state: PackingState, instance: PackingInstance, params: PackingRegParam
         state.x_hat = mirror_iterate(state.z, params.beta_prime)
         state.u = kernel.allocation(state.x_hat)
         state.loads = None
-        loads = iterate_loads(state, state.k + 1, check_feasibility)
+        loads = iterate_loads(state, state.k + 1)
         state.z = update(state.z, kernel.evaluate(state.x_hat, state.u, loads).truncated, scale)
     else:
-        loads = iterate_loads(state, state.k, check_feasibility)
+        loads = iterate_loads(state, state.k)
         state.x_hat = update(state.x_hat, kernel.evaluate(state.x_hat, state.u, loads).truncated,
                              scale)
         state.u = kernel.allocation(state.x_hat)
@@ -233,11 +235,6 @@ def feasibility_report(instance: PackingInstance, x) -> FeasibilityReport:
     return FeasibilityReport(
         max_load=float(loads.max()), violated_rows=violated, is_feasible=not violated
     )
-
-
-def dual_vector(kernel: GradientKernel, log_loads: np.ndarray) -> np.ndarray:
-    """Barrier-weight multiplier estimates; rows with zero load give 0."""
-    return barrier_weights(kernel.inv_beta, kernel.logC, log_loads)
 
 
 class Certificate(NamedTuple):
@@ -282,7 +279,7 @@ def certify(kernel: GradientKernel, x_hat: np.ndarray, loads: np.ndarray) -> Cer
     its allocation, up to rounding.
     """
     alpha = kernel.alpha
-    y = dual_vector(kernel, np.log(loads))
+    y = barrier_weights(kernel.inv_beta, kernel.logC, np.log(loads))
     total = float(np.add.reduce(x_hat))
     value = total if alpha == 1.0 else total / (1.0 - alpha)
     return Certificate(y, dual_bound(kernel.matrix, alpha, y), value)
@@ -383,10 +380,16 @@ class PackingRunRecorder:
 
 
 def plan_iterations(config: SolverConfig, params) -> tuple[int, int]:
-    """Iteration budget (override-aware) and the trace stride for it."""
+    """Iteration budget (override-aware) and the trace stride for it.
+
+    The default stride is ``planned // 1000``, at most ``EARLY_STOP_STRIDE``
+    when a packing run stops early.
+    """
     planned = config.max_iters if config.max_iters is not None else params.K
-    stride = config.trace_stride if config.trace_stride is not None else max(1, planned // 1000)
-    return planned, stride
+    stride = max(1, planned // 1000)
+    if config.early_stop and config.mode == PACK:
+        stride = min(stride, EARLY_STOP_STRIDE)
+    return planned, config.trace_stride if config.trace_stride is not None else stride
 
 
 def finalize_packing(state: PackingState, instance: PackingInstance,
@@ -403,7 +406,7 @@ def finalize_packing(state: PackingState, instance: PackingInstance,
     """
     alpha = config.alpha
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        final_loads = iterate_loads(state, state.k, check_feasibility=False)  # reported below
+        final_loads = iterate_loads(state, state.k)
         x = scaling.original_solution(state.u)
         utility = f_alpha_value(x, alpha)
         dual = gap = None
@@ -444,8 +447,7 @@ def finalize_packing(state: PackingState, instance: PackingInstance,
 
 
 def solve_packing(instance: PackingInstance, config: SolverConfig,
-                  scaling: ScalingRecord | None = None,
-                  check_feasibility: bool = True) -> PackingSolution:
+                  scaling: ScalingRecord | None = None) -> PackingSolution:
     """Run the iteration budget and map the final iterate back.
 
     The budget is the derived K unless ``config.max_iters`` overrides it.
@@ -464,7 +466,7 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
     stopped_early = False
 
     def record(k: int) -> bool:
-        loads = iterate_loads(state, k, check_feasibility)
+        loads = iterate_loads(state, k)
         recorder.record(state.x_hat, state.u, k, state.trace, loads)
         return recorder.should_stop()
 
@@ -473,7 +475,7 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
         k = 0
         while k < planned and not stopped_early:
             k += 1
-            step(state, instance, params, alpha, check_feasibility=check_feasibility)
+            step(state, instance, params, alpha)
             if k % stride == 0 or k == planned:
                 stopped_early = record(k)
 

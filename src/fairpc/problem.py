@@ -1,4 +1,4 @@
-"""Problem representation: standard scaled form, objectives, transforms.
+"""Problem representation: standard scaled form, objectives, run parameters.
 
 Packing instances maximize the fairness utility subject to ``Ax <= 1``,
 ``x >= 0``; covering instances minimize a power cost subject to
@@ -145,6 +145,29 @@ def epsilon_upper_bound(alpha: float) -> float:
     return min(0.5, 1.0 / (10.0 * abs(alpha - 1.0)))
 
 
+def check_run(mode: str, fairness: float, epsilon: float) -> None:
+    """Reject a fairness or epsilon the run's guarantee does not admit.
+
+    The fairness (alpha for packing, beta for covering) must be finite and,
+    for packing, >= 0; epsilon must lie in (0, epsilon_upper_bound(alpha)]
+    for packing and in (0, 1/2] for covering.
+    """
+    if not math.isfinite(fairness):
+        name, error = ("alpha", InvalidAlpha) if mode == PACK else ("beta", InvalidBeta)
+        raise error(f"{name} must be finite, got {fairness}")
+    if mode == PACK:
+        if fairness < 0.0:
+            raise InvalidAlpha(f"alpha must be >= 0, got {fairness}")
+        hi = epsilon_upper_bound(fairness)
+        if not (0.0 < epsilon <= hi):
+            raise EpsilonOutOfRange(
+                f"epsilon must lie in (0, {hi:g}] "
+                f"(= min(1/2, 1/(10|alpha-1|)) for alpha={fairness:g}), got {epsilon}"
+            )
+    elif not (0.0 < epsilon <= 0.5):
+        raise EpsilonOutOfRange(f"epsilon must lie in (0, 0.5] for covering, got {epsilon}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Run parameters: fairness (alpha or beta), epsilon, and overrides."""
@@ -159,24 +182,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in (PACK, COVER):
             raise ValueError(f"mode must be {PACK!r} or {COVER!r}, got {self.mode!r}")
-        if not math.isfinite(self.fairness):
-            name, error = ("alpha", InvalidAlpha) if self.mode == PACK else ("beta", InvalidBeta)
-            raise error(f"{name} must be finite, got {self.fairness}")
-        if self.mode == PACK:
-            if self.fairness < 0.0:
-                raise InvalidAlpha(f"alpha must be >= 0, got {self.fairness}")
-            hi = epsilon_upper_bound(self.fairness)
-            if not (0.0 < self.epsilon <= hi):
-                raise EpsilonOutOfRange(
-                    f"epsilon must lie in (0, {hi:g}] "
-                    f"(= min(1/2, 1/(10|alpha-1|)) for alpha={self.fairness:g}), "
-                    f"got {self.epsilon}"
-                )
-        else:
-            if not (0.0 < self.epsilon <= 0.5):
-                raise EpsilonOutOfRange(
-                    f"epsilon must lie in (0, 0.5] for covering, got {self.epsilon}"
-                )
+        check_run(self.mode, self.fairness, self.epsilon)
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters override must be >= 1")
         if self.trace_stride is not None and self.trace_stride < 1:
@@ -215,21 +221,10 @@ def g_beta_value(y, beta: float) -> float:
     return float(np.add.reduce(np.power(y, 1.0 + beta))) / (1.0 + beta)
 
 
-def transform(x_hat, alpha: float):
-    """Map the linearized iterate back to allocation space.
-
-    x = x_hat**(1/(1-alpha)) for alpha != 1, exp(x_hat) for alpha = 1.
-    """
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    if alpha == 1.0:
-        return np.exp(x_hat)
-    if (x_hat <= 0.0).any():
-        raise DomainError("transform requires positive input for alpha != 1")
-    return np.power(x_hat, 1.0 / (1.0 - alpha))
-
-
 def transform_inverse(x, alpha: float):
-    """Inverse map: x**(1-alpha) for alpha != 1, ln(x) for alpha = 1."""
+    """The linearized iterate of allocation ``x``, the inverse of
+    ``regularization.allocation_map``: x**(1-alpha) for alpha != 1, ln(x)
+    for alpha = 1."""
     x = np.asarray(x, dtype=np.float64)
     if (x <= 0.0).any():
         raise DomainError("transform_inverse requires strictly positive input")

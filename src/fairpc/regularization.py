@@ -34,15 +34,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DerivedConstantOverflow,
-    DomainError,
-    EpsilonOutOfRange,
-    InvalidAlpha,
-    TruncationDomainViolation,
-)
-from .matrix import SparseNonnegMatrix, segment_sums
-from .problem import epsilon_upper_bound
+from .errors import DerivedConstantOverflow, DomainError, TruncationDomainViolation
+from .matrix import SparseNonnegMatrix, segment_index, segment_sums
+from .problem import COVER, PACK, check_run
 
 # saturation threshold for combined log exponents, near the float64 overflow bound
 EXP_SAT = 700.0
@@ -104,14 +98,7 @@ def _finite(name: str, value: float, m: int, n: int, rho: float, epsilon: float)
 
 def derive_packing_params(m: int, n: int, rho: float, alpha: float, epsilon: float) -> PackingRegParams:
     """Evaluate the packing run constants for the given standardized shape."""
-    if alpha < 0.0:
-        raise InvalidAlpha(f"alpha must be >= 0, got {alpha}")
-    hi = epsilon_upper_bound(alpha)
-    if not (0.0 < epsilon <= hi):
-        raise EpsilonOutOfRange(
-            f"epsilon must lie in (0, {hi:g}] (= min(1/2, 1/(10|alpha-1|)) "
-            f"for alpha={alpha:g}), got {epsilon}"
-        )
+    check_run(PACK, alpha, epsilon)
     if m < 1 or n < 1 or rho < 1.0:
         raise ValueError("need m, n >= 1 and rho >= 1")
 
@@ -145,8 +132,7 @@ def derive_packing_params(m: int, n: int, rho: float, alpha: float, epsilon: flo
 
 def derive_covering_params(m: int, n: int, rho: float, beta: float, epsilon: float) -> CoveringRegParams:
     """Evaluate the covering run constants, resetting beta <= 0 to the floor."""
-    if not (0.0 < epsilon <= 0.5):
-        raise EpsilonOutOfRange(f"epsilon must lie in (0, 0.5] for covering, got {epsilon}")
+    check_run(COVER, beta, epsilon)
     if m < 1 or n < 1 or rho < 1.0:
         raise ValueError("need m, n >= 1 and rho >= 1")
 
@@ -227,9 +213,10 @@ def truncated_columns(form: ColumnForm, terms, entry_row, entry_col, col_starts,
 
     ``terms`` are the run's column-major entries (``A_ij`` in product form,
     ``ln A_ij + logC`` in the fallback); ``entry_row`` indexes each entry's
-    row in ``log_loads`` and ``entry_col`` its column in ``t``; ``col_starts``
-    opens each column's segment. ``t`` is the run's ``allocation_term``: one
-    value per column, or 0.0 when ``form`` has no column factor (alpha = 0).
+    row in ``log_loads`` and ``entry_col`` its column in ``t`` (read by the
+    fallback alone); ``col_starts`` opens each column's segment. ``t`` is
+    the run's ``allocation_term``: one value per column, or 0.0 when
+    ``form`` has no column factor (alpha = 0).
 
     Product form: ``s = exp(logC + t) * (A^T load**(1/beta)) - 1``. ``C`` sits
     in the column factor, so on a feasible iterate the row factors lie in
@@ -333,8 +320,10 @@ class GradientKernel:
         self.allocation_term = allocation_term(alpha)
         product_form = alpha == 0.0 or product_form_bound(matrix, alpha, logC) <= EXP_SAT
         self.form = ColumnForm(self.inv_beta, logC, product_form, alpha != 0.0)
-        # per-entry terms of the column routine; ln A_ij + logC only for the fallback
+        # per-entry terms of the column routine (ln A_ij + logC in the fallback)
+        # and, for the fallback's allocation term alone, each entry's column
         self.entry_terms = matrix.col_val if product_form else np.log(matrix.col_val) + logC
+        self.entry_col = None if product_form else segment_index(matrix.col_ptr)
         self._col_starts = matrix.col_ptr[:-1]
         self._row_starts = matrix.row_ptr[:-1]
 
@@ -347,7 +336,7 @@ class GradientKernel:
         constraint loads ``loads``, with the barrier weights when formed."""
         mat = self.matrix
         _s, _saturated, truncated, weights = truncated_columns(
-            self.form, self.entry_terms, mat.col_row, mat.col_colidx, self._col_starts,
+            self.form, self.entry_terms, mat.col_row, self.entry_col, self._col_starts,
             self.allocation_term(x_hat, u), np.log(loads),
         )
         return GradientPair(truncated, weights)
@@ -404,7 +393,7 @@ def grad_f_r(instance, params, x_hat, alpha: float) -> GradientPair:
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         u = kernel.allocation(x_hat)
         s, saturated, truncated, _weights = truncated_columns(
-            kernel.form, kernel.entry_terms, mat.col_row, mat.col_colidx, mat.col_ptr[:-1],
+            kernel.form, kernel.entry_terms, mat.col_row, kernel.entry_col, mat.col_ptr[:-1],
             kernel.allocation_term(x_hat, u), np.log(kernel.loads_of(u)),
         )
         if alpha == 1.0:
@@ -415,16 +404,3 @@ def grad_f_r(instance, params, x_hat, alpha: float) -> GradientPair:
         grad[saturated] = sentinel
     return GradientPair(truncated, grad=grad)
 
-
-def truncate(grad_j: float, alpha: float) -> float:
-    """Scale one gradient entry and clip it to [-1, 1] from above.
-
-    Values whose scaled form falls below -1 cannot occur for the functions
-    this solver minimizes; seeing one means the state is corrupted.
-    """
-    s = grad_j if alpha == 1.0 else (1.0 - alpha) * grad_j
-    if s > 1.0:
-        return 1.0
-    if s < -1.0 or math.isnan(s):
-        raise TruncationDomainViolation(f"scaled gradient {s} below -1")
-    return float(s)

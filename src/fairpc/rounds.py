@@ -12,8 +12,8 @@ them too.
 
 Locality is structural: a shard reads the matrix only through gather
 indices inside its own ``col_ptr`` range. That is checked when the shard is
-built and, with the audit on, every round, along with each message's row
-set, which must equal the shard's incident rows.
+built and audited every round, along with each message's row set, which
+must equal the shard's incident rows.
 """
 
 from __future__ import annotations
@@ -25,13 +25,15 @@ import numpy as np
 
 from .errors import LocalityViolation, MissingLoad
 from .problem import COVER, PACK, CoveringInstance, PackingInstance, ScalingRecord, SolverConfig
+from .matrix import segment_index
 from .packing import (
-    PackingRunRecorder, dual_vector, finalize_packing, init_packing, iterate_loads,
-    mirror_iterate, plan_iterations, require_feasible,
+    PackingRunRecorder, finalize_packing, init_packing, iterate_loads, mirror_iterate,
+    plan_iterations, require_feasible,
 )
 from .covering import covering_trace_row, finalize_covering, init_covering, running_average
 from .regularization import (
-    ColumnForm, GradientKernel, derive_covering_params, derive_packing_params, truncated_columns,
+    ColumnForm, GradientKernel, barrier_weights, derive_covering_params, derive_packing_params,
+    truncated_columns,
 )
 
 # column blocks per run, capped at the number of columns
@@ -49,7 +51,7 @@ class Shard:
     gather: np.ndarray      # column-major entry indices the shard reads
     rows: np.ndarray        # sorted incident rows
     row_pos: np.ndarray     # each entry's position in ``rows``
-    col_local: np.ndarray   # each entry's column, counted from c0
+    col_local: np.ndarray | None   # each entry's column, counted from c0; fallback form only
     col_starts: np.ndarray  # each column's first entry, counted from the block's first
     terms: np.ndarray       # each entry's term in the kernel's form: A_ij, or ln(A_ij) + logC
     form: ColumnForm
@@ -77,7 +79,6 @@ class BlockState(NamedTuple):
 
 @dataclass(eq=False)
 class LocalityAudit:
-    performed: bool
     rounds: int = 0
     out_of_column: list = field(default_factory=list)           # (round, shard, entry)
     message_key_mismatches: list = field(default_factory=list)  # (round, shard)
@@ -117,7 +118,7 @@ def build_shard(kernel: GradientKernel, index: int, c0: int, c1: int, gather: np
     rows, row_pos = np.unique(matrix.col_row[gather], return_inverse=True)
     return Shard(
         index=index, c0=c0, c1=c1, gather=gather, rows=rows, row_pos=row_pos,
-        col_local=matrix.col_colidx[gather] - c0,
+        col_local=None if kernel.entry_col is None else kernel.entry_col[gather] - c0,
         col_starts=matrix.col_ptr[c0:c1] - matrix.col_ptr[c0],
         terms=kernel.entry_terms[gather],
         form=kernel.form, allocation=kernel.allocation, allocation_term=kernel.allocation_term,
@@ -185,24 +186,23 @@ def audit_round(shards: list[Shard], msgs: list[ShardMessage], col_ptr: np.ndarr
 
 
 def run_distributed(instance, config: SolverConfig, mode: str | None = None,
-                    scaling: ScalingRecord | None = None, audit: bool = True):
+                    scaling: ScalingRecord | None = None):
     """Execute the solve as lockstep rounds; returns (solution, audit).
 
     The solution is bit-identical to the corresponding monolithic solver's
-    output. With ``audit`` on, every round re-checks each shard's gather
-    range and message rows, and the audit reports how many entries of each
-    column were read.
+    output. Every round re-checks each shard's gather range and message
+    rows, and the audit reports how many entries of each column were read.
     """
     if mode is None:
         mode = config.mode
     if mode == PACK:
         if not isinstance(instance, PackingInstance):
             raise TypeError("pack mode needs a PackingInstance")
-        return _run_packing(instance, config, scaling, audit)
+        return _run_packing(instance, config, scaling)
     if mode == COVER:
         if not isinstance(instance, CoveringInstance):
             raise TypeError("cover mode needs a CoveringInstance")
-        return _run_covering(instance, config, scaling, audit)
+        return _run_covering(instance, config, scaling)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -210,13 +210,13 @@ class _Lockstep:
     """The environment of one run: the shards, their block states and the audit."""
 
     def __init__(self, kernel: GradientKernel, rule: tuple, beta_prime: float | None,
-                 x_hat: np.ndarray, z: np.ndarray | None, audit: bool):
+                 x_hat: np.ndarray, z: np.ndarray | None):
         self.kernel = kernel
         self.matrix = kernel.matrix
         self.shards = build_shards(kernel, rule, beta_prime, SHARD_COUNT)
         self.blocks = [BlockState(x_hat[s.c0:s.c1], None if z is None else z[s.c0:s.c1], 0)
                        for s in self.shards]
-        self.audit = LocalityAudit(performed=audit)
+        self.audit = LocalityAudit()
 
     def round(self, k: int, packing: bool, loads: np.ndarray | None = None) -> np.ndarray:
         """Publish, compute the loads once, message every shard, update every block.
@@ -231,8 +231,7 @@ class _Lockstep:
             if packing:
                 require_feasible(loads, k)
         msgs = [shard_message(s, loads, k) for s in shards]
-        if self.audit.performed:
-            audit_round(shards, msgs, self.matrix.col_ptr, k, self.audit)
+        audit_round(shards, msgs, self.matrix.col_ptr, k, self.audit)
         self.blocks = [local_update(s, m, b) for s, m, b in zip(shards, msgs, blocks)]
         self.audit.rounds = k
         return loads
@@ -245,16 +244,15 @@ class _Lockstep:
 
     def close(self) -> LocalityAudit:
         audit = self.audit
-        if audit.performed:
-            read = np.concatenate([s.gather for s in self.shards])
-            counts = np.bincount(self.matrix.col_colidx[read], minlength=self.matrix.n)
-            audit.touched_counts = {j: int(c) for j, c in enumerate(counts)}
-            audit.require_clean()
+        read = np.concatenate([s.gather for s in self.shards])
+        counts = np.bincount(segment_index(self.matrix.col_ptr)[read], minlength=self.matrix.n)
+        audit.touched_counts = {j: int(c) for j, c in enumerate(counts)}
+        audit.require_clean()
         return audit
 
 
 def _run_packing(instance: PackingInstance, config: SolverConfig,
-                 scaling: ScalingRecord | None, audit: bool):
+                 scaling: ScalingRecord | None):
     alpha = config.alpha
     params = derive_packing_params(instance.m, instance.n, instance.rho, alpha, config.epsilon)
     if scaling is None:
@@ -263,7 +261,7 @@ def _run_packing(instance: PackingInstance, config: SolverConfig,
 
     # the environment's whole-vector view, for traces and finalization only
     state = init_packing(instance, config, params)
-    env = _Lockstep(state.kernel, state.rule, params.beta_prime, state.x_hat, state.z, audit)
+    env = _Lockstep(state.kernel, state.rule, params.beta_prime, state.x_hat, state.z)
     recorder = PackingRunRecorder(state.kernel, instance, params, config)
 
     def record(k: int, loads: np.ndarray | None) -> bool:
@@ -292,7 +290,7 @@ def _run_packing(instance: PackingInstance, config: SolverConfig,
 
 
 def _run_covering(instance: CoveringInstance, config: SolverConfig,
-                  scaling: ScalingRecord | None, audit: bool):
+                  scaling: ScalingRecord | None):
     params = derive_covering_params(
         instance.m, instance.n, instance.rho, config.beta, config.epsilon
     )
@@ -302,12 +300,13 @@ def _run_covering(instance: CoveringInstance, config: SolverConfig,
 
     state = init_covering(instance, config, params)
     kernel = state.kernel
-    env = _Lockstep(kernel, state.rule, params.beta_prime, state.x, state.z, audit)
+    env = _Lockstep(kernel, state.rule, params.beta_prime, state.x, state.z)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         state.trace.append(covering_trace_row(kernel, state.x, 0, state.loads))
         for k in range(1, planned + 1):
             loads = env.round(k, packing=False)
-            state.y_avg = running_average(state.y_avg, dual_vector(kernel, np.log(loads)), k)
+            y = barrier_weights(kernel.inv_beta, kernel.logC, np.log(loads))
+            state.y_avg = running_average(state.y_avg, y, k)
             if k % stride == 0 or k == planned:
                 state.x, state.z = env.joined()
                 state.k, state.loads = k, loads

@@ -65,6 +65,11 @@ def _x_hat(u, alpha):
     return np.power(u, 1.0 - alpha)
 
 
+def _entry_cols(mat):
+    """Each column-major entry's column."""
+    return np.repeat(np.arange(mat.n), np.diff(mat.col_ptr))
+
+
 def _columns(inst, alpha, beta, logC, u, product):
     """``truncated_columns`` over every column in the given form."""
     mat = inst.matrix
@@ -72,7 +77,7 @@ def _columns(inst, alpha, beta, logC, u, product):
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         return truncated_columns(
             ColumnForm(1.0 / beta, logC, product, alpha != 0.0), terms, mat.col_row,
-            mat.col_colidx, mat.col_ptr[:-1], allocation_term(alpha)(_x_hat(u, alpha), u),
+            _entry_cols(mat), mat.col_ptr[:-1], allocation_term(alpha)(_x_hat(u, alpha), u),
             np.log(mat.to_dense() @ u),
         )
 
@@ -89,7 +94,7 @@ def test_product_form_matches_log_domain(seed, case):
         # each column's largest combined exponent, as the fallback forms it
         mat = inst.matrix
         t = allocation_term(alpha)(x_hat, u)
-        t_entry = t if np.isscalar(t) else t[mat.col_colidx]
+        t_entry = t if np.isscalar(t) else t[_entry_cols(mat)]
         q = np.log(mat.to_dense() @ u) / beta
         e = np.log(mat.col_val) + logC + t_entry + q[mat.col_row]
         top = np.maximum.reduceat(e, mat.col_ptr[:-1])

@@ -26,6 +26,24 @@ def test_build_and_views_consistent():
     assert sorted(v for v, _ in row_view) == sorted(v for v, _ in col_view)
 
 
+def test_entries_are_row_major_and_round_trip(tmp_path):
+    rng = np.random.default_rng(11)
+    dense = np.where(rng.random((5, 7)) < 0.4, rng.uniform(1.0, 9.0, (5, 7)), 0.0)
+    dense[np.arange(5), np.arange(5)] = 1.0
+    dense[0, 5:] = 2.0
+    given = list(Entries(*np.nonzero(dense), dense[np.nonzero(dense)]))
+    shuffled = [given[k] for k in rng.permutation(len(given))]
+    mat = build_matrix(shuffled, 5, 7)
+    # rows in order; within a row, the order the entries were given in
+    assert list(mat.entries()) == sorted(shuffled, key=lambda e: e[0])
+    np.testing.assert_array_equal(mat.to_dense(), dense)
+    path = tmp_path / "shuffled.mtx"
+    write_matrix_market(path, mat)
+    entries, m, n = read_matrix_market(path)
+    assert (m, n) == (5, 7) and entries == mat.entries()
+    np.testing.assert_array_equal(build_matrix(entries, m, n).to_dense(), dense)
+
+
 def test_rejects_bad_matrices():
     with pytest.raises(EmptyRowOrColumn):
         build_matrix([(0, 0, 1.0)], 2, 2)  # row 1 and col 1 empty

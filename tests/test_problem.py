@@ -14,7 +14,6 @@ from fairpc import (
     g_beta_value,
     optimum_bounds,
     standardize,
-    transform,
     transform_inverse,
 )
 from fairpc.errors import (
@@ -30,6 +29,7 @@ from fairpc.errors import (
     WidthOverflow,
 )
 from fairpc.matrix import constraint_loads
+from fairpc.regularization import allocation_map, derive_covering_params, derive_packing_params
 
 from conftest import identity_instance
 
@@ -150,26 +150,24 @@ def test_scale_law(x, alpha, c):
 # ---- transforms ----
 
 def test_transform_examples():
-    assert transform(np.array([4.0]), 0.5)[0] == pytest.approx(16.0, rel=1e-14)
-    assert transform(np.array([0.0]), 1.0)[0] == 1.0
-    assert transform(np.array([4.0]), 2.0)[0] == pytest.approx(0.25, rel=1e-14)
+    assert allocation_map(0.5)(np.array([4.0]))[0] == pytest.approx(16.0, rel=1e-14)
+    assert allocation_map(1.0)(np.array([0.0]))[0] == 1.0
+    assert allocation_map(2.0)(np.array([4.0]))[0] == pytest.approx(0.25, rel=1e-14)
 
 
 @settings(max_examples=60)
 @given(positive_vectors, st.sampled_from(ALPHAS))
 def test_transform_round_trip(x, alpha):
-    np.testing.assert_allclose(transform(transform_inverse(x, alpha), alpha), x, rtol=1e-12)
+    np.testing.assert_allclose(allocation_map(alpha)(transform_inverse(x, alpha)), x, rtol=1e-12)
 
 
 def test_transform_domain():
     from fairpc.errors import DomainError
 
     with pytest.raises(DomainError):
-        transform(np.array([-1.0]), 0.5)
-    with pytest.raises(DomainError):
         transform_inverse(np.array([0.0]), 1.0)
-    # alpha = 1 transform accepts any real
-    assert transform(np.array([-2.0]), 1.0)[0] == pytest.approx(math.exp(-2.0))
+    # the alpha = 1 map accepts any real
+    assert allocation_map(1.0)(np.array([-2.0]))[0] == pytest.approx(math.exp(-2.0))
 
 
 # ---- loads linearity ----
@@ -243,3 +241,8 @@ def test_config_rejects_non_finite_fairness(value):
         SolverConfig(fairness=value, epsilon=0.1, mode=PACK)
     with pytest.raises(InvalidBeta, match="beta must be finite"):
         SolverConfig(fairness=value, epsilon=0.1, mode=COVER)
+    # the parameter derivations apply the same rules
+    with pytest.raises(InvalidAlpha, match="alpha must be finite"):
+        derive_packing_params(2, 2, 1.0, value, 0.1)
+    with pytest.raises(InvalidBeta, match="beta must be finite"):
+        derive_covering_params(2, 2, 1.0, value, 0.1)

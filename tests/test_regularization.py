@@ -12,10 +12,9 @@ from fairpc import (
     f_r_value,
     grad_f_r,
     is_positive_overflow,
-    truncate,
 )
 from fairpc.errors import DerivedConstantOverflow, EpsilonOutOfRange, TruncationDomainViolation
-from fairpc.regularization import SubThresholdBetaWarning
+from fairpc.regularization import ColumnForm, SubThresholdBetaWarning, truncated_columns
 
 from conftest import identity_instance
 
@@ -174,13 +173,25 @@ def test_truncated_equals_scaled_gradient_in_range():
             )
 
 
+def truncate(s):
+    """The truncation of scaled gradients ``s``, as ``truncated_columns``
+    forms it: one single-entry column each, with ``A_ij = s + 1`` and a
+    barrier weight of 1, so the column's scaled gradient is ``(s + 1) - 1``."""
+    s = np.atleast_1d(np.asarray(s, dtype=np.float64))
+    cols = np.arange(s.size)
+    form = ColumnForm(inv_beta=1.0, logC=0.0, product=True, column_factor=False)
+    return truncated_columns(form, s + 1.0, cols, None, cols, 0.0, np.zeros(s.size))[2]
+
+
 def test_truncate_scalar():
-    assert truncate(0.5, 0.0) == 0.5
-    assert truncate(7.0, 0.0) == 1.0
-    assert truncate(0.3, 2.0) == pytest.approx(-0.3, rel=1e-15)
-    assert truncate(-3.0, 2.0) == 1.0  # scaled by (1-alpha) = -1
-    with pytest.raises(TruncationDomainViolation):
-        truncate(-2.0, 0.0)
+    assert truncate(0.5)[0] == 0.5
+    assert truncate(7.0)[0] == 1.0
+    assert truncate(-0.3)[0] == pytest.approx(-0.3, rel=1e-15)
+    assert truncate(math.inf)[0] == 1.0
+    np.testing.assert_array_equal(truncate([0.5, 7.0, -1.0]), [0.5, 1.0, -1.0])
+    for bad in (-2.0, math.nan):
+        with pytest.raises(TruncationDomainViolation):
+            truncate(bad)
 
 
 # ---- correctness against naive evaluation and finite differences ----
@@ -273,9 +284,9 @@ def test_truncate_range_property(g, alpha):
     s = g if alpha == 1.0 else (1.0 - alpha) * g
     if s < -1.0:
         with pytest.raises(TruncationDomainViolation):
-            truncate(g, alpha)
+            truncate(s)
     else:
-        out = truncate(g, alpha)
+        out = truncate(s)[0]
         assert -1.0 <= out <= 1.0
         if -1.0 <= s <= 1.0:
-            assert out == s
+            assert out == (s + 1.0) - 1.0

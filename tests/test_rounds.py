@@ -89,7 +89,7 @@ def test_bit_identical_to_monolithic(alpha, eps):
     assert mono.x.tobytes() == dist.x.tobytes()
     assert mono.utility == dist.utility
     assert mono.iterations_run == dist.iterations_run == audit.rounds
-    assert audit.ok and audit.performed
+    assert audit.ok
 
 
 @pytest.mark.parametrize("alpha,eps", [(0.0, 0.1), (0.5, 0.1), (1.0, 0.1), (2.0, 0.05)])
@@ -129,17 +129,9 @@ def test_audit_reports_touched_entries():
     inst, _ = instance_from_dense(np.array([[1.0, 2.0], [1.0, 0.0]]))
     config = SolverConfig(fairness=0.0, epsilon=0.1, max_iters=5)
     _, audit = run_distributed(inst, config)
-    assert audit.performed and audit.ok
+    assert audit.ok
     assert audit.touched_counts == {0: 2, 1: 1}  # column nnz
     assert audit.out_of_column == []
-
-
-def test_audit_disabled():
-    inst = identity_instance(2)
-    config = SolverConfig(fairness=0.0, epsilon=0.1, max_iters=5)
-    sol, audit = run_distributed(inst, config, audit=False)
-    assert not audit.performed
-    assert sol.is_feasible
 
 
 # ---- shard partitions and the structural audit ----
@@ -218,7 +210,7 @@ def test_per_round_audit_records_breaches():
     bad = [good[0], dataclasses.replace(good[1], gather=np.array([2])), good[2]]
     msgs = [rounds.shard_message(s, np.ones(3), 5) for s in bad]
     msgs[2] = ShardMessage(round_index=5, rows=np.array([0, 2]), loads=np.ones(2))
-    audit = rounds.LocalityAudit(performed=True)
+    audit = rounds.LocalityAudit()
     with pytest.raises(LocalityViolation):
         audit_round(bad, msgs, inst.matrix.col_ptr, 5, audit)
     assert audit.out_of_column == [(5, 1, 2)]
