@@ -235,13 +235,18 @@ def run_cli(argv) -> int:
     else:
         result = _covering_result(args, instance, record, solution, wall)
     text = emit_json(result)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    if args.trace:
-        emit_trace(solution.trace, args.trace)
+    try:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+        if args.trace:
+            emit_trace(solution.trace, args.trace)
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     return 0
 
 

@@ -7,7 +7,8 @@ packing solver drives the dual iterate; covering variables are recovered as
 the running average of the barrier weights and finally inflated by (1+eps)
 to make them strictly feasible. Each iterate's loads are computed once and
 carried with the state for the trace row and the finalization; the barrier
-weights are the ones the gradient kernel forms.
+weights are the ones the gradient kernel forms. ``run_covering`` is the one
+loop of both engines (see ``rounds``).
 """
 
 from __future__ import annotations
@@ -183,16 +184,13 @@ def finalize_covering(state: CoveringState, instance: CoveringInstance,
     )
 
 
-def solve_covering(instance: CoveringInstance, config: SolverConfig,
-                   scaling: ScalingRecord | None = None) -> CoveringSolution:
-    """Run the derived budget and return the inflated averaged covering vector."""
-    eps = config.epsilon
-    params = derive_covering_params(instance.m, instance.n, instance.rho, config.beta, eps)
+def run_covering(state: CoveringState, instance: CoveringInstance, params: CoveringRegParams,
+                 config: SolverConfig, scaling: ScalingRecord | None) -> CoveringSolution:
+    """Step ``state`` through the budget and return the inflated averaged
+    covering vector; the gradient is whatever ``state.kernel.evaluate`` computes."""
     if scaling is None:
         scaling = ScalingRecord(c=1.0, alpha_used=-params.beta)
     planned, stride = plan_iterations(config, params)
-
-    state = init_covering(instance, config, params)
     kernel = state.kernel
 
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
@@ -203,3 +201,11 @@ def solve_covering(instance: CoveringInstance, config: SolverConfig,
                 state.trace.append(covering_trace_row(kernel, state.x, k, state.loads))
 
     return finalize_covering(state, instance, params, config, scaling)
+
+
+def solve_covering(instance: CoveringInstance, config: SolverConfig,
+                   scaling: ScalingRecord | None = None) -> CoveringSolution:
+    """Derive the run constants, start (see ``init_covering``) and run the budget."""
+    params = derive_covering_params(instance.m, instance.n, instance.rho, config.beta,
+                                    config.epsilon)
+    return run_covering(init_covering(instance, config, params), instance, params, config, scaling)

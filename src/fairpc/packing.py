@@ -7,11 +7,11 @@ invariant, checked (with no tolerance) when an iterate's loads are
 computed; that happens once per iterate, and the step, the trace record and
 the finalization all read the one copy the state carries.
 
-The per-branch update expressions, the trace bookkeeping and the solution
-finalization live in small shared helpers that the distributed round engine
-reuses verbatim; keeping a single floating-point path is what makes the two
-engines bit-identical. ``update_rule`` picks a run's update expression and
-step scale once, for the step and the round engine's shards alike.
+``run_packing`` is the one loop, and ``step`` the one update, of both
+engines: the round engine (see ``rounds``) runs them with a kernel whose
+gradient evaluation is a lockstep round of column-block shards, and
+nothing else differs. ``update_rule`` picks a run's update expression and
+step scale once.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ class FeasibilityReport:
     is_feasible: bool
 
 
-# ---- branch update expressions and their step scales (shared with the round engine) ----
+# ---- branch update expressions and their step scales ----
 
 def mirror_iterate(z, beta_prime: float):
     return np.power(1.0 + z, -1.0 / beta_prime)
@@ -128,7 +128,9 @@ def multiplicative_update(x_hat, truncated, c: float):
 
 
 def update_rule(params, alpha: float):
-    """The run's (step scale, update expression), chosen once from alpha.
+    """The run's (step scale, update expression), chosen once from alpha
+    and applied by ``step`` and ``covering.step_covering`` to the whole
+    iterate, whichever engine evaluated its gradient.
 
     Below 1 the mirror state moves by ``epsilon * h``; covering's dual
     engine, the fairness-0 objective, takes this branch with its own
@@ -446,24 +448,20 @@ def finalize_packing(state: PackingState, instance: PackingInstance,
     )
 
 
-def solve_packing(instance: PackingInstance, config: SolverConfig,
-                  scaling: ScalingRecord | None = None) -> PackingSolution:
-    """Run the iteration budget and map the final iterate back.
+def run_packing(state: PackingState, instance: PackingInstance, params: PackingRegParams,
+                config: SolverConfig, scaling: ScalingRecord | None) -> PackingSolution:
+    """Step ``state`` through the iteration budget and map the final iterate back.
 
     The budget is the derived K unless ``config.max_iters`` overrides it.
-    With ``config.early_stop`` the run starts from the scaled point (see
-    ``init_packing``) and stops at the first traced row that the least dual
-    bound so far proves within ``stop_radius``, in every regime.
+    Under ``config.early_stop`` the run stops at the first traced row that
+    the least dual bound so far proves within ``stop_radius``, in every
+    regime. The gradient is whatever ``state.kernel.evaluate`` computes.
     """
     alpha = config.alpha
-    params = derive_packing_params(instance.m, instance.n, instance.rho, alpha, config.epsilon)
     if scaling is None:
         scaling = ScalingRecord(c=1.0, alpha_used=alpha)
     planned, stride = plan_iterations(config, params)
-
-    state = init_packing(instance, config, params)
     recorder = PackingRunRecorder(state.kernel, instance, params, config)
-    stopped_early = False
 
     def record(k: int) -> bool:
         loads = iterate_loads(state, k)
@@ -481,3 +479,11 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
 
     return finalize_packing(state, instance, params, config, scaling, stopped_early,
                             recorder.reported())
+
+
+def solve_packing(instance: PackingInstance, config: SolverConfig,
+                  scaling: ScalingRecord | None = None) -> PackingSolution:
+    """Derive the run constants, start (see ``init_packing``) and run the budget."""
+    params = derive_packing_params(instance.m, instance.n, instance.rho, config.alpha,
+                                   config.epsilon)
+    return run_packing(init_packing(instance, config, params), instance, params, config, scaling)

@@ -119,6 +119,18 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("flag", ["--output", "--trace"])
+def test_unwritable_output_exits_2(id3_path, tmp_path, capsys, flag):
+    target = tmp_path / "no" / "such" / "dir" / "out"
+    code, _, err = run(
+        ["--mode", "pack", "--alpha", "1", "--epsilon", "0.1", "--input", str(id3_path),
+         "--max-iters", "5", flag, str(target)],
+        capsys,
+    )
+    assert code == 2
+    assert f"error: cannot write {target}" in err and "No such file" in err
+
+
 def test_unknown_flag_exits_2(id3_path, capsys):
     code, _, _ = run(["--bogus"], capsys)
     assert code == 2

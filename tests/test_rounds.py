@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -13,15 +12,14 @@ from fairpc import (
     solve_covering,
     solve_packing,
     step,
+    transform_inverse,
 )
 from fairpc import rounds
 from fairpc.cli import run_cli
 from fairpc.errors import LocalityViolation, MissingLoad
 from fairpc.matrix import write_matrix_market
-from fairpc.packing import update_rule
 from fairpc.regularization import GradientKernel
 from fairpc.rounds import (
-    BlockState,
     ShardMessage,
     audit_round,
     build_shard,
@@ -33,10 +31,10 @@ from fairpc.rounds import (
 from conftest import identity_instance, single_row_instance
 
 
-def one_shard(instance, params, rule):
+def one_shard(instance, params):
     kernel = GradientKernel(instance.matrix, 1.0, params.beta, params.logC)
-    (shard,) = build_shards(kernel, rule, params.beta_prime, count=1)
-    return shard
+    (shard,) = build_shards(kernel, count=1)
+    return kernel, shard
 
 
 def test_local_update_reproduces_monolithic_step():
@@ -44,38 +42,37 @@ def test_local_update_reproduces_monolithic_step():
     config = SolverConfig(fairness=1.0, epsilon=0.1)
     params = derive_packing_params(1, 1, 1.0, 1.0, 0.1)
     state = init_packing(inst, config, params)
-    shard = one_shard(inst, params, update_rule(params, 1.0))
-    block = BlockState(x_hat=state.x_hat.copy(), z=None, k=0)
-    msg = ShardMessage(round_index=1, rows=np.array([0]), loads=state.u.copy())
-    updated = local_update(shard, msg, block)
+    kernel, shard = one_shard(inst, params)
+    loads = state.u.copy()   # the identity's loads are the allocation
+    msg = ShardMessage(round_index=1, rows=np.array([0]), loads=loads)
+    block = local_update(shard, msg, state.x_hat, state.u)
+    whole = kernel.evaluate(state.x_hat, state.u, loads)
+    assert block.truncated.tobytes() == whole.truncated.tobytes()
 
     step(state, inst, params, 1.0)
-    assert updated.x_hat[0] == state.x_hat[0]
-    assert updated.k == 1
-    assert updated.x_hat[0] == pytest.approx(-0.10451623583222594, rel=1e-9)
+    assert state.k == 1
+    assert state.x_hat[0] == pytest.approx(-0.10451623583222594, rel=1e-9)
 
 
 def test_local_update_zero_gradient_is_noop():
     inst = identity_instance(1)
     params = derive_packing_params(1, 1, 1.0, 1.0, 0.1)
-    shard = one_shard(inst, params, update_rule(params, 1.0))
+    _, shard = one_shard(inst, params)
     # at load exp(-logC * beta) the weighted sum is exactly 1 -> gradient 0
-    x_hat = -params.logC * params.beta / (1.0 + params.beta)
-    block = BlockState(x_hat=np.array([x_hat]), z=None, k=3)
-    msg = ShardMessage(round_index=4, rows=np.array([0]), loads=np.array([math.exp(x_hat)]))
-    updated = local_update(shard, msg, block)
-    assert updated.x_hat[0] == pytest.approx(x_hat, abs=1e-12)
-    assert updated.k == 4
+    x_hat = np.array([-params.logC * params.beta / (1.0 + params.beta)])
+    msg = ShardMessage(round_index=4, rows=np.array([0]), loads=np.exp(x_hat))
+    block = local_update(shard, msg, x_hat, np.exp(x_hat))
+    assert block.truncated[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_local_update_missing_load():
     inst = single_row_instance([1.0, 1.0])
     params = derive_packing_params(1, 2, 1.0, 1.0, 0.1)
-    shard = one_shard(inst, params, update_rule(params, 1.0))
-    block = BlockState(x_hat=np.array([-1.0, -1.0]), z=None, k=0)
+    _, shard = one_shard(inst, params)
+    x_hat = np.array([-1.0, -1.0])
     empty = ShardMessage(round_index=1, rows=np.array([], dtype=np.int64), loads=np.array([]))
     with pytest.raises(MissingLoad):
-        local_update(shard, empty, block)
+        local_update(shard, empty, x_hat, np.exp(x_hat))
 
 
 @pytest.mark.parametrize("alpha,eps", [(0.0, 0.1), (0.5, 0.1), (0.9, 0.1), (1.0, 0.1), (1.5, 0.1), (3.0, 0.05)])
@@ -145,11 +142,20 @@ def partition_instance():
     return inst
 
 
-@pytest.mark.parametrize("alpha,eps", [(0.0, 0.1), (0.5, 0.1), (1.0, 0.1), (1.5, 0.1), (3.0, 0.05)])
+# alpha = 0 scatters the shards' barrier weights; alpha = 25 at eps = 0.004 runs
+# the log-domain fallback, where each shard slices the kernel's entry columns
+FALLBACK = (25.0, 0.004)
+
+
+@pytest.mark.parametrize("alpha,eps",
+                         [(0.0, 0.1), (0.5, 0.1), (1.0, 0.1), (1.5, 0.1), (3.0, 0.05), FALLBACK])
 @pytest.mark.parametrize("count", [1, 2, 4, None])
 def test_bit_identical_over_partitions(monkeypatch, alpha, eps, count):
     inst = partition_instance()
     monkeypatch.setattr(rounds, "SHARD_COUNT", inst.n if count is None else count)
+    if (alpha, eps) == FALLBACK:
+        params = derive_packing_params(inst.m, inst.n, inst.rho, alpha, eps)
+        assert GradientKernel(inst.matrix, alpha, params.beta, params.logC).form.product is False
     config = SolverConfig(fairness=alpha, epsilon=eps, max_iters=150, trace_stride=7)
     mono = solve_packing(inst, config)
     dist, audit = run_distributed(inst, config)
@@ -158,6 +164,27 @@ def test_bit_identical_over_partitions(monkeypatch, alpha, eps, count):
     assert [r.f_r for r in mono.trace] == [r.f_r for r in dist.trace]
     assert audit.ok and audit.rounds == 150
     assert sum(audit.touched_counts.values()) == inst.matrix.nnz
+
+
+@pytest.mark.parametrize("count", [1, 2, 4, None])
+def test_fallback_evaluate_bit_identical_over_partitions(monkeypatch, count):
+    # a run keeps every column's fallback gradient at exactly -1 for thousands of
+    # iterations, so the run above cannot tell the columns apart; here each row's
+    # exponent ln(load)/beta is set so that the columns' gradients differ
+    inst = partition_instance()
+    monkeypatch.setattr(rounds, "SHARD_COUNT", inst.n if count is None else count)
+    alpha, eps = FALLBACK
+    params = derive_packing_params(inst.m, inst.n, inst.rho, alpha, eps)
+    kernel = GradientKernel(inst.matrix, alpha, params.beta, params.logC)
+    rng = np.random.default_rng(3)
+    u = rng.uniform(0.009, 0.011, inst.n)
+    q = -(params.logC + alpha * np.log(u).mean()) - 4.0 + rng.uniform(-2.0, 2.0, inst.m)
+    x_hat, loads = transform_inverse(u, alpha), np.exp(params.beta * q)
+    whole = kernel.evaluate(x_hat, u, loads).truncated
+    sharded = rounds._Lockstep(kernel).evaluate(x_hat, u, loads).truncated
+    assert kernel.form.product is False
+    assert np.unique(whole[whole < 1.0]).size > 3
+    assert sharded.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("count", [1, 2, 4, None])
@@ -182,7 +209,7 @@ def test_shards_partition_the_columns():
     inst = partition_instance()
     params = derive_packing_params(inst.m, inst.n, inst.rho, 1.0, 0.1)
     kernel = GradientKernel(inst.matrix, 1.0, params.beta, params.logC)
-    shards = build_shards(kernel, update_rule(params, 1.0), None, count=4)
+    shards = build_shards(kernel, count=4)
     assert shards[0].c0 == 0 and shards[-1].c1 == inst.n
     assert all(a.c1 == b.c0 for a, b in zip(shards, shards[1:]))
     for s in shards:
@@ -198,14 +225,14 @@ def test_out_of_column_gather_raises():
     kernel = GradientKernel(inst.matrix, 1.0, params.beta, params.logC)
     # the shard owns column 0 (entry 0) but gathers entry 1, which is column 1's
     with pytest.raises(LocalityViolation, match="gathers entry 1"):
-        build_shard(kernel, 0, 0, 1, np.array([0, 1]), update_rule(params, 1.0), None)
+        build_shard(kernel, 0, 0, 1, np.array([0, 1]))
 
 
 def test_per_round_audit_records_breaches():
     inst = identity_instance(3)
     params = derive_packing_params(3, 3, 1.0, 1.0, 0.1)
     kernel = GradientKernel(inst.matrix, 1.0, params.beta, params.logC)
-    good = build_shards(kernel, update_rule(params, 1.0), None, count=3)
+    good = build_shards(kernel, count=3)
     # a shard whose gather was altered after the build-time check
     bad = [good[0], dataclasses.replace(good[1], gather=np.array([2])), good[2]]
     msgs = [rounds.shard_message(s, np.ones(3), 5) for s in bad]
