@@ -95,14 +95,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=[MONOLITHIC, ROUNDS], default=MONOLITHIC)
     p.add_argument("--max-iters", type=int, help="override the derived iteration budget")
     p.add_argument("--early-stop", action="store_true",
-                   help="packing: start from the scaled feasible point and stop once the "
-                        "dual bound proves the regime's guarantee (any alpha)")
+                   help="packing: start from the scaled feasible point, run epsilon stages "
+                        "from the largest admissible down to --epsilon within one budget, "
+                        "and stop once the dual bound proves the regime's guarantee at "
+                        "--epsilon (any alpha)")
     p.add_argument("--trace-stride", type=int, help="record every N-th iteration")
     return p
 
 
 def _packing_result(args, instance, record, solution: PackingSolution, wall: float) -> dict:
     params = solution.params
+    guarantee = {
+        "eps_f": solution.eps_f,
+        "form": solution.eps_f_form,
+        "basis": solution.eps_f_basis,
+    }
+    if solution.stages is not None:
+        guarantee["stages"] = [{"epsilon": s.epsilon, "until": s.until} for s in solution.stages]
     return {
         "mode": PACK,
         "engine": args.engine,
@@ -128,11 +137,7 @@ def _packing_result(args, instance, record, solution: PackingSolution, wall: flo
             "max_load": solution.max_load,
             "is_feasible": solution.is_feasible,
         },
-        "guarantee": {
-            "eps_f": solution.eps_f,
-            "form": solution.eps_f_form,
-            "basis": solution.eps_f_basis,
-        },
+        "guarantee": guarantee,
         "dual": None if solution.dual_certificate is None else {
             "certificate": solution.dual_certificate,
             "gap_estimate": solution.gap_estimate,
@@ -236,13 +241,14 @@ def run_cli(argv) -> int:
         result = _covering_result(args, instance, record, solution, wall)
     text = emit_json(result)
     try:
+        # the trace first: a run that cannot write it exits 2 with no result written
+        if args.trace:
+            emit_trace(solution.trace, args.trace)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         else:
             print(text)
-        if args.trace:
-            emit_trace(solution.trace, args.trace)
     except OSError as exc:
         print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
               file=sys.stderr)

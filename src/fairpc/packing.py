@@ -11,7 +11,9 @@ the finalization all read the one copy the state carries.
 engines: the round engine (see ``rounds``) runs them with a kernel whose
 gradient evaluation is a lockstep round of column-block shards, and
 nothing else differs. ``update_rule`` picks a run's update expression and
-step scale once.
+step scale once per stage, and ``enter_stage`` binds a stage's constants
+to a state: once at the start, and at each step of an early-stop run's
+epsilon schedule (see ``epsilon_schedule``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import numpy as np
 from .errors import FeasibilityViolation, InvalidAlpha, NegativeCoordinate
 from .matrix import column_loads, constraint_loads
 from .problem import (
-    PACK, PackingInstance, ScalingRecord, SolverConfig, f_alpha_value, transform_inverse,
+    PACK, PackingInstance, ScalingRecord, SolverConfig, epsilon_upper_bound, f_alpha_value,
+    transform_inverse,
 )
 from .regularization import (
     GradientKernel,
@@ -84,6 +87,14 @@ class PackingState:
     loads: np.ndarray | None = None   # loads of ``u``, once computed (see iterate_loads)
 
 
+class Stage(NamedTuple):
+    """One stage of an early-stop run: its epsilon, and the iteration at
+    which the certificate proved its radius or the budget ran out."""
+
+    epsilon: float
+    until: int
+
+
 @dataclass(eq=False)
 class PackingSolution:
     x: np.ndarray
@@ -100,6 +111,7 @@ class PackingSolution:
     params: PackingRegParams
     stopped_early: bool = False
     trace_dropped: int = 0   # oldest trace rows evicted past the buffer's capacity
+    stages: list[Stage] | None = None   # the epsilon schedule that ran; early stop only
 
 
 @dataclass(frozen=True)
@@ -145,18 +157,31 @@ def update_rule(params, alpha: float):
             multiplicative_update)
 
 
+def epsilon_schedule(alpha: float, epsilon: float) -> list[float]:
+    """The epsilon of each stage of an early-stop run, ending at the target ``epsilon``.
+
+    The first is the largest admissible, ``epsilon_upper_bound(alpha)``;
+    it is halved while still above the target, and the target comes last.
+    A target at the ceiling makes a single stage.
+    """
+    stages = []
+    eps = epsilon_upper_bound(alpha)
+    while eps > epsilon:
+        stages.append(eps)
+        eps /= 2.0
+    return stages + [epsilon]
+
+
 def init_packing(instance: PackingInstance, config: SolverConfig,
                  params: PackingRegParams | None = None) -> PackingState:
-    """Initial state: the same allocation on every coordinate.
+    """Initial state, built for ``params``: the same allocation on every coordinate.
 
     That is the paper's (1 - eps)/(n rho), which its budget ``K`` assumes.
     Under ``config.early_stop``, where the certificate and not ``K`` ends
-    the run, it is the scaled (1 - eps)/max_i (A 1)_i instead: still
-    feasible, with the fullest row (1 - eps)-tight. An alpha whose
-    transformed start ``u0**(1 - alpha)`` overflows is rejected.
-
-    For fairness below 1 the mirror state starts at z_j = x_hat_j**(-b') - 1,
-    which makes the first mirror recomputation reproduce the initial iterate.
+    the run, it is the scaled (1 - eps0)/max_i (A 1)_i instead, at the
+    first stage's eps0 = ``epsilon_upper_bound(alpha)``: still feasible,
+    with the fullest row (1 - eps0)-tight. An alpha whose transformed start
+    ``u0**(1 - alpha)`` overflows is rejected.
     """
     alpha = config.alpha
     if params is None:
@@ -165,7 +190,7 @@ def init_packing(instance: PackingInstance, config: SolverConfig,
     kernel = GradientKernel(instance.matrix, alpha, params.beta, params.logC)
     if config.early_stop:
         top = float(np.maximum.reduce(kernel.loads_of(np.ones(n))))
-        u0 = np.full(n, (1.0 - config.epsilon) / top)
+        u0 = np.full(n, (1.0 - epsilon_upper_bound(alpha)) / top)
     else:
         u0 = np.full(n, (1.0 - config.epsilon) / (n * rho))
     with np.errstate(over="ignore"):   # an overflow is rejected just below
@@ -175,11 +200,26 @@ def init_packing(instance: PackingInstance, config: SolverConfig,
             f"alpha={alpha:g} is too large for n={n}, rho={rho:g}: the start point's "
             f"transform {u0[0]:g}**(1 - alpha) overflows"
         )
-    z = None
+    state = PackingState(x_hat=x_hat, z=None, u=kernel.allocation(x_hat), k=0, kernel=kernel,
+                         rule=None)
+    enter_stage(state, params, kernel)
+    return state
+
+
+def enter_stage(state: PackingState, params: PackingRegParams, kernel: GradientKernel) -> None:
+    """Bind the constants of ``params`` to ``state``, in place: the kernel
+    built for its (beta, logC), the update rule and, for fairness below 1,
+    the mirror state z_j = x_hat_j**(-b') - 1, which makes the next mirror
+    recomputation reproduce the iterate.
+
+    The transformed iterate, ``u**(1 - alpha)`` or ``ln u``, does not depend
+    on epsilon, so ``x_hat``, ``u`` and the checked ``loads`` are kept.
+    """
+    alpha = kernel.alpha
+    state.kernel = kernel
+    state.rule = update_rule(params, alpha)
     if alpha < 1.0:
-        z = np.power(x_hat, -params.beta_prime) - 1.0
-    return PackingState(x_hat=x_hat, z=z, u=kernel.allocation(x_hat), k=0, kernel=kernel,
-                        rule=update_rule(params, alpha))
+        state.z = np.power(state.x_hat, -params.beta_prime) - 1.0
 
 
 def require_feasible(loads: np.ndarray, k: int) -> None:
@@ -257,17 +297,24 @@ def dual_bound(matrix, alpha: float, y: np.ndarray) -> float:
 
     alpha = 0: sum(y) / min_j (A^T y)_j; alpha = 1: sum(y) - sum_j
     (ln (A^T y)_j + 1); otherwise sum(y) + alpha/(1-alpha) * sum_j
-    (A^T y)_j**(-(1-alpha)/alpha). inf when a column receives no dual mass.
+    (A^T y)_j**(-(1-alpha)/alpha).
+
+    Each column adds sup_{u >= 0} f(u) - u (A^T y)_j. Above 1 that is 0 for
+    a column with no dual mass (the sup of u**(1-alpha)/(1-alpha), as u
+    grows), which the power gives; so is a true mass that underflows to 0,
+    which only raises the bound. At and below 1 the sup is +inf there, and
+    so is the bound.
     """
     aty = column_loads(matrix, y)
-    least = float(np.minimum.reduce(aty))
-    if not least > 0.0:
-        return math.inf
     mass = float(np.add.reduce(y))
-    if alpha == 0.0:
-        return mass / least
-    if alpha == 1.0:
-        return mass - float(np.add.reduce(np.log(aty) + 1.0))
+    if alpha <= 1.0:
+        least = float(np.minimum.reduce(aty))
+        if not least > 0.0:
+            return math.inf
+        if alpha == 0.0:
+            return mass / least
+        if alpha == 1.0:
+            return mass - float(np.add.reduce(np.log(aty) + 1.0))
     return mass + (alpha / (1.0 - alpha)) * float(
         np.add.reduce(np.power(aty, -(1.0 - alpha) / alpha))
     )
@@ -319,8 +366,11 @@ class PackingRunRecorder:
 
     A traced row is certified above fairness 1, and in every regime under
     early stop; the least finite dual bound seen is kept, since each one
-    bounds OPT. The run stops once that bound proves the last row within
-    ``stop_radius``; a row whose bound is not finite never stops it.
+    bounds OPT, whatever stage's barrier weights it came from.
+    ``should_stop`` says whether that bound proves the last row within
+    ``stop_radius`` at ``epsilon``, the current stage's; a row whose bound
+    is not finite never proves it. ``run_packing`` sets ``kernel`` and
+    ``epsilon`` at each stage change.
     """
 
     def __init__(self, kernel: GradientKernel, instance: PackingInstance,
@@ -330,6 +380,7 @@ class PackingRunRecorder:
         self.params = params
         self.config = config
         self.alpha = config.alpha
+        self.epsilon = config.epsilon
         self.burn_in = math.ceil(10.0 / params.beta)
         self.certifies = config.early_stop or self.alpha > 1.0
         self.last: Certificate | None = None   # the latest row's
@@ -353,7 +404,7 @@ class PackingRunRecorder:
         if self.alpha > 1.0 and k > self.burn_in and not self._warned:
             y = self.last.dual
             lhs = float(np.add.reduce(y))
-            rhs = (1.0 + self.config.epsilon) * float(y @ loads)
+            rhs = (1.0 + self.epsilon) * float(y @ loads)
             if lhs > rhs * (1.0 + 1e-12):
                 warnings.warn(
                     f"dual mass {lhs:g} exceeds (1+eps) times its constraint "
@@ -377,7 +428,7 @@ class PackingRunRecorder:
         if not self.config.early_stop or self.best is None:
             return False
         bound, value = self.best.bound, self.last.value
-        radius, _ = stop_radius(self.alpha, self.config.epsilon, self.instance.n, bound, value)
+        radius, _ = stop_radius(self.alpha, self.epsilon, self.instance.n, bound, value)
         return bound - value <= radius
 
 
@@ -397,11 +448,13 @@ def plan_iterations(config: SolverConfig, params) -> tuple[int, int]:
 def finalize_packing(state: PackingState, instance: PackingInstance,
                      params: PackingRegParams, config: SolverConfig,
                      scaling: ScalingRecord, stopped_early: bool,
-                     certificate: Certificate | None) -> PackingSolution:
+                     certificate: Certificate | None,
+                     stages: list[Stage] | None = None) -> PackingSolution:
     """Map the final iterate to original space and assemble the report.
 
     ``certificate`` is the recorder's report for the last traced row, which
-    is the final iterate. Without early stop the guarantee is the paper's
+    is the final iterate, and ``stages`` the epsilon schedule that ran
+    (early stop only). Without early stop the guarantee is the paper's
     a-priori one; under it, the certified gap, scaled as the utility is.
     A run that spent its budget first claims no more: the a-priori bound
     assumes the paper's start, not the scaled one.
@@ -445,40 +498,68 @@ def finalize_packing(state: PackingState, instance: PackingInstance,
         params=params,
         stopped_early=stopped_early,
         trace_dropped=state.trace.dropped,
+        stages=stages,
     )
 
 
 def run_packing(state: PackingState, instance: PackingInstance, params: PackingRegParams,
                 config: SolverConfig, scaling: ScalingRecord | None) -> PackingSolution:
-    """Step ``state`` through the iteration budget and map the final iterate back.
+    """Step ``state``, built for ``params``, through the iteration budget
+    and map the final iterate back.
 
     The budget is the derived K unless ``config.max_iters`` overrides it.
-    Under ``config.early_stop`` the run stops at the first traced row that
-    the least dual bound so far proves within ``stop_radius``, in every
-    regime. The gradient is whatever ``state.kernel.evaluate`` computes.
+    Under ``config.early_stop`` the run goes through ``epsilon_schedule``'s
+    stages, in every regime. Each traced row ends every stage whose
+    ``stop_radius`` the least dual bound so far proves, and the run stops
+    at the row that proves the target's. A new stage keeps the iterate and
+    its checked loads and rebuilds the rest for its epsilon (``enter_stage``,
+    with the kernel's ``rebuilt``), and re-checks the same certificate
+    against its own radius. The budget, the trace stride and the reported
+    constants are the target's, counted on one iteration counter.
+
+    The gradient is whatever ``state.kernel.evaluate`` computes.
     """
     alpha = config.alpha
     if scaling is None:
         scaling = ScalingRecord(c=1.0, alpha_used=alpha)
     planned, stride = plan_iterations(config, params)
     recorder = PackingRunRecorder(state.kernel, instance, params, config)
+    schedule = epsilon_schedule(alpha, config.epsilon) if config.early_stop else [config.epsilon]
+    stages: list[Stage] = []   # the stages ended so far
+    current = params           # the stage's constants
+
+    def enter(epsilon: float) -> None:
+        nonlocal current
+        current = params if epsilon == config.epsilon else derive_packing_params(
+            instance.m, instance.n, instance.rho, alpha, epsilon)
+        enter_stage(state, current, state.kernel.rebuilt(current.beta, current.logC))
+        recorder.kernel, recorder.epsilon = state.kernel, epsilon
 
     def record(k: int) -> bool:
         loads = iterate_loads(state, k)
         recorder.record(state.x_hat, state.u, k, state.trace, loads)
-        return recorder.should_stop()
+        while recorder.should_stop():
+            stages.append(Stage(recorder.epsilon, k))
+            if len(stages) == len(schedule):
+                return True
+            enter(schedule[len(stages)])
+        return False
 
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        if schedule[0] != config.epsilon:
+            enter(schedule[0])
         stopped_early = record(0)
         k = 0
         while k < planned and not stopped_early:
             k += 1
-            step(state, instance, params, alpha)
+            step(state, instance, current, alpha)
             if k % stride == 0 or k == planned:
                 stopped_early = record(k)
+    if config.early_stop and not stopped_early:
+        stages.append(Stage(recorder.epsilon, k))
 
     return finalize_packing(state, instance, params, config, scaling, stopped_early,
-                            recorder.reported())
+                            recorder.reported(), stages if config.early_stop else None)
 
 
 def solve_packing(instance: PackingInstance, config: SolverConfig,

@@ -192,19 +192,24 @@ def run_distributed(instance, config: SolverConfig, mode: str | None = None,
         state, run = init_covering(instance, config, params), run_covering
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    env = state.kernel = _Lockstep(state.kernel)
+    state.kernel = _Lockstep(state.kernel)
     solution = run(state, instance, params, config, scaling)
-    return solution, env.close()
+    return solution, state.kernel.close()
 
 
 class _Lockstep(GradientKernel):
     """The run's kernel, whose every gradient evaluation is one lockstep
-    round of the shards; everything else is the kernel it was built from."""
+    round of the shards; everything else is the kernel it was built from.
+    A new stage's kernel re-shards and keeps the one audit (see ``rebuilt``)."""
 
-    def __init__(self, kernel: GradientKernel):
+    def __init__(self, kernel: GradientKernel, audit: LocalityAudit | None = None):
         vars(self).update(vars(kernel))
         self.shards = build_shards(kernel, SHARD_COUNT)
-        self.audit = LocalityAudit()
+        self.audit = LocalityAudit() if audit is None else audit
+
+    def rebuilt(self, beta: float, logC: float) -> _Lockstep:
+        """The shards of the monolithic kernel for (beta, logC), audited by this run's audit."""
+        return _Lockstep(GradientKernel.rebuilt(self, beta, logC), self.audit)
 
     def evaluate(self, x_hat: np.ndarray, u: np.ndarray, loads: np.ndarray) -> GradientPair:
         """Message every shard its rows' ``loads``, audit, and join the blocks."""

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fairpc import single_constraint_packing_optimum
+from fairpc import derive_packing_params, single_constraint_packing_optimum
 from fairpc.cli import emit_json, emit_trace, run_cli
 from fairpc.packing import TraceRow
 
@@ -122,13 +122,24 @@ def test_malformed_input_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("flag", ["--output", "--trace"])
 def test_unwritable_output_exits_2(id3_path, tmp_path, capsys, flag):
     target = tmp_path / "no" / "such" / "dir" / "out"
-    code, _, err = run(
+    code, out, err = run(
         ["--mode", "pack", "--alpha", "1", "--epsilon", "0.1", "--input", str(id3_path),
          "--max-iters", "5", flag, str(target)],
         capsys,
     )
     assert code == 2
     assert f"error: cannot write {target}" in err and "No such file" in err
+    if flag == "--trace":
+        # a run that fails leaves no result: none on stdout, no --output file
+        assert out == ""
+        result = tmp_path / "result.json"
+        code, out, err = run(
+            ["--mode", "pack", "--alpha", "1", "--epsilon", "0.1", "--input", str(id3_path),
+             "--max-iters", "5", flag, str(target), "--output", str(result)],
+            capsys,
+        )
+        assert code == 2 and out == "" and f"error: cannot write {target}" in err
+        assert not result.exists()
 
 
 def test_unknown_flag_exits_2(id3_path, capsys):
@@ -452,3 +463,25 @@ def test_early_stop_budget_spent_claims_only_its_certified_gap(tmp_path, capsys)
     assert doc["guarantee"]["eps_f"] == doc["dual"]["gap_estimate"] > 0.0
     assert doc["guarantee"]["form"].startswith("g-f")
     assert "budget spent" in doc["guarantee"]["basis"]
+
+
+@pytest.mark.parametrize("engine", ["monolithic", "rounds"])
+def test_early_stop_reports_its_stages(tmp_path, capsys, engine):
+    # eps 0.05 at alpha 2 runs the stages 0.1 and 0.05; without the flag the
+    # guarantee block keeps its three fields
+    p = tmp_path / "row5.mtx"
+    p.write_text(ROW5)
+    args = ["--mode", "pack", "--alpha", "2", "--epsilon", "0.05", "--trace-stride", "25",
+            "--input", str(p), "--engine", engine]
+    code, out, _ = run(args + ["--early-stop"], capsys)
+    doc = json.loads(out)
+    stages = doc["guarantee"]["stages"]
+    assert code == 0 and doc["stopped_early"]
+    assert [s["epsilon"] for s in stages] == [0.1, 0.05]
+    assert 0 <= stages[0]["until"] <= stages[1]["until"] == doc["iterations"]
+    # the reported constants are the target's
+    assert doc["params"]["K"] == derive_packing_params(1, 5, 100.0, 2.0, 0.05).K
+    opt = single_constraint_packing_optimum([100.0, 100.0, 100.0, 1.0, 1.0], 2.0).objective
+    assert doc["objective"] >= (1.0 + 10 * 0.05 * (2.0 - 1.0)) * opt
+    code, out, _ = run(args + ["--max-iters", "50"], capsys)
+    assert code == 0 and list(json.loads(out)["guarantee"]) == ["eps_f", "form", "basis"]

@@ -9,9 +9,11 @@ from fairpc import (
     SolverConfig,
     certify,
     derive_packing_params,
+    diagonal_packing_optimum,
     feasibility_report,
     init_packing,
     instance_from_dense,
+    run_distributed,
     single_constraint_packing_optimum,
     small_dense_packing_optimum,
     solve_packing,
@@ -19,9 +21,12 @@ from fairpc import (
     step,
 )
 from fairpc.errors import NegativeCoordinate
-from fairpc.packing import PackingRunRecorder, TraceBuffer, iterate_loads
+from fairpc.packing import (
+    PackingRunRecorder, TraceBuffer, enter_stage, epsilon_schedule, iterate_loads,
+)
 from fairpc.problem import epsilon_upper_bound
 from fairpc.regularization import GradientKernel
+from fairpc.rounds import _Lockstep
 
 from conftest import identity_instance, random_sparse_entries, single_row_instance
 
@@ -182,13 +187,47 @@ def test_duality_gap_defined_at_every_alpha():
         assert math.isfinite(cert.bound) and cert.bound >= opt - 1e-12
 
 
+def closed_form_bound(matrix, alpha, y):
+    """sum(y) + alpha/(1-alpha) sum_j (A^T y)_j**((alpha-1)/alpha) over the
+    columns with dual mass, from the dense matrix."""
+    aty = matrix.to_dense().T @ y
+    mass = aty[aty > 0.0]
+    return float(y.sum() + alpha / (1.0 - alpha) * np.sum(mass ** ((alpha - 1.0) / alpha)))
+
+
 def test_duality_gap_zero_dual_mass():
-    # a zero allocation coordinate makes its column's dual mass vanish
+    # a zero allocation coordinate makes its column's dual mass vanish; above
+    # fairness 1 that column adds 0, so the bound stays finite and >= OPT
     inst = identity_instance(2)
     params = derive_packing_params(2, 2, 1.0, 2.0, 0.05)
-    # huge transformed value -> allocation underflows to 0 -> zero load row
-    cert = certificate_at(inst, np.array([1e300, 2.0]), params, 2.0)
-    assert cert.bound == math.inf
+    # huge transformed value -> allocation underflows to 0 -> zero load row;
+    # column 1 sits at allocation 1/(1+eps/2), where its weight is 1
+    cert = certificate_at(inst, np.array([1e300, 1.0 + 0.05 / 2.0]), params, 2.0)
+    assert cert.dual[0] == 0.0 and cert.dual[1] == pytest.approx(1.0, rel=1e-9)
+    assert math.isfinite(cert.bound)
+    assert cert.bound == pytest.approx(closed_form_bound(inst.matrix, 2.0, cert.dual),
+                                       rel=1e-12)
+    assert diagonal_packing_optimum([1.0, 1.0], 2.0).objective <= cert.bound < 0.0
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+def test_dual_free_column_adds_zero_above_one(alpha):
+    # rows (1, 2, 0) and (0, 0, 1): row 1's load is so low that its barrier
+    # weight underflows, so column 2 has no dual mass; OPT is the sum of the
+    # two blocks' closed forms; row 0's load 1/(1+eps/2) gives it weight 1
+    inst, _ = instance_from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]))
+    eps = epsilon_upper_bound(alpha)
+    params = derive_packing_params(2, 3, 2.0, alpha, eps)
+    load = 1.0 / (1.0 + eps / 2.0)
+    u = np.array([load / 3.0, load / 3.0, 1e-3])
+    cert = certificate_at(inst, u ** (1.0 - alpha), params, alpha)
+    opt = (single_constraint_packing_optimum([1.0, 2.0], alpha).objective
+           + diagonal_packing_optimum([1.0], alpha).objective)
+    assert cert.dual[1] == 0.0 < cert.dual[0]
+    assert math.isfinite(cert.bound)
+    assert cert.bound == pytest.approx(closed_form_bound(inst.matrix, alpha, cert.dual),
+                                       rel=1e-12)
+    assert opt <= cert.bound < 0.0
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
@@ -204,8 +243,17 @@ def test_zero_dual_mass_never_stops(alpha):
     x_hat = np.log(u) if alpha == 1.0 else u ** (1.0 - alpha)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         row = recorder.record(x_hat, u, 0, TraceBuffer(), state.kernel.loads_of(u))
-    assert recorder.last.dual[0] == 0.0 and recorder.last.bound == math.inf
-    assert row.gap is None and recorder.best is None
+    if alpha <= 1.0:
+        assert recorder.last.dual[0] == 0.0 and recorder.last.bound == math.inf
+        assert row.gap is None and recorder.best is None
+    else:
+        # the dual-free column adds 0: a finite bound >= OPT, far above f
+        cert = recorder.last
+        assert cert.dual[0] == 0.0 and math.isfinite(cert.bound)
+        assert cert.bound == pytest.approx(closed_form_bound(inst.matrix, alpha, cert.dual),
+                                           rel=1e-12)
+        assert cert.bound >= diagonal_packing_optimum([1.0, 1.0], alpha).objective
+        assert row.gap == cert.gap > 0.0 and recorder.best is cert
     assert not recorder.should_stop()
 
 
@@ -229,6 +277,80 @@ def test_dual_bound_never_below_the_oracle(seed, alpha, scaled):
                 if math.isfinite(cert.bound):
                     assert cert.bound >= opt - tol, (k, cert.bound, opt)
             step(state, inst, params, alpha)
+
+
+# ---- the early-stop epsilon schedule ----
+
+def test_epsilon_schedule_halves_down_to_the_target():
+    assert epsilon_schedule(2.0, 0.05) == [0.1, 0.05]
+    assert epsilon_schedule(1.0, 0.1) == [0.5, 0.25, 0.125, 0.1]
+    assert epsilon_schedule(0.5, 0.03) == [0.2, 0.1, 0.05, 0.03]
+    assert epsilon_schedule(3.0, 0.05) == [0.05]   # the ceiling itself: one stage
+
+
+@pytest.mark.parametrize("rounds", [False, True])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+def test_stage_change_keeps_the_iterate(alpha, rounds):
+    # x_hat, u and the checked loads stay bit for bit; the kernel, the rule
+    # and (below 1) the mirror state are rebuilt for the new epsilon
+    inst, _ = instance_from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
+    first, target = epsilon_schedule(alpha, min(0.1, epsilon_upper_bound(alpha)) / 2)[:2]
+    config = SolverConfig(fairness=alpha, epsilon=target, early_stop=True)
+    params = derive_packing_params(2, 3, 3.0, alpha, first)
+    new = derive_packing_params(2, 3, 3.0, alpha, target)
+    state = init_packing(inst, config, params)
+    if rounds:
+        state.kernel = _Lockstep(state.kernel)
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        for _ in range(50):
+            step(state, inst, params, alpha)
+        loads = iterate_loads(state, state.k)
+        x_hat, u = state.x_hat, state.u
+        before = (x_hat.tobytes(), u.tobytes(), loads.tobytes())
+        old_kernel, old_rule = state.kernel, state.rule
+        enter_stage(state, new, state.kernel.rebuilt(new.beta, new.logC))
+    assert state.x_hat is x_hat and state.u is u and state.loads is loads
+    assert (x_hat.tobytes(), u.tobytes(), loads.tobytes()) == before
+    kernel = state.kernel
+    assert type(kernel) is type(old_kernel) and kernel is not old_kernel
+    assert (kernel.beta, kernel.logC) == (new.beta, new.logC)
+    assert state.rule[0] != old_rule[0]
+    if rounds:
+        assert kernel.audit is old_kernel.audit and kernel.shards is not old_kernel.shards
+    if alpha < 1.0:
+        np.testing.assert_array_equal(state.z, np.power(x_hat, -new.beta_prime) - 1.0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]))
+def test_epsilon_schedule_certifies_in_both_engines(seed, alpha):
+    # at half the smaller of 0.1 and the ceiling at least two stages are
+    # scheduled; every iterate is checked for feasibility with no tolerance
+    entries, m, n = random_sparse_entries(np.random.default_rng(seed), max_dim=5, max_rho=10.0)
+    inst, _ = standardize(entries, m, n)
+    eps = min(0.1, epsilon_upper_bound(alpha)) / 2.0
+    assert len(epsilon_schedule(alpha, eps)) >= 2
+    config = SolverConfig(fairness=alpha, epsilon=eps, early_stop=True, max_iters=20_000)
+    mono = solve_packing(inst, config)
+    dist, audit = run_distributed(inst, config)
+    assert mono.x.tobytes() == dist.x.tobytes() and mono.trace == dist.trace
+    assert mono.stages == dist.stages and mono.gap_estimate == dist.gap_estimate
+    assert mono.iterations_run == dist.iterations_run == audit.rounds
+    assert [s.epsilon for s in mono.stages] == epsilon_schedule(alpha, eps)[:len(mono.stages)]
+    assert mono.stages[-1].until == mono.iterations_run
+    tol = 1e-6
+    opt = small_dense_packing_optimum(inst, alpha, tol=tol).objective
+    if mono.stopped_early:
+        assert mono.stages[-1].epsilon == eps
+        if alpha < 1.0:
+            bound = 3 * eps * (1 - alpha) * opt
+        elif alpha == 1.0:
+            bound = 3 * eps * n
+        else:
+            bound = 10 * eps * (alpha - 1) * abs(opt)
+        assert opt - mono.utility <= bound + tol
+    if mono.gap_estimate is not None:
+        assert mono.gap_estimate >= opt - mono.utility - tol
 
 
 # ---- solve-level behavior ----
