@@ -7,8 +7,9 @@ packing solver drives the dual iterate; covering variables are recovered as
 the running average of the barrier weights and finally inflated by (1+eps)
 to make them strictly feasible. Each iterate's loads are computed once and
 carried with the state for the trace row and the finalization; the barrier
-weights are the ones the gradient kernel forms. ``run_covering`` is the one
-loop of both engines (see ``rounds``).
+weights are the ones the gradient kernel forms. ``solve_covering`` is the
+one solve of both engines, which differ only in the kernel constructor it
+is given (see ``rounds``).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ class CoveringState:
     z: np.ndarray
     y_avg: np.ndarray
     k: int
+    params: CoveringRegParams
     kernel: GradientKernel
     rule: tuple   # (step scale, update expression): the fairness-0 mirror rule
     loads: np.ndarray   # loads of ``x``
@@ -70,8 +72,11 @@ def running_average(y_avg, y_new, k: int):
 
 
 def init_covering(instance: CoveringInstance, config: SolverConfig,
-                  params: CoveringRegParams | None = None) -> CoveringState:
-    """Start the dual iterate small enough that every barrier weight is < 1.
+                  params: CoveringRegParams | None = None,
+                  kernel=GradientKernel) -> CoveringState:
+    """Start the dual iterate small enough that every barrier weight is < 1,
+    bound to the constants of ``params`` and the kernel that ``kernel(matrix,
+    0, beta, 0)`` builds for them.
 
     A beta so large that the start point, or the first mirror iterate
     recomputed from it, underflows to 0 is rejected: from 0 the dual
@@ -90,17 +95,16 @@ def init_covering(instance: CoveringInstance, config: SolverConfig,
             f"covering beta={params.beta:g} is too large for m={m}, n={n}, rho={rho:g}: "
             "the start point (1/(n rho)) * (1/(m rho))**beta underflows to 0"
         )
-    kernel = GradientKernel(instance.matrix, 0.0, params.beta, 0.0)
-    return CoveringState(x=x0, z=z, y_avg=np.zeros(m), k=0, kernel=kernel,
+    kernel = kernel(instance.matrix, 0.0, params.beta, 0.0)
+    return CoveringState(x=x0, z=z, y_avg=np.zeros(m), k=0, params=params, kernel=kernel,
                          rule=update_rule(params, 0.0), loads=kernel.loads_of(x0))
 
 
-def step_covering(state: CoveringState, instance: CoveringInstance,
-                  params: CoveringRegParams) -> CoveringState:
+def step_covering(state: CoveringState) -> CoveringState:
     """One mirror step of the dual iterate plus the covering average update."""
     kernel = state.kernel
     scale, update = state.rule
-    x = mirror_iterate(state.z, params.beta_prime)
+    x = mirror_iterate(state.z, state.params.beta_prime)
     loads = kernel.loads_of(x)
     pair = kernel.evaluate(x, x, loads)
     state.z = update(state.z, pair.truncated, scale)
@@ -184,28 +188,27 @@ def finalize_covering(state: CoveringState, instance: CoveringInstance,
     )
 
 
-def run_covering(state: CoveringState, instance: CoveringInstance, params: CoveringRegParams,
-                 config: SolverConfig, scaling: ScalingRecord | None) -> CoveringSolution:
-    """Step ``state`` through the budget and return the inflated averaged
-    covering vector; the gradient is whatever ``state.kernel.evaluate`` computes."""
-    if scaling is None:
-        scaling = ScalingRecord(c=1.0, alpha_used=-params.beta)
-    planned, stride = plan_iterations(config, params)
-    kernel = state.kernel
-
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        state.trace.append(covering_trace_row(kernel, state.x, 0, state.loads))
-        for k in range(1, planned + 1):
-            step_covering(state, instance, params)
-            if k % stride == 0 or k == planned:
-                state.trace.append(covering_trace_row(kernel, state.x, k, state.loads))
-
-    return finalize_covering(state, instance, params, config, scaling)
-
-
 def solve_covering(instance: CoveringInstance, config: SolverConfig,
-                   scaling: ScalingRecord | None = None) -> CoveringSolution:
-    """Derive the run constants, start (see ``init_covering``) and run the budget."""
+                   scaling: ScalingRecord | None = None,
+                   kernel=GradientKernel) -> CoveringSolution:
+    """Derive the run constants, start (see ``init_covering``), step through
+    the budget and return the inflated averaged covering vector.
+
+    ``kernel(matrix, 0, beta, 0)`` builds the run's gradient kernel:
+    ``GradientKernel`` for the monolithic engine.
+    """
     params = derive_covering_params(instance.m, instance.n, instance.rho, config.beta,
                                     config.epsilon)
-    return run_covering(init_covering(instance, config, params), instance, params, config, scaling)
+    if scaling is None:
+        scaling = ScalingRecord(c=1.0, alpha_used=-params.beta)
+    state = init_covering(instance, config, params, kernel)
+    planned, stride = plan_iterations(config, params)
+
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        state.trace.append(covering_trace_row(state.kernel, state.x, 0, state.loads))
+        for k in range(1, planned + 1):
+            step_covering(state)
+            if k % stride == 0 or k == planned:
+                state.trace.append(covering_trace_row(state.kernel, state.x, k, state.loads))
+
+    return finalize_covering(state, instance, params, config, scaling)

@@ -7,13 +7,14 @@ invariant, checked (with no tolerance) when an iterate's loads are
 computed; that happens once per iterate, and the step, the trace record and
 the finalization all read the one copy the state carries.
 
-``run_packing`` is the one loop, and ``step`` the one update, of both
-engines: the round engine (see ``rounds``) runs them with a kernel whose
-gradient evaluation is a lockstep round of column-block shards, and
-nothing else differs. ``update_rule`` picks a run's update expression and
-step scale once per stage, and ``enter_stage`` binds a stage's constants
-to a state: once at the start, and at each step of an early-stop run's
-epsilon schedule (see ``epsilon_schedule``).
+``solve_packing`` is the one solve, and ``step`` the one update, of both
+engines: they differ only in the kernel constructor ``solve_packing`` is
+given, which builds each stage's gradient kernel (the round engine's, see
+``rounds``, evaluates the gradient as a lockstep round of column-block
+shards). ``enter_stage`` binds a stage's constants to a state: its
+parameters, its kernel and the update rule ``update_rule`` picks, once at
+the start and at each step of an early-stop run's epsilon schedule (see
+``epsilon_schedule``).
 """
 
 from __future__ import annotations
@@ -78,11 +79,12 @@ class TraceBuffer:
 @dataclass(eq=False)
 class PackingState:
     x_hat: np.ndarray
-    z: np.ndarray | None
     u: np.ndarray
-    k: int
-    kernel: GradientKernel
-    rule: tuple   # (step scale, update expression), from ``update_rule``
+    k: int = 0
+    params: PackingRegParams | None = None   # the stage's constants, bound by ``enter_stage``
+    kernel: GradientKernel | None = None
+    rule: tuple | None = None   # (step scale, update expression), from ``update_rule``
+    z: np.ndarray | None = None   # the mirror state; fairness below 1 only
     trace: TraceBuffer = field(default_factory=TraceBuffer)
     loads: np.ndarray | None = None   # loads of ``u``, once computed (see iterate_loads)
 
@@ -173,26 +175,29 @@ def epsilon_schedule(alpha: float, epsilon: float) -> list[float]:
 
 
 def init_packing(instance: PackingInstance, config: SolverConfig,
-                 params: PackingRegParams | None = None) -> PackingState:
-    """Initial state, built for ``params``: the same allocation on every coordinate.
+                 params: PackingRegParams | None = None,
+                 kernel=GradientKernel) -> PackingState:
+    """Initial state of the stage ``params`` (by default the target
+    epsilon's), with its kernel built by ``kernel(matrix, alpha, beta,
+    logC)``: the same allocation on every coordinate.
 
     That is the paper's (1 - eps)/(n rho), which its budget ``K`` assumes.
     Under ``config.early_stop``, where the certificate and not ``K`` ends
-    the run, it is the scaled (1 - eps0)/max_i (A 1)_i instead, at the
-    first stage's eps0 = ``epsilon_upper_bound(alpha)``: still feasible,
-    with the fullest row (1 - eps0)-tight. An alpha whose transformed start
+    the run, it is the scaled (1 - eps)/max_i (A 1)_i instead: still
+    feasible, with the fullest row (1 - eps)-tight. Either way eps is
+    ``params.epsilon``, the first stage's. An alpha whose transformed start
     ``u0**(1 - alpha)`` overflows is rejected.
     """
     alpha = config.alpha
     if params is None:
         params = derive_packing_params(instance.m, instance.n, instance.rho, alpha, config.epsilon)
     n, rho = instance.n, instance.rho
-    kernel = GradientKernel(instance.matrix, alpha, params.beta, params.logC)
+    kernel = kernel(instance.matrix, alpha, params.beta, params.logC)
     if config.early_stop:
         top = float(np.maximum.reduce(kernel.loads_of(np.ones(n))))
-        u0 = np.full(n, (1.0 - epsilon_upper_bound(alpha)) / top)
+        u0 = np.full(n, (1.0 - params.epsilon) / top)
     else:
-        u0 = np.full(n, (1.0 - config.epsilon) / (n * rho))
+        u0 = np.full(n, (1.0 - params.epsilon) / (n * rho))
     with np.errstate(over="ignore"):   # an overflow is rejected just below
         x_hat = transform_inverse(u0, alpha)
     if not math.isfinite(x_hat[0]):
@@ -200,22 +205,22 @@ def init_packing(instance: PackingInstance, config: SolverConfig,
             f"alpha={alpha:g} is too large for n={n}, rho={rho:g}: the start point's "
             f"transform {u0[0]:g}**(1 - alpha) overflows"
         )
-    state = PackingState(x_hat=x_hat, z=None, u=kernel.allocation(x_hat), k=0, kernel=kernel,
-                         rule=None)
+    state = PackingState(x_hat=x_hat, u=kernel.allocation(x_hat))
     enter_stage(state, params, kernel)
     return state
 
 
 def enter_stage(state: PackingState, params: PackingRegParams, kernel: GradientKernel) -> None:
-    """Bind the constants of ``params`` to ``state``, in place: the kernel
-    built for its (beta, logC), the update rule and, for fairness below 1,
-    the mirror state z_j = x_hat_j**(-b') - 1, which makes the next mirror
-    recomputation reproduce the iterate.
+    """Bind the constants of ``params`` to ``state``, in place: the
+    parameters, ``kernel`` (built for their beta and logC), the update rule
+    and, for fairness below 1, the mirror state z_j = x_hat_j**(-b') - 1,
+    which makes the next mirror recomputation reproduce the iterate.
 
     The transformed iterate, ``u**(1 - alpha)`` or ``ln u``, does not depend
     on epsilon, so ``x_hat``, ``u`` and the checked ``loads`` are kept.
     """
     alpha = kernel.alpha
+    state.params = params
     state.kernel = kernel
     state.rule = update_rule(params, alpha)
     if alpha < 1.0:
@@ -241,8 +246,7 @@ def iterate_loads(state: PackingState, k: int) -> np.ndarray:
     return state.loads
 
 
-def step(state: PackingState, instance: PackingInstance, params: PackingRegParams,
-         alpha: float) -> PackingState:
+def step(state: PackingState) -> PackingState:
     """Advance one iteration of the state's update rule, in place.
 
     The mirror branch evaluates a fresh iterate and leaves it, with its
@@ -251,8 +255,8 @@ def step(state: PackingState, instance: PackingInstance, params: PackingRegParam
     """
     kernel = state.kernel
     scale, update = state.rule
-    if alpha < 1.0:
-        state.x_hat = mirror_iterate(state.z, params.beta_prime)
+    if kernel.alpha < 1.0:
+        state.x_hat = mirror_iterate(state.z, state.params.beta_prime)
         state.u = kernel.allocation(state.x_hat)
         state.loads = None
         loads = iterate_loads(state, state.k + 1)
@@ -369,15 +373,14 @@ class PackingRunRecorder:
     bounds OPT, whatever stage's barrier weights it came from.
     ``should_stop`` says whether that bound proves the last row within
     ``stop_radius`` at ``epsilon``, the current stage's; a row whose bound
-    is not finite never proves it. ``run_packing`` sets ``kernel`` and
-    ``epsilon`` at each stage change.
+    is not finite never proves it. ``solve_packing`` sets ``kernel`` and
+    ``epsilon`` at each stage.
     """
 
     def __init__(self, kernel: GradientKernel, instance: PackingInstance,
                  params: PackingRegParams, config: SolverConfig):
         self.kernel = kernel
         self.instance = instance
-        self.params = params
         self.config = config
         self.alpha = config.alpha
         self.epsilon = config.epsilon
@@ -502,38 +505,40 @@ def finalize_packing(state: PackingState, instance: PackingInstance,
     )
 
 
-def run_packing(state: PackingState, instance: PackingInstance, params: PackingRegParams,
-                config: SolverConfig, scaling: ScalingRecord | None) -> PackingSolution:
-    """Step ``state``, built for ``params``, through the iteration budget
-    and map the final iterate back.
+def solve_packing(instance: PackingInstance, config: SolverConfig,
+                  scaling: ScalingRecord | None = None,
+                  kernel=GradientKernel) -> PackingSolution:
+    """Derive the run constants, start (see ``init_packing``), step through
+    the iteration budget and map the final iterate back.
 
+    ``kernel(matrix, alpha, beta, logC)`` builds each stage's gradient
+    kernel, once per stage: ``GradientKernel`` for the monolithic engine.
     The budget is the derived K unless ``config.max_iters`` overrides it.
     Under ``config.early_stop`` the run goes through ``epsilon_schedule``'s
-    stages, in every regime. Each traced row ends every stage whose
-    ``stop_radius`` the least dual bound so far proves, and the run stops
-    at the row that proves the target's. A new stage keeps the iterate and
-    its checked loads and rebuilds the rest for its epsilon (``enter_stage``,
-    with the kernel's ``rebuilt``), and re-checks the same certificate
-    against its own radius. The budget, the trace stride and the reported
-    constants are the target's, counted on one iteration counter.
-
-    The gradient is whatever ``state.kernel.evaluate`` computes.
+    stages, in every regime, starting at the first. Each traced row ends
+    every stage whose ``stop_radius`` the least dual bound so far proves,
+    and the run stops at the row that proves the target's. A new stage
+    keeps the iterate and its checked loads, binds its own constants
+    (``enter_stage``) and re-checks the same certificate against its own
+    radius. The budget, the trace stride and the reported constants are the
+    target's, counted on one iteration counter.
     """
     alpha = config.alpha
+    m, n, rho = instance.m, instance.n, instance.rho
     if scaling is None:
         scaling = ScalingRecord(c=1.0, alpha_used=alpha)
+    params = derive_packing_params(m, n, rho, alpha, config.epsilon)
+    schedule = epsilon_schedule(alpha, config.epsilon) if config.early_stop else [config.epsilon]
+
+    def stage_params(epsilon: float) -> PackingRegParams:
+        return params if epsilon == config.epsilon else derive_packing_params(
+            m, n, rho, alpha, epsilon)
+
+    state = init_packing(instance, config, stage_params(schedule[0]), kernel)
     planned, stride = plan_iterations(config, params)
     recorder = PackingRunRecorder(state.kernel, instance, params, config)
-    schedule = epsilon_schedule(alpha, config.epsilon) if config.early_stop else [config.epsilon]
+    recorder.epsilon = schedule[0]
     stages: list[Stage] = []   # the stages ended so far
-    current = params           # the stage's constants
-
-    def enter(epsilon: float) -> None:
-        nonlocal current
-        current = params if epsilon == config.epsilon else derive_packing_params(
-            instance.m, instance.n, instance.rho, alpha, epsilon)
-        enter_stage(state, current, state.kernel.rebuilt(current.beta, current.logC))
-        recorder.kernel, recorder.epsilon = state.kernel, epsilon
 
     def record(k: int) -> bool:
         loads = iterate_loads(state, k)
@@ -542,17 +547,17 @@ def run_packing(state: PackingState, instance: PackingInstance, params: PackingR
             stages.append(Stage(recorder.epsilon, k))
             if len(stages) == len(schedule):
                 return True
-            enter(schedule[len(stages)])
+            new = stage_params(schedule[len(stages)])
+            enter_stage(state, new, kernel(instance.matrix, alpha, new.beta, new.logC))
+            recorder.kernel, recorder.epsilon = state.kernel, new.epsilon
         return False
 
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        if schedule[0] != config.epsilon:
-            enter(schedule[0])
         stopped_early = record(0)
         k = 0
         while k < planned and not stopped_early:
             k += 1
-            step(state, instance, current, alpha)
+            step(state)
             if k % stride == 0 or k == planned:
                 stopped_early = record(k)
     if config.early_stop and not stopped_early:
@@ -560,11 +565,3 @@ def run_packing(state: PackingState, instance: PackingInstance, params: PackingR
 
     return finalize_packing(state, instance, params, config, scaling, stopped_early,
                             recorder.reported(), stages if config.early_stop else None)
-
-
-def solve_packing(instance: PackingInstance, config: SolverConfig,
-                  scaling: ScalingRecord | None = None) -> PackingSolution:
-    """Derive the run constants, start (see ``init_packing``) and run the budget."""
-    params = derive_packing_params(instance.m, instance.n, instance.rho, config.alpha,
-                                   config.epsilon)
-    return run_packing(init_packing(instance, config, params), instance, params, config, scaling)

@@ -150,7 +150,8 @@ def check_run(mode: str, fairness: float, epsilon: float) -> None:
 
     The fairness (alpha for packing, beta for covering) must be finite and,
     for packing, >= 0; epsilon must lie in (0, epsilon_upper_bound(alpha)]
-    for packing and in (0, 1/2] for covering.
+    for packing and in (0, 1/2] for covering. An alpha whose ceiling is 0
+    (``10|alpha - 1|`` overflows) is rejected as too large.
     """
     if not math.isfinite(fairness):
         name, error = ("alpha", InvalidAlpha) if mode == PACK else ("beta", InvalidBeta)
@@ -159,6 +160,9 @@ def check_run(mode: str, fairness: float, epsilon: float) -> None:
         if fairness < 0.0:
             raise InvalidAlpha(f"alpha must be >= 0, got {fairness}")
         hi = epsilon_upper_bound(fairness)
+        if not hi > 0.0:
+            raise InvalidAlpha(f"alpha={fairness:g} is too large: its epsilon ceiling "
+                               "1/(10|alpha-1|) is 0, so no epsilon is admissible")
         if not (0.0 < epsilon <= hi):
             raise EpsilonOutOfRange(
                 f"epsilon must lie in (0, {hi:g}] "

@@ -327,11 +327,6 @@ class GradientKernel:
         self._col_starts = matrix.col_ptr[:-1]
         self._row_starts = matrix.row_ptr[:-1]
 
-    def rebuilt(self, beta: float, logC: float) -> GradientKernel:
-        """A kernel of this one's kind on the same matrix and alpha, for
-        another stage's (beta, logC)."""
-        return GradientKernel(self.matrix, self.alpha, beta, logC)
-
     def loads_of(self, u: np.ndarray) -> np.ndarray:
         """Constraint loads ``Au``: the body of ``matrix.constraint_loads``, unchecked."""
         return segment_sums(self._row_starts, self.matrix.row_col, self.matrix.row_val, u)

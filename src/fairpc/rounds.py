@@ -7,14 +7,16 @@ column touches, and the update is elementwise; so only the gradient can
 break locality, through its matrix reads and its load messages.
 
 The columns are split into ``SHARD_COUNT`` contiguous blocks of the
-column-major arrays. ``_Lockstep`` is the run's gradient kernel: each
+column-major arrays. ``_Lockstep`` is a gradient kernel whose every
 evaluation is one round, which sends each shard only the loads of its
 incident rows and has it compute its block's truncated gradient through the
 monolithic kernel's own ``truncated_columns``, in the form the kernel chose
-for the run. ``packing.run_packing`` and ``covering.run_covering`` drive it
-with the same step, feasibility check, recorder and stop rule as the
-monolithic engine, and every update expression is elementwise, so the two
-engines are bit-identical whatever the partition.
+for the run. ``run_distributed`` passes its constructor to
+``packing.solve_packing`` or ``covering.solve_covering``, which build one
+per stage and drive it with the same start, step, feasibility check,
+recorder and stop rule as the monolithic engine; every update expression
+is elementwise, so the two engines are bit-identical whatever the
+partition.
 
 Locality is structural: a shard reads the matrix only through gather
 indices inside its own ``col_ptr`` range. That is checked when the shard is
@@ -32,15 +34,12 @@ import numpy as np
 from .errors import LocalityViolation, MissingLoad
 from .problem import COVER, PACK, CoveringInstance, PackingInstance, ScalingRecord, SolverConfig
 from .matrix import segment_index
-from .packing import init_packing, run_packing
-from .covering import init_covering, run_covering
+from .packing import solve_packing
+from .covering import solve_covering
 # not called here: perfbench's probes look these two names up in this module
 from .packing import finalize_packing  # noqa: F401
 from .covering import finalize_covering  # noqa: F401
-from .regularization import (
-    ColumnForm, GradientKernel, GradientPair, derive_covering_params, derive_packing_params,
-    truncated_columns,
-)
+from .regularization import ColumnForm, GradientKernel, GradientPair, truncated_columns
 
 # column blocks per run, capped at the number of columns
 SHARD_COUNT = 4
@@ -171,45 +170,44 @@ def run_distributed(instance, config: SolverConfig, mode: str | None = None,
                     scaling: ScalingRecord | None = None):
     """Execute the solve as lockstep rounds; returns (solution, audit).
 
-    The monolithic solver's own start and loop run with ``_Lockstep`` as
-    their kernel, so the solution is bit-identical to theirs. Every round
-    re-checks each shard's gather range and message rows, and the audit
-    reports how many entries of each column were read.
+    The monolithic solve runs with ``_Lockstep`` as its kernel constructor,
+    so the solution is bit-identical to its own. Every stage's kernel
+    shares the one audit, and every round re-checks each shard's gather
+    range and message rows; the audit reports how many entries of each
+    column the last stage's shards read.
     """
     if mode is None:
         mode = config.mode
     if mode == PACK:
         if not isinstance(instance, PackingInstance):
             raise TypeError("pack mode needs a PackingInstance")
-        params = derive_packing_params(instance.m, instance.n, instance.rho, config.alpha,
-                                       config.epsilon)
-        state, run = init_packing(instance, config, params), run_packing
+        solve = solve_packing
     elif mode == COVER:
         if not isinstance(instance, CoveringInstance):
             raise TypeError("cover mode needs a CoveringInstance")
-        params = derive_covering_params(instance.m, instance.n, instance.rho, config.beta,
-                                        config.epsilon)
-        state, run = init_covering(instance, config, params), run_covering
+        solve = solve_covering
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    state.kernel = _Lockstep(state.kernel)
-    solution = run(state, instance, params, config, scaling)
-    return solution, state.kernel.close()
+    audit = LocalityAudit()
+    built: list[_Lockstep] = []
+
+    def lockstep(*args) -> _Lockstep:
+        built.append(_Lockstep(*args, audit))
+        return built[-1]
+
+    solution = solve(instance, config, scaling, lockstep)
+    return solution, built[-1].close()
 
 
 class _Lockstep(GradientKernel):
-    """The run's kernel, whose every gradient evaluation is one lockstep
-    round of the shards; everything else is the kernel it was built from.
-    A new stage's kernel re-shards and keeps the one audit (see ``rebuilt``)."""
+    """A gradient kernel whose every evaluation is one lockstep round of
+    its shards, audited by ``audit``; everything else is the monolithic
+    kernel's."""
 
-    def __init__(self, kernel: GradientKernel, audit: LocalityAudit | None = None):
-        vars(self).update(vars(kernel))
-        self.shards = build_shards(kernel, SHARD_COUNT)
-        self.audit = LocalityAudit() if audit is None else audit
-
-    def rebuilt(self, beta: float, logC: float) -> _Lockstep:
-        """The shards of the monolithic kernel for (beta, logC), audited by this run's audit."""
-        return _Lockstep(GradientKernel.rebuilt(self, beta, logC), self.audit)
+    def __init__(self, matrix, alpha: float, beta: float, logC: float, audit: LocalityAudit):
+        super().__init__(matrix, alpha, beta, logC)
+        self.shards = build_shards(self, SHARD_COUNT)
+        self.audit = audit
 
     def evaluate(self, x_hat: np.ndarray, u: np.ndarray, loads: np.ndarray) -> GradientPair:
         """Message every shard its rows' ``loads``, audit, and join the blocks."""

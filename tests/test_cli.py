@@ -277,12 +277,15 @@ def test_json_roundtrip_lossless(id3_path, tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags",
     [["--mode", "pack", "--alpha", "nan"], ["--mode", "pack", "--alpha", "inf"],
-     ["--mode", "cover", "--beta", "nan"], ["--mode", "cover", "--beta", "inf"]],
+     ["--mode", "cover", "--beta", "nan"], ["--mode", "cover", "--beta", "inf"],
+     # finite, but 10|alpha - 1| is not: the epsilon ceiling is 0 whatever epsilon is
+     ["--mode", "pack", "--alpha", "1e308"]],
 )
 def test_non_finite_fairness_exits_2(id3_path, capsys, flags):
     code, out, err = run(flags + ["--epsilon", "0.1", "--input", str(id3_path)], capsys)
+    reason = "alpha=1e+308 is too large" if flags[-1] == "1e308" else "must be finite"
     assert code == 2
-    assert "must be finite" in err and "Traceback" not in err
+    assert reason in err and "Traceback" not in err
     assert out == ""
 
 
@@ -385,14 +388,16 @@ _stride = st.one_of(
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(mode=st.sampled_from(["pack", "cover"]), fairness=_fairness, epsilon=_epsilon,
        max_iters=_count, stride=st.one_of(st.none(), _stride),
-       engine=st.sampled_from(["monolithic", "rounds"]))
+       engine=st.sampled_from(["monolithic", "rounds"]), early_stop=st.booleans())
 def test_parameter_values_exit_contract(id3_path, mode, fairness, epsilon, max_iters, stride,
-                                        engine):
+                                        engine, early_stop):
     flag = "--alpha" if mode == "pack" else "--beta"
     argv = [f"--mode={mode}", f"{flag}={fairness}", f"--epsilon={epsilon}",
             f"--max-iters={max_iters}", f"--engine={engine}", "--input", str(id3_path)]
     if stride is not None:
         argv.append(f"--trace-stride={stride}")
+    if early_stop:
+        argv.append("--early-stop")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_cli(argv)

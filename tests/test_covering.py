@@ -45,7 +45,7 @@ def test_step_fixed_point_at_optimum():
     inst = identity_instance(1, mode=COVER)
     params = derive_covering_params(1, 1, 1.0, 1.0, 0.1)
     state = init_covering(inst, cover_config(1.0), params)
-    step_covering(state, inst, params)
+    step_covering(state)
     assert state.x[0] == 1.0
     assert state.z[0] == 0.0  # gradient -1 + (1)^1 = 0
     assert state.y_avg[0] == pytest.approx(1.0, rel=1e-15)
@@ -64,7 +64,7 @@ def test_y_avg_matches_definition():
     state = init_covering(inst, cover_config(1.0), params)
     per_step = []
     for _ in range(25):
-        step_covering(state, inst, params)
+        step_covering(state)
         loads = state.kernel.loads_of(state.x)
         per_step.append(loads ** (1.0 / params.beta))
     np.testing.assert_allclose(state.y_avg, np.mean(per_step, axis=0), rtol=1e-9)

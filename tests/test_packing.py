@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairpc import (
+    COVER,
+    PACK,
     SolverConfig,
     certify,
     derive_packing_params,
@@ -16,17 +18,19 @@ from fairpc import (
     run_distributed,
     single_constraint_packing_optimum,
     small_dense_packing_optimum,
+    solve_covering,
     solve_packing,
     standardize,
     step,
 )
+from fairpc import rounds
 from fairpc.errors import NegativeCoordinate
 from fairpc.packing import (
     PackingRunRecorder, TraceBuffer, enter_stage, epsilon_schedule, iterate_loads,
 )
 from fairpc.problem import epsilon_upper_bound
 from fairpc.regularization import GradientKernel
-from fairpc.rounds import _Lockstep
+from fairpc.rounds import LocalityAudit, _Lockstep
 
 from conftest import identity_instance, random_sparse_entries, single_row_instance
 
@@ -74,7 +78,7 @@ def test_mirror_consistency_first_iterate():
         params = derive_packing_params(2, 2, 1.0, alpha, 0.1)
         state = init_packing(inst, config, params)
         x0 = state.x_hat.copy()
-        step(state, inst, params, alpha)
+        step(state)
         np.testing.assert_allclose(state.x_hat, x0, rtol=1e-12)
 
 
@@ -86,7 +90,7 @@ def test_step_alpha1_hand_value():
     params = derive_packing_params(1, 1, 1.0, 1.0, 0.1)
     assert params.beta == pytest.approx(3.38856288352271e-3, rel=1e-12)
     state = init_packing(inst, config, params)
-    step(state, inst, params, 1.0)
+    step(state)
     # gradient is -1 + O(1e-8), so the iterate moves up by beta/(4(1+beta))
     assert state.x_hat[0] == pytest.approx(-0.10451623583222594, rel=1e-9)
 
@@ -97,7 +101,7 @@ def test_step_alpha2_hand_value():
     params = derive_packing_params(1, 1, 1.0, 2.0, 0.05)
     state = init_packing(inst, config, params)
     x0 = state.x_hat[0]
-    step(state, inst, params, 2.0)
+    step(state)
     factor = state.x_hat[0] / x0
     assert factor == pytest.approx(1.0 - 2.3726224597919732e-4, rel=1e-9)
     assert state.u[0] > 0.95  # allocation rises toward 1
@@ -117,7 +121,7 @@ def test_step_zero_gradient_fixed_point():
     state.x_hat = np.array([target ** (1.0 - 2.0)])
     state.u = np.array([target])
     k0 = state.k
-    step(state, inst, params, 2.0)
+    step(state)
     assert state.k == k0 + 1
     assert state.x_hat[0] == pytest.approx(target ** -1.0, rel=1e-9)
 
@@ -276,7 +280,7 @@ def test_dual_bound_never_below_the_oracle(seed, alpha, scaled):
                 cert = certify(state.kernel, state.x_hat, iterate_loads(state, k))
                 if math.isfinite(cert.bound):
                     assert cert.bound >= opt - tol, (k, cert.bound, opt)
-            step(state, inst, params, alpha)
+            step(state)
 
 
 # ---- the early-stop epsilon schedule ----
@@ -298,17 +302,17 @@ def test_stage_change_keeps_the_iterate(alpha, rounds):
     config = SolverConfig(fairness=alpha, epsilon=target, early_stop=True)
     params = derive_packing_params(2, 3, 3.0, alpha, first)
     new = derive_packing_params(2, 3, 3.0, alpha, target)
-    state = init_packing(inst, config, params)
-    if rounds:
-        state.kernel = _Lockstep(state.kernel)
+    audit = LocalityAudit()
+    make = (lambda *a: _Lockstep(*a, audit)) if rounds else GradientKernel
+    state = init_packing(inst, config, params, make)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         for _ in range(50):
-            step(state, inst, params, alpha)
+            step(state)
         loads = iterate_loads(state, state.k)
         x_hat, u = state.x_hat, state.u
         before = (x_hat.tobytes(), u.tobytes(), loads.tobytes())
         old_kernel, old_rule = state.kernel, state.rule
-        enter_stage(state, new, state.kernel.rebuilt(new.beta, new.logC))
+        enter_stage(state, new, make(inst.matrix, alpha, new.beta, new.logC))
     assert state.x_hat is x_hat and state.u is u and state.loads is loads
     assert (x_hat.tobytes(), u.tobytes(), loads.tobytes()) == before
     kernel = state.kernel
@@ -351,6 +355,42 @@ def test_epsilon_schedule_certifies_in_both_engines(seed, alpha):
         assert opt - mono.utility <= bound + tol
     if mono.gap_estimate is not None:
         assert mono.gap_estimate >= opt - mono.utility - tol
+
+
+@pytest.mark.parametrize("engine", ["monolithic", "rounds"])
+@pytest.mark.parametrize("mode,fairness,eps,early_stop", [
+    (PACK, 0.5, 0.1, True), (PACK, 1.0, 0.1, True), (PACK, 2.0, 0.05, True),
+    (PACK, 2.0, 0.05, False), (COVER, 1.0, 0.1, False),
+])
+def test_one_kernel_per_stage(monkeypatch, engine, mode, fairness, eps, early_stop):
+    # each stage entered builds one kernel, and under rounds one shard set;
+    # none is built for the target only to be replaced by the first stage's
+    built = {"kernels": 0, "shards": 0}
+    init, shard = GradientKernel.__init__, rounds.build_shards
+
+    def counted_init(self, *args):
+        built["kernels"] += 1
+        init(self, *args)
+
+    def counted_shards(*args):
+        built["shards"] += 1
+        return shard(*args)
+
+    monkeypatch.setattr(GradientKernel, "__init__", counted_init)
+    monkeypatch.setattr(rounds, "build_shards", counted_shards)
+    inst, _ = instance_from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]), mode=mode)
+    config = SolverConfig(fairness=fairness, epsilon=eps, mode=mode, early_stop=early_stop,
+                          max_iters=20_000 if early_stop else 50)
+    if engine == "rounds":
+        sol, _ = run_distributed(inst, config)
+    else:
+        sol = (solve_packing if mode == PACK else solve_covering)(inst, config)
+    stages = 1
+    if mode == PACK and early_stop:
+        stages = len(sol.stages)
+        assert stages >= 2
+    assert built["kernels"] == stages
+    assert built["shards"] == (stages if engine == "rounds" else 0)
 
 
 # ---- solve-level behavior ----

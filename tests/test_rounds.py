@@ -49,7 +49,7 @@ def test_local_update_reproduces_monolithic_step():
     whole = kernel.evaluate(state.x_hat, state.u, loads)
     assert block.truncated.tobytes() == whole.truncated.tobytes()
 
-    step(state, inst, params, 1.0)
+    step(state)
     assert state.k == 1
     assert state.x_hat[0] == pytest.approx(-0.10451623583222594, rel=1e-9)
 
@@ -181,7 +181,9 @@ def test_fallback_evaluate_bit_identical_over_partitions(monkeypatch, count):
     q = -(params.logC + alpha * np.log(u).mean()) - 4.0 + rng.uniform(-2.0, 2.0, inst.m)
     x_hat, loads = transform_inverse(u, alpha), np.exp(params.beta * q)
     whole = kernel.evaluate(x_hat, u, loads).truncated
-    sharded = rounds._Lockstep(kernel).evaluate(x_hat, u, loads).truncated
+    lockstep = rounds._Lockstep(inst.matrix, alpha, params.beta, params.logC,
+                                rounds.LocalityAudit())
+    sharded = lockstep.evaluate(x_hat, u, loads).truncated
     assert kernel.form.product is False
     assert np.unique(whole[whole < 1.0]).size > 3
     assert sharded.tobytes() == whole.tobytes()
