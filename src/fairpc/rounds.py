@@ -189,14 +189,15 @@ def run_distributed(instance, config: SolverConfig, mode: str | None = None,
     else:
         raise ValueError(f"unknown mode {mode!r}")
     audit = LocalityAudit()
-    built: list[_Lockstep] = []
+    last = None   # the latest stage's kernel; earlier ones are dropped as in the monolithic run
 
     def lockstep(*args) -> _Lockstep:
-        built.append(_Lockstep(*args, audit))
-        return built[-1]
+        nonlocal last
+        last = _Lockstep(*args, audit)
+        return last
 
     solution = solve(instance, config, scaling, lockstep)
-    return solution, built[-1].close()
+    return solution, last.close()
 
 
 class _Lockstep(GradientKernel):
