@@ -1,8 +1,9 @@
 """Command-line front end: MatrixMarket in, JSON result and CSV trace out.
 
 Exit codes: 0 on success, 2 on input or validation problems, 3 when a
-solver-internal assertion trips (feasibility, locality, or certificate
-failures, which indicate bugs rather than bad input).
+solver-internal assertion trips (any ``SolverAssertion``: feasibility,
+truncation domain, certificate, locality or missing-load failures, which
+indicate bugs rather than bad input).
 
 Floats are printed with 17 significant digits in a fixed field order so
 identical runs produce byte-identical JSON.
@@ -17,12 +18,7 @@ import time
 
 import numpy as np
 
-from .errors import (
-    CertificateShortfall,
-    FairpcError,
-    FeasibilityViolation,
-    LocalityViolation,
-)
+from .errors import FairpcError, SolverAssertion
 from .covering import CoveringSolution, solve_covering
 from .matrix import read_matrix_market
 from .packing import PackingSolution, TraceRow, solve_packing
@@ -228,7 +224,7 @@ def run_cli(argv) -> int:
         else:
             solution = solve_covering(instance, config, scaling=record)
         wall = time.perf_counter() - start
-    except (FeasibilityViolation, LocalityViolation, CertificateShortfall) as exc:
+    except SolverAssertion as exc:
         print(f"solver assertion failed: {exc}", file=sys.stderr)
         return 3
     except FairpcError as exc:

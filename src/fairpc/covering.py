@@ -9,7 +9,10 @@ to make them strictly feasible. Each iterate's loads are computed once and
 carried with the state for the trace row and the finalization; the barrier
 weights are the ones the gradient kernel forms. ``solve_covering`` is the
 one solve of both engines, which differ only in the kernel constructor it
-is given (see ``rounds``).
+is given (see ``rounds``). Its loop and its trace rows are packing's
+(``packing.run_budget`` and ``PackingRunRecorder``, at the kernel's
+fairness 0); the rows carry no certificate, and the run always spends its
+whole budget.
 """
 
 from __future__ import annotations
@@ -22,10 +25,12 @@ from .errors import CertificateShortfall, InvalidBeta, NegativeCoordinate
 from .matrix import column_loads
 from .problem import CoveringInstance, ScalingRecord, SolverConfig, g_beta_value
 from .packing import (
+    PackingRunRecorder,
     TraceBuffer,
     TraceRow,
     mirror_iterate,
     plan_iterations,
+    run_budget,
     update_rule,
 )
 from .regularization import CoveringRegParams, GradientKernel, derive_covering_params
@@ -126,19 +131,6 @@ def covering_residual(instance: CoveringInstance, y) -> CoveringResidualReport:
     return CoveringResidualReport(min_load=float(loads.min()), violated_cols=violated)
 
 
-def covering_trace_row(kernel: GradientKernel, x: np.ndarray, k: int,
-                       loads: np.ndarray) -> TraceRow:
-    """Trace row for the dual engine; the utility column is its linear term.
-    ``loads`` are those of ``x``."""
-    return TraceRow(
-        k=k,
-        utility=float(np.add.reduce(x)),
-        max_load=float(loads.max()),
-        f_r=kernel.f_r(x, loads=loads),
-        gap=None,
-    )
-
-
 def finalize_covering(state: CoveringState, instance: CoveringInstance,
                       params: CoveringRegParams, config: SolverConfig,
                       scaling: ScalingRecord) -> CoveringSolution:
@@ -203,12 +195,11 @@ def solve_covering(instance: CoveringInstance, config: SolverConfig,
         scaling = ScalingRecord(c=1.0, alpha_used=-params.beta)
     state = init_covering(instance, config, params, kernel)
     planned, stride = plan_iterations(config, params)
+    recorder = PackingRunRecorder(state.kernel, instance, config)
 
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        state.trace.append(covering_trace_row(state.kernel, state.x, 0, state.loads))
-        for k in range(1, planned + 1):
-            step_covering(state)
-            if k % stride == 0 or k == planned:
-                state.trace.append(covering_trace_row(state.kernel, state.x, k, state.loads))
+    def record(k: int) -> bool:
+        recorder.record(state.x, state.x, k, state.trace, state.loads)
+        return False
 
+    run_budget(state, step_covering, record, planned, stride)
     return finalize_covering(state, instance, params, config, scaling)

@@ -97,8 +97,8 @@ class LocalityViolation(SolverAssertion):
     pass
 
 
-class MissingLoad(FairpcError):
-    pass
+class MissingLoad(SolverAssertion):
+    """A round message lacks a load its shard needs: an engine bug."""
 
 
 class UnsupportedStructure(FairpcError):

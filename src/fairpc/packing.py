@@ -15,12 +15,16 @@ shards). ``enter_stage`` binds a stage's constants to a state: its
 parameters, its kernel and the update rule ``update_rule`` picks, once at
 the start and at each step of an early-stop run's epsilon schedule (see
 ``epsilon_schedule``).
+
+``run_budget`` is the one solve loop, and ``PackingRunRecorder`` the one
+trace recorder, of both modes: ``covering.solve_covering`` drives its dual
+engine, the fairness-0 mirror rule, through them too, with trace rows that
+carry no certificate.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -45,10 +49,6 @@ TRACE_CAPACITY = 4096
 # the largest default trace stride under early stop: the certificate is checked
 # only at traced rows, and a run whose certificate holds steps on to the next one
 EARLY_STOP_STRIDE = 1000
-
-
-class ComplementarySlacknessWarning(UserWarning):
-    """Dual multiplier mass drifted off the tight constraints past burn-in."""
 
 
 @dataclass(frozen=True)
@@ -364,31 +364,29 @@ def stop_radius(alpha: float, epsilon: float, n: int, bound: float,
 
 
 class PackingRunRecorder:
-    """Per-run bookkeeping shared by the monolithic and round engines:
-    trace rows, the feasibility audit, certificates, the early-stop
-    policy, and the post-burn-in slackness diagnostic (warn only).
+    """Per-run bookkeeping shared by both modes and both engines: trace
+    rows, the feasibility audit, certificates and the early-stop policy.
 
-    A traced row is certified above fairness 1, and in every regime under
-    early stop; the least finite dual bound seen is kept, since each one
-    bounds OPT, whatever stage's barrier weights it came from.
-    ``should_stop`` says whether that bound proves the last row within
-    ``stop_radius`` at ``epsilon``, the current stage's; a row whose bound
-    is not finite never proves it. ``solve_packing`` sets ``kernel`` and
-    ``epsilon`` at each stage.
+    The fairness is the kernel's: packing's alpha, or 0 for covering's dual
+    engine, whose rows are never certified. A traced packing row is
+    certified above fairness 1, and in every regime under early stop; the
+    least finite dual bound seen is kept, since each one bounds OPT,
+    whatever stage's barrier weights it came from. ``should_stop`` says
+    whether that bound proves the last row within ``stop_radius`` at
+    ``epsilon``, the current stage's; a row whose bound is not finite never
+    proves it. ``solve_packing`` sets ``kernel`` and ``epsilon`` at each
+    stage.
     """
 
-    def __init__(self, kernel: GradientKernel, instance: PackingInstance,
-                 params: PackingRegParams, config: SolverConfig):
+    def __init__(self, kernel: GradientKernel, instance: PackingInstance, config: SolverConfig):
         self.kernel = kernel
         self.instance = instance
         self.config = config
-        self.alpha = config.alpha
+        self.alpha = kernel.alpha
         self.epsilon = config.epsilon
-        self.burn_in = math.ceil(10.0 / params.beta)
-        self.certifies = config.early_stop or self.alpha > 1.0
+        self.certifies = config.mode == PACK and (config.early_stop or self.alpha > 1.0)
         self.last: Certificate | None = None   # the latest row's
         self.best: Certificate | None = None   # the least finite bound's
-        self._warned = False
 
     def record(self, x_hat: np.ndarray, u: np.ndarray, k: int, trace: TraceBuffer,
                loads: np.ndarray) -> TraceRow:
@@ -404,18 +402,6 @@ class PackingRunRecorder:
                 gap = cert.gap
                 if self.best is None or cert.bound < self.best.bound:
                     self.best = cert
-        if self.alpha > 1.0 and k > self.burn_in and not self._warned:
-            y = self.last.dual
-            lhs = float(np.add.reduce(y))
-            rhs = (1.0 + self.epsilon) * float(y @ loads)
-            if lhs > rhs * (1.0 + 1e-12):
-                warnings.warn(
-                    f"dual mass {lhs:g} exceeds (1+eps) times its constraint "
-                    f"coverage {rhs:g} at iteration {k} (past burn-in {self.burn_in})",
-                    ComplementarySlacknessWarning,
-                    stacklevel=3,
-                )
-                self._warned = True
         row = TraceRow(k=k, utility=utility, max_load=float(loads.max()), f_r=f_r, gap=gap)
         trace.append(row)
         return row
@@ -433,6 +419,23 @@ class PackingRunRecorder:
         bound, value = self.best.bound, self.last.value
         radius, _ = stop_radius(self.alpha, self.epsilon, self.instance.n, bound, value)
         return bound - value <= radius
+
+
+def run_budget(state, advance, record, planned: int, stride: int) -> bool:
+    """The one solve loop of both modes: record iteration 0, then advance
+    ``state`` (whose ``k`` counts the steps taken) up to ``planned`` times,
+    recording every ``stride``-th iteration and the last. Returns True at
+    the first ``record(k)`` that does, which ends the run early.
+    """
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        if record(0):
+            return True
+        while state.k < planned:
+            advance(state)
+            k = state.k
+            if (k % stride == 0 or k == planned) and record(k):
+                return True
+    return False
 
 
 def plan_iterations(config: SolverConfig, params) -> tuple[int, int]:
@@ -536,7 +539,7 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
 
     state = init_packing(instance, config, stage_params(schedule[0]), kernel)
     planned, stride = plan_iterations(config, params)
-    recorder = PackingRunRecorder(state.kernel, instance, params, config)
+    recorder = PackingRunRecorder(state.kernel, instance, config)
     recorder.epsilon = schedule[0]
     stages: list[Stage] = []   # the stages ended so far
 
@@ -552,16 +555,9 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
             recorder.kernel, recorder.epsilon = state.kernel, new.epsilon
         return False
 
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        stopped_early = record(0)
-        k = 0
-        while k < planned and not stopped_early:
-            k += 1
-            step(state)
-            if k % stride == 0 or k == planned:
-                stopped_early = record(k)
+    stopped_early = run_budget(state, step, record, planned, stride)
     if config.early_stop and not stopped_early:
-        stages.append(Stage(recorder.epsilon, k))
+        stages.append(Stage(recorder.epsilon, state.k))
 
     return finalize_packing(state, instance, params, config, scaling, stopped_early,
                             recorder.reported(), stages if config.early_stop else None)

@@ -59,7 +59,9 @@ def _check_standardized(matrix: SparseNonnegMatrix, rho: float) -> None:
 
 
 @dataclass(frozen=True)
-class PackingInstance:
+class _StandardInstance:
+    """A matrix in standard scaled form and its width."""
+
     matrix: SparseNonnegMatrix
     rho: float
 
@@ -75,23 +77,12 @@ class PackingInstance:
         return self.matrix.n
 
 
-@dataclass(frozen=True)
-class CoveringInstance:
+class PackingInstance(_StandardInstance):
+    """Standardized packing data; the constraints are the rows of A."""
+
+
+class CoveringInstance(_StandardInstance):
     """Standardized covering data; the constraints are the columns of A."""
-
-    matrix: SparseNonnegMatrix
-    rho: float
-
-    def __post_init__(self):
-        _check_standardized(self.matrix, self.rho)
-
-    @property
-    def m(self) -> int:
-        return self.matrix.m
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
 
 
 def standardize(entries, m: int, n: int, mode: str = PACK, fairness: float = 0.0):

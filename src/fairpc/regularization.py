@@ -28,6 +28,8 @@ is what makes the two engines bit-identical.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -51,6 +53,19 @@ def is_positive_overflow(value: float) -> bool:
 
 class SubThresholdBetaWarning(UserWarning):
     """Fairness beta below the floor assumed by the covering guarantee."""
+
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _outside_stacklevel() -> int:
+    """The ``stacklevel`` at which a warning issued by this function's
+    caller names the first frame outside the package: the user's call, by
+    whichever solve it went through."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -149,7 +164,7 @@ def derive_covering_params(m: int, n: int, rho: float, beta: float, epsilon: flo
             f"fairness beta={beta:g} is below the guarantee floor {floor:g}; "
             "the cost bound is not guaranteed in this regime",
             SubThresholdBetaWarning,
-            stacklevel=2,
+            stacklevel=_outside_stacklevel(),
         )
     beta_prime = finite(
         "beta_prime", (epsilon / 4.0) / ((1.0 + beta) * math.log(m * n * rho / epsilon))

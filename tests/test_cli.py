@@ -163,6 +163,29 @@ def test_internal_assertion_exits_3(id3_path, capsys, monkeypatch):
     assert "assertion" in err
 
 
+@pytest.mark.parametrize("error", [
+    "TruncationDomainViolation", "FeasibilityViolation", "CertificateShortfall",
+    "LocalityViolation", "MissingLoad",
+])
+def test_every_solver_assertion_exits_3(id3_path, capsys, monkeypatch, error):
+    # the solve looks up ``step`` when it runs, so the patched one raises at the first step
+    import fairpc.errors as errors
+    import fairpc.packing as packing
+
+    def raise_it(state):
+        raise getattr(errors, error)("synthetic")
+
+    monkeypatch.setattr(packing, "step", raise_it)
+    code, out, err = run(
+        ["--mode", "pack", "--alpha", "1", "--epsilon", "0.1", "--input", str(id3_path),
+         "--max-iters", "10"],
+        capsys,
+    )
+    assert code == 3
+    assert err == "solver assertion failed: synthetic\n"
+    assert out == ""
+
+
 def test_golden_byte_stability(id3_path, tmp_path, capsys):
     args = ["--mode", "pack", "--alpha", "1", "--epsilon", "0.1",
             "--input", str(id3_path), "--max-iters", "500"]

@@ -14,6 +14,8 @@ from fairpc import (
 )
 from fairpc.covering import running_average
 from fairpc.errors import NegativeCoordinate
+from fairpc.regularization import SubThresholdBetaWarning
+from fairpc.rounds import run_distributed
 
 from conftest import identity_instance, single_column_instance
 
@@ -144,3 +146,39 @@ def test_solve_deterministic():
     a = solve_covering(inst, cover_config(1.0))
     b = solve_covering(inst, cover_config(1.0))
     assert a.y.tobytes() == b.y.tobytes()
+
+
+@pytest.mark.parametrize("engine", ["monolithic", "rounds"])
+def test_trace_rows_and_early_stop_contract(engine):
+    # covering rows carry no certificate, and --early-stop changes nothing in covering
+    inst = identity_instance(2, mode=COVER)
+
+    def solve(**kw):
+        config = cover_config(1.0, max_iters=100, trace_stride=10, **kw)
+        if engine == "rounds":
+            return run_distributed(inst, config)[0]
+        return solve_covering(inst, config)
+
+    sol = solve()
+    assert [row.k for row in sol.trace] == list(range(0, 101, 10))
+    assert all(row.gap is None for row in sol.trace)
+    # the utility column is the dual iterate's linear term, bit for bit
+    assert sol.trace[-1].utility == float(np.add.reduce(sol.dual_certificate))
+    early = solve(early_stop=True)
+    np.testing.assert_array_equal(early.y, sol.y)
+    assert early.trace == sol.trace
+    assert early.iterations_run == sol.iterations_run == 100
+
+
+@pytest.mark.parametrize("call", ["derive_covering_params", "solve_covering", "run_distributed"])
+def test_sub_threshold_beta_warning_names_the_callers_file(call):
+    inst = identity_instance(2, mode=COVER)
+    config = cover_config(1e-4, max_iters=5)
+    with pytest.warns(SubThresholdBetaWarning) as rec:
+        if call == "derive_covering_params":
+            derive_covering_params(inst.m, inst.n, inst.rho, config.beta, config.epsilon)
+        elif call == "solve_covering":
+            solve_covering(inst, config)
+        else:
+            run_distributed(inst, config)
+    assert rec[0].filename == __file__

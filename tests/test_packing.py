@@ -242,7 +242,7 @@ def test_zero_dual_mass_never_stops(alpha):
     config = SolverConfig(fairness=alpha, epsilon=eps, early_stop=True)
     params = derive_packing_params(2, 2, 1.0, alpha, eps)
     state = init_packing(inst, config, params)
-    recorder = PackingRunRecorder(state.kernel, inst, params, config)
+    recorder = PackingRunRecorder(state.kernel, inst, config)
     u = np.array([1e-3, 0.9])
     x_hat = np.log(u) if alpha == 1.0 else u ** (1.0 - alpha)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
