@@ -92,9 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, help="override the derived iteration budget")
     p.add_argument("--early-stop", action="store_true",
                    help="packing: start from the scaled feasible point, run epsilon stages "
-                        "from the largest admissible down to --epsilon within one budget, "
-                        "and stop once the dual bound proves the regime's guarantee at "
-                        "--epsilon (any alpha)")
+                        "from the largest admissible down to --epsilon within one budget at "
+                        "8 times the paper's step, halved whenever the certified gap stalls "
+                        "or a step would overload a row, and stop once the dual bound, "
+                        "checked every 50 iterations and at traced rows, proves the "
+                        "regime's guarantee at --epsilon (any alpha)")
     p.add_argument("--trace-stride", type=int, help="record every N-th iteration")
     return p
 
@@ -107,7 +109,8 @@ def _packing_result(args, instance, record, solution: PackingSolution, wall: flo
         "basis": solution.eps_f_basis,
     }
     if solution.stages is not None:
-        guarantee["stages"] = [{"epsilon": s.epsilon, "until": s.until} for s in solution.stages]
+        guarantee["stages"] = [{"epsilon": s.epsilon, "until": s.until, "multiplier": s.multiplier}
+                               for s in solution.stages]
     return {
         "mode": PACK,
         "engine": args.engine,

@@ -20,6 +20,17 @@ the start and at each step of an early-stop run's epsilon schedule (see
 trace recorder, of both modes: ``covering.solve_covering`` drives its dual
 engine, the fairness-0 mirror rule, through them too, with trace rows that
 carry no certificate.
+
+Under early stop the certificate, not the step analysis, proves the stop,
+so the step only has to keep iterates feasible: its scale is the paper's
+times a multiplier ``mu`` that starts at ``MULTIPLIER_START`` and carries
+across stages. The run is certified at every traced row and every
+``CHECK_EVERY``-th iteration, and each check halves ``mu`` (never below 1,
+the paper's step) when the least certified gap has not shrunk since the
+stage's previous check (``back_off``). A step taken at ``mu`` above 1 whose
+iterate overloads a row is redone from the kept iterate with the same
+gradient at half the multiplier (``iterate_loads``). Without early stop
+``mu`` is 1 and the run is the paper's.
 """
 
 from __future__ import annotations
@@ -46,9 +57,10 @@ from .regularization import (
 
 TRACE_CAPACITY = 4096
 
-# the largest default trace stride under early stop: the certificate is checked
-# only at traced rows, and a run whose certificate holds steps on to the next one
-EARLY_STOP_STRIDE = 1000
+# under early stop: the step multiplier's start, and the iterations between
+# certificate checks of the untraced iterates
+MULTIPLIER_START = 8.0
+CHECK_EVERY = 50
 
 
 @dataclass(frozen=True)
@@ -87,14 +99,19 @@ class PackingState:
     z: np.ndarray | None = None   # the mirror state; fairness below 1 only
     trace: TraceBuffer = field(default_factory=TraceBuffer)
     loads: np.ndarray | None = None   # loads of ``u``, once computed (see iterate_loads)
+    mu: float = 1.0   # the step multiplier; above 1 under early stop only
+    retry: tuple | None = None   # (base, truncated, mu) of a step taken at mu > 1, until
+                                 # ``iterate_loads`` accepts its iterate
 
 
 class Stage(NamedTuple):
-    """One stage of an early-stop run: its epsilon, and the iteration at
-    which the certificate proved its radius or the budget ran out."""
+    """One stage of an early-stop run: its epsilon, the iteration at which
+    the certificate proved its radius or the budget ran out, and the step
+    multiplier it ended with."""
 
     epsilon: float
     until: int
+    multiplier: float
 
 
 @dataclass(eq=False)
@@ -184,9 +201,10 @@ def init_packing(instance: PackingInstance, config: SolverConfig,
     That is the paper's (1 - eps)/(n rho), which its budget ``K`` assumes.
     Under ``config.early_stop``, where the certificate and not ``K`` ends
     the run, it is the scaled (1 - eps)/max_i (A 1)_i instead: still
-    feasible, with the fullest row (1 - eps)-tight. Either way eps is
-    ``params.epsilon``, the first stage's. An alpha whose transformed start
-    ``u0**(1 - alpha)`` overflows is rejected.
+    feasible, with the fullest row (1 - eps)-tight, and the step multiplier
+    starts at ``MULTIPLIER_START``. Either way eps is ``params.epsilon``,
+    the first stage's. An alpha whose transformed start ``u0**(1 - alpha)``
+    overflows is rejected.
     """
     alpha = config.alpha
     if params is None:
@@ -205,7 +223,8 @@ def init_packing(instance: PackingInstance, config: SolverConfig,
             f"alpha={alpha:g} is too large for n={n}, rho={rho:g}: the start point's "
             f"transform {u0[0]:g}**(1 - alpha) overflows"
         )
-    state = PackingState(x_hat=x_hat, u=kernel.allocation(x_hat))
+    state = PackingState(x_hat=x_hat, u=kernel.allocation(x_hat),
+                         mu=MULTIPLIER_START if config.early_stop else 1.0)
     enter_stage(state, params, kernel)
     return state
 
@@ -217,18 +236,21 @@ def enter_stage(state: PackingState, params: PackingRegParams, kernel: GradientK
     which makes the next mirror recomputation reproduce the iterate.
 
     The transformed iterate, ``u**(1 - alpha)`` or ``ln u``, does not depend
-    on epsilon, so ``x_hat``, ``u`` and the checked ``loads`` are kept.
+    on epsilon, so ``x_hat``, ``u`` and the checked ``loads`` are kept, and
+    so is the multiplier; a pending retry is dropped with the mirror state
+    it would redo.
     """
     alpha = kernel.alpha
     state.params = params
     state.kernel = kernel
     state.rule = update_rule(params, alpha)
+    state.retry = None
     if alpha < 1.0:
         state.z = np.power(state.x_hat, -params.beta_prime) - 1.0
 
 
-def require_feasible(loads: np.ndarray, k: int) -> None:
-    top = float(np.maximum.reduce(loads))
+def require_feasible(top: float, k: int) -> None:
+    """Raise unless ``top``, the largest load of iteration ``k``'s iterate, is at most 1."""
     if top > 1.0:
         raise FeasibilityViolation(
             f"constraint load {top} exceeded 1 at iteration {k}; "
@@ -239,19 +261,53 @@ def require_feasible(loads: np.ndarray, k: int) -> None:
 def iterate_loads(state: PackingState, k: int) -> np.ndarray:
     """The loads of the state's allocation: computed (and checked for
     feasibility, labelled iteration ``k``) the first time they are needed,
-    then read from the state until the iterate moves."""
+    then read from the state until the iterate moves.
+
+    An iterate a step took at a multiplier above 1 whose loads exceed 1 (or
+    are not numbers) is never accepted: it is redone at half the multiplier
+    (see ``redo``) until it fits or the multiplier is 1, where the check
+    raises.
+    """
     if state.loads is None:
-        state.loads = state.kernel.loads_of(state.u)
-        require_feasible(state.loads, k)
+        loads = state.kernel.loads_of(state.u)
+        top = float(np.maximum.reduce(loads))
+        while not top <= 1.0 and state.retry is not None:
+            redo(state)
+            loads = state.kernel.loads_of(state.u)
+            top = float(np.maximum.reduce(loads))
+        require_feasible(top, k)
+        state.loads = loads
+        state.retry = None
     return state.loads
 
 
+def redo(state: PackingState) -> None:
+    """Retake the pending step from its kept base, the previous iterate (or
+    mirror state), with the same truncated gradient at half the multiplier,
+    which becomes the state's; no gradient is evaluated."""
+    base, truncated, mu = state.retry
+    mu /= 2.0
+    scale, update = state.rule
+    moved = update(base, truncated, scale * mu)
+    if state.kernel.alpha < 1.0:
+        state.z = moved
+        state.x_hat = mirror_iterate(moved, state.params.beta_prime)
+    else:
+        state.x_hat = moved
+    state.u = state.kernel.allocation(state.x_hat)
+    state.mu = mu
+    state.retry = (base, truncated, mu) if mu > 1.0 else None
+
+
 def step(state: PackingState) -> PackingState:
-    """Advance one iteration of the state's update rule, in place.
+    """Advance one iteration of the state's update rule, in place, at the
+    rule's step scale times the state's multiplier ``mu``.
 
     The mirror branch evaluates a fresh iterate and leaves it, with its
     loads, in the state; the other branches evaluate the state's iterate
-    and replace it, leaving its loads to be computed when next needed.
+    and replace it, leaving its loads to be computed when next needed. Above
+    a multiplier of 1 the step keeps its base and gradient in ``retry``
+    until ``iterate_loads`` accepts the iterate it leads to.
     """
     kernel = state.kernel
     scale, update = state.rule
@@ -260,13 +316,17 @@ def step(state: PackingState) -> PackingState:
         state.u = kernel.allocation(state.x_hat)
         state.loads = None
         loads = iterate_loads(state, state.k + 1)
-        state.z = update(state.z, kernel.evaluate(state.x_hat, state.u, loads).truncated, scale)
+        truncated = kernel.evaluate(state.x_hat, state.u, loads).truncated
+        base, mu = state.z, state.mu
+        state.z = update(base, truncated, scale * mu)
     else:
         loads = iterate_loads(state, state.k)
-        state.x_hat = update(state.x_hat, kernel.evaluate(state.x_hat, state.u, loads).truncated,
-                             scale)
+        truncated = kernel.evaluate(state.x_hat, state.u, loads).truncated
+        base, mu = state.x_hat, state.mu
+        state.x_hat = update(base, truncated, scale * mu)
         state.u = kernel.allocation(state.x_hat)
         state.loads = None
+    state.retry = (base, truncated, mu) if mu > 1.0 else None
     state.k += 1
     return state
 
@@ -369,13 +429,13 @@ class PackingRunRecorder:
 
     The fairness is the kernel's: packing's alpha, or 0 for covering's dual
     engine, whose rows are never certified. A traced packing row is
-    certified above fairness 1, and in every regime under early stop; the
-    least finite dual bound seen is kept, since each one bounds OPT,
-    whatever stage's barrier weights it came from. ``should_stop`` says
-    whether that bound proves the last row within ``stop_radius`` at
-    ``epsilon``, the current stage's; a row whose bound is not finite never
-    proves it. ``solve_packing`` sets ``kernel`` and ``epsilon`` at each
-    stage.
+    certified above fairness 1, and in every regime under early stop, where
+    ``check`` also certifies untraced iterates; the least finite dual bound
+    seen is kept, since each one bounds OPT, whatever stage's barrier
+    weights it came from. ``should_stop`` says whether that bound proves the
+    last certified iterate within ``stop_radius`` at ``epsilon``, the
+    current stage's; an iterate whose bound is not finite never proves it.
+    ``solve_packing`` sets ``kernel`` and ``epsilon`` at each stage.
     """
 
     def __init__(self, kernel: GradientKernel, instance: PackingInstance, config: SolverConfig):
@@ -385,23 +445,29 @@ class PackingRunRecorder:
         self.alpha = kernel.alpha
         self.epsilon = config.epsilon
         self.certifies = config.mode == PACK and (config.early_stop or self.alpha > 1.0)
-        self.last: Certificate | None = None   # the latest row's
+        self.last: Certificate | None = None   # the latest certified iterate's
         self.best: Certificate | None = None   # the least finite bound's
 
+    def check(self, x_hat: np.ndarray, loads: np.ndarray) -> None:
+        """Certify the iterate ``x_hat``, whose allocation has ``loads``."""
+        cert = self.last = certify(self.kernel, x_hat, loads)
+        if math.isfinite(cert.bound) and (self.best is None or cert.bound < self.best.bound):
+            self.best = cert
+
     def record(self, x_hat: np.ndarray, u: np.ndarray, k: int, trace: TraceBuffer,
-               loads: np.ndarray) -> TraceRow:
+               loads: np.ndarray, checked: bool = False) -> TraceRow:
         """Trace row of iteration ``k``; ``loads`` are those of ``u``, as
-        ``iterate_loads`` computed and checked them."""
+        ``iterate_loads`` computed and checked them. ``checked`` says that
+        ``check`` has just certified this iterate."""
         kernel = self.kernel
         utility = f_alpha_value(u, self.alpha)
         f_r = kernel.f_r(x_hat, loads=loads)
         gap = None
         if self.certifies:
-            cert = self.last = certify(kernel, x_hat, loads)
-            if math.isfinite(cert.bound):
-                gap = cert.gap
-                if self.best is None or cert.bound < self.best.bound:
-                    self.best = cert
+            if not checked:
+                self.check(x_hat, loads)
+            if math.isfinite(self.last.bound):
+                gap = self.last.gap
         row = TraceRow(k=k, utility=utility, max_load=float(loads.max()), f_r=f_r, gap=gap)
         trace.append(row)
         return row
@@ -413,6 +479,11 @@ class PackingRunRecorder:
             return self.best._replace(value=self.last.value)
         return self.last
 
+    def least_gap(self) -> float:
+        """The least bound seen minus the last certified value; inf before
+        any bound is finite."""
+        return math.inf if self.best is None else self.best.bound - self.last.value
+
     def should_stop(self) -> bool:
         if not self.config.early_stop or self.best is None:
             return False
@@ -421,11 +492,23 @@ class PackingRunRecorder:
         return bound - value <= radius
 
 
-def run_budget(state, advance, record, planned: int, stride: int) -> bool:
+def back_off(mu: float, gap: float, previous: float | None) -> float:
+    """The step multiplier after a check whose least certified gap is
+    ``gap``: halved, never below 1, unless ``gap`` is smaller than
+    ``previous``, the gap at the previous check of the same stage. A
+    stage's first check (``previous`` None) keeps it."""
+    if previous is None or gap < previous:
+        return mu
+    return max(1.0, mu / 2.0)
+
+
+def run_budget(state, advance, record, planned: int, stride: int, check=None) -> bool:
     """The one solve loop of both modes: record iteration 0, then advance
     ``state`` (whose ``k`` counts the steps taken) up to ``planned`` times,
-    recording every ``stride``-th iteration and the last. Returns True at
-    the first ``record(k)`` that does, which ends the run early.
+    recording every ``stride``-th iteration and the last, and passing every
+    other ``CHECK_EVERY``-th one to ``check`` when given. Returns True at
+    the first ``record(k)`` or ``check(k)`` that does, which ends the run
+    early.
     """
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         if record(0):
@@ -433,21 +516,19 @@ def run_budget(state, advance, record, planned: int, stride: int) -> bool:
         while state.k < planned:
             advance(state)
             k = state.k
-            if (k % stride == 0 or k == planned) and record(k):
+            if k % stride == 0 or k == planned:
+                if record(k):
+                    return True
+            elif check is not None and k % CHECK_EVERY == 0 and check(k):
                 return True
     return False
 
 
 def plan_iterations(config: SolverConfig, params) -> tuple[int, int]:
-    """Iteration budget (override-aware) and the trace stride for it.
-
-    The default stride is ``planned // 1000``, at most ``EARLY_STOP_STRIDE``
-    when a packing run stops early.
-    """
+    """Iteration budget (override-aware) and the trace stride for it: by
+    default ``planned // 1000``."""
     planned = config.max_iters if config.max_iters is not None else params.K
     stride = max(1, planned // 1000)
-    if config.early_stop and config.mode == PACK:
-        stride = min(stride, EARLY_STOP_STRIDE)
     return planned, config.trace_stride if config.trace_stride is not None else stride
 
 
@@ -518,13 +599,17 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
     kernel, once per stage: ``GradientKernel`` for the monolithic engine.
     The budget is the derived K unless ``config.max_iters`` overrides it.
     Under ``config.early_stop`` the run goes through ``epsilon_schedule``'s
-    stages, in every regime, starting at the first. Each traced row ends
-    every stage whose ``stop_radius`` the least dual bound so far proves,
-    and the run stops at the row that proves the target's. A new stage
-    keeps the iterate and its checked loads, binds its own constants
-    (``enter_stage``) and re-checks the same certificate against its own
-    radius. The budget, the trace stride and the reported constants are the
-    target's, counted on one iteration counter.
+    stages, in every regime, starting at the first, with the step
+    multiplier of the module docstring. Each check, at a traced row or
+    every ``CHECK_EVERY`` iterations, ends every stage whose
+    ``stop_radius`` the least dual bound so far proves, and the run stops
+    at the check that proves the target's; an untraced check that ends a
+    stage is written as a trace row, so the run's last row is its final
+    iterate. A new stage keeps the iterate, its checked loads and the
+    multiplier, binds its own constants (``enter_stage``) and re-checks the
+    same certificate against its own radius. The budget, the trace stride
+    and the reported constants are the target's, counted on one iteration
+    counter.
     """
     alpha = config.alpha
     m, n, rho = instance.m, instance.n, instance.rho
@@ -542,22 +627,36 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
     recorder = PackingRunRecorder(state.kernel, instance, config)
     recorder.epsilon = schedule[0]
     stages: list[Stage] = []   # the stages ended so far
+    previous = None   # the least certified gap at the stage's previous check
 
-    def record(k: int) -> bool:
+    def visit(k: int, traced: bool) -> bool:
+        nonlocal previous
         loads = iterate_loads(state, k)
-        recorder.record(state.x_hat, state.u, k, state.trace, loads)
+        if traced:
+            recorder.record(state.x_hat, state.u, k, state.trace, loads)
+        else:
+            recorder.check(state.x_hat, loads)
+        if not config.early_stop:
+            return False
+        gap = recorder.least_gap()
+        state.mu, previous = back_off(state.mu, gap, previous), gap
         while recorder.should_stop():
-            stages.append(Stage(recorder.epsilon, k))
+            if not traced:   # a check that ends a stage is traced, on that stage's kernel
+                recorder.record(state.x_hat, state.u, k, state.trace, loads, checked=True)
+                traced = True
+            stages.append(Stage(recorder.epsilon, k, state.mu))
             if len(stages) == len(schedule):
                 return True
             new = stage_params(schedule[len(stages)])
             enter_stage(state, new, kernel(instance.matrix, alpha, new.beta, new.logC))
             recorder.kernel, recorder.epsilon = state.kernel, new.epsilon
+            previous = None
         return False
 
-    stopped_early = run_budget(state, step, record, planned, stride)
+    stopped_early = run_budget(state, step, lambda k: visit(k, True), planned, stride,
+                               (lambda k: visit(k, False)) if config.early_stop else None)
     if config.early_stop and not stopped_early:
-        stages.append(Stage(recorder.epsilon, state.k))
+        stages.append(Stage(recorder.epsilon, state.k, state.mu))
 
     return finalize_packing(state, instance, params, config, scaling, stopped_early,
                             recorder.reported(), stages if config.early_stop else None)

@@ -470,8 +470,8 @@ def test_early_stop_above_one_proves_the_bound(tmp_path, capsys, engine):
 
 @pytest.mark.parametrize("engine", ["monolithic", "rounds"])
 def test_early_stop_default_stride_is_capped(tmp_path, capsys, engine):
-    # the certificate is checked at traced rows only: at a default stride of
-    # K // 1000 this run, certified within 300 iterations, stepped on to 72,878
+    # the certificate is checked every 50 iterations whatever the stride, so
+    # at the default stride of K // 1000 = 72,878 the run still stops early
     p = tmp_path / "row5.mtx"
     p.write_text(ROW5)
     code, out, _ = run(["--mode", "pack", "--alpha", "2", "--epsilon", "0.1", "--early-stop",
@@ -507,6 +507,8 @@ def test_early_stop_reports_its_stages(tmp_path, capsys, engine):
     assert code == 0 and doc["stopped_early"]
     assert [s["epsilon"] for s in stages] == [0.1, 0.05]
     assert 0 <= stages[0]["until"] <= stages[1]["until"] == doc["iterations"]
+    assert all(list(s) == ["epsilon", "until", "multiplier"] for s in stages)
+    assert 8.0 >= stages[0]["multiplier"] >= stages[1]["multiplier"] >= 1.0
     # the reported constants are the target's
     assert doc["params"]["K"] == derive_packing_params(1, 5, 100.0, 2.0, 0.05).K
     opt = single_constraint_packing_optimum([100.0, 100.0, 100.0, 1.0, 1.0], 2.0).objective

@@ -23,10 +23,11 @@ from fairpc import (
     standardize,
     step,
 )
-from fairpc import rounds
+from fairpc import packing, rounds
 from fairpc.errors import NegativeCoordinate
 from fairpc.packing import (
-    PackingRunRecorder, TraceBuffer, enter_stage, epsilon_schedule, iterate_loads,
+    CHECK_EVERY, MULTIPLIER_START, PackingRunRecorder, TraceBuffer, back_off, enter_stage,
+    epsilon_schedule, iterate_loads,
 )
 from fairpc.problem import epsilon_upper_bound
 from fairpc.regularization import GradientKernel
@@ -339,9 +340,13 @@ def test_epsilon_schedule_certifies_in_both_engines(seed, alpha):
     dist, audit = run_distributed(inst, config)
     assert mono.x.tobytes() == dist.x.tobytes() and mono.trace == dist.trace
     assert mono.stages == dist.stages and mono.gap_estimate == dist.gap_estimate
+    assert [s.multiplier for s in mono.stages] == [s.multiplier for s in dist.stages]
     assert mono.iterations_run == dist.iterations_run == audit.rounds
     assert [s.epsilon for s in mono.stages] == epsilon_schedule(alpha, eps)[:len(mono.stages)]
-    assert mono.stages[-1].until == mono.iterations_run
+    assert mono.stages[-1].until == mono.iterations_run == mono.trace[-1].k
+    multipliers = [s.multiplier for s in mono.stages]
+    assert multipliers == sorted(multipliers, reverse=True)
+    assert all(1.0 <= mu <= MULTIPLIER_START for mu in multipliers)
     tol = 1e-6
     opt = small_dense_packing_optimum(inst, alpha, tol=tol).objective
     if mono.stopped_early:
@@ -355,6 +360,95 @@ def test_epsilon_schedule_certifies_in_both_engines(seed, alpha):
         assert opt - mono.utility <= bound + tol
     if mono.gap_estimate is not None:
         assert mono.gap_estimate >= opt - mono.utility - tol
+
+
+# ---- the early-stop step multiplier ----
+
+def test_back_off_halves_when_the_gap_does_not_shrink():
+    assert back_off(8.0, 0.5, 1.0) == 8.0
+    assert back_off(8.0, 1.0, 1.0) == 4.0
+    assert back_off(8.0, 2.0, 1.0) == 4.0
+    assert back_off(8.0, math.inf, math.inf) == 4.0   # no finite bound at either check
+
+
+def test_back_off_never_goes_below_one():
+    assert back_off(2.0, 1.0, 1.0) == 1.0
+    assert back_off(1.0, 1.0, 1.0) == 1.0
+    assert back_off(1.0, 0.5, 1.0) == 1.0
+
+
+def test_back_off_keeps_a_stages_first_check():
+    assert back_off(8.0, 5.0, None) == 8.0
+    assert back_off(8.0, math.inf, None) == 8.0
+
+
+@pytest.mark.parametrize("alpha,eps", [(0.5, 0.1), (1.0, 0.1), (2.0, 0.05)])
+def test_overshooting_multiplier_is_rejected_and_halved(monkeypatch, alpha, eps):
+    # from a start of 1024 some trial iterates overload a row: each is redone
+    # from the kept iterate at half the multiplier, with no new gradient, and
+    # only iterates whose loads are at most 1 are accepted; both engines agree
+    monkeypatch.setattr(packing, "MULTIPLIER_START", 1024.0)
+    inst, _ = instance_from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
+    config = SolverConfig(fairness=alpha, epsilon=eps, early_stop=True, trace_stride=25,
+                          max_iters=20_000)
+    redo, require_feasible = packing.redo, packing.require_feasible
+    logs = []
+
+    def run(solve):
+        rejected, halved, accepted = [], [], []
+
+        def logged_redo(state):
+            rejected.append(float(GradientKernel.loads_of(state.kernel, state.u).max()))
+            before = state.retry[2]
+            redo(state)
+            halved.append((before, state.mu))
+
+        def logged_require(top, k):
+            accepted.append((k, top))
+            require_feasible(top, k)
+
+        monkeypatch.setattr(packing, "redo", logged_redo)
+        monkeypatch.setattr(packing, "require_feasible", logged_require)
+        sol = solve()
+        logs.append((rejected, halved, accepted))
+        return sol
+
+    mono = run(lambda: solve_packing(inst, config))
+    dist, audit = run(lambda: run_distributed(inst, config))
+    assert logs[0] == logs[1]
+    rejected, halved, accepted = logs[0]
+    assert rejected and all(not top <= 1.0 for top in rejected)
+    assert all(after == before / 2.0 for before, after in halved)
+    assert [k for k, _ in accepted] == list(range(mono.iterations_run + 1))
+    assert all(top <= 1.0 for _, top in accepted)
+    assert mono.stopped_early and mono.is_feasible
+    assert mono.stages[0].multiplier < 1024.0
+    assert mono.x.tobytes() == dist.x.tobytes() and mono.stages == dist.stages
+    assert audit.rounds == dist.iterations_run == mono.iterations_run
+
+
+def test_without_early_stop_the_multiplier_stays_one():
+    inst, _ = instance_from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
+    state = init_packing(inst, SolverConfig(fairness=2.0, epsilon=0.05))
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        for _ in range(20):
+            step(state)
+            assert state.mu == 1.0 and state.retry is None
+
+
+@pytest.mark.parametrize("engine", ["monolithic", "rounds"])
+@pytest.mark.parametrize("alpha,eps", [(0.5, 0.1), (1.0, 0.1), (2.0, 0.05)])
+def test_checks_stop_between_traced_rows(engine, alpha, eps):
+    # at a trace stride of 1000 the run is certified every CHECK_EVERY
+    # iterations; a check that ends a stage is traced
+    inst, _ = instance_from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
+    config = SolverConfig(fairness=alpha, epsilon=eps, early_stop=True, trace_stride=1000)
+    sol = solve_packing(inst, config) if engine == "monolithic" else run_distributed(inst, config)[0]
+    assert sol.stopped_early and sol.iterations_run < 1000
+    assert sol.iterations_run % CHECK_EVERY == 0
+    assert sol.stages[-1].until == sol.iterations_run == sol.trace[-1].k
+    assert {s.until for s in sol.stages} <= {row.k for row in sol.trace}
+    assert sol.trace[-1].gap >= sol.gap_estimate   # the row's own bound, the report's least
 
 
 @pytest.mark.parametrize("engine", ["monolithic", "rounds"])

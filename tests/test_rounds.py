@@ -89,16 +89,25 @@ def test_bit_identical_to_monolithic(alpha, eps):
     assert audit.ok
 
 
+@pytest.mark.parametrize("stride", [25, 1000])
 @pytest.mark.parametrize("alpha,eps", [(0.0, 0.1), (0.5, 0.1), (1.0, 0.1), (2.0, 0.05)])
-def test_bit_identical_with_early_stop(alpha, eps):
+def test_bit_identical_with_early_stop(alpha, eps, stride):
     inst = single_row_instance([1.0, 2.0, 1.5])
-    config = SolverConfig(fairness=alpha, epsilon=eps, early_stop=True, trace_stride=25)
+    config = SolverConfig(fairness=alpha, epsilon=eps, early_stop=True, trace_stride=stride)
     mono = solve_packing(inst, config)
     dist, audit = run_distributed(inst, config)
     assert mono.stopped_early and dist.stopped_early
     assert mono.x.tobytes() == dist.x.tobytes()
-    assert mono.iterations_run == dist.iterations_run
+    assert mono.iterations_run == dist.iterations_run == audit.rounds
     assert mono.gap_estimate == dist.gap_estimate and mono.trace == dist.trace
+    assert mono.stages == dist.stages
+    assert [s.multiplier for s in mono.stages] == [s.multiplier for s in dist.stages]
+    if stride == 1000:
+        # certified between traced rows, and the stop written as the last row;
+        # alpha = 0 stops at 1,200, where its LP dual bound lags the primal
+        assert mono.iterations_run < (1000 if alpha > 0.0 else 2000)
+        assert mono.iterations_run % 1000 != 0
+        assert mono.stages[-1].until == mono.iterations_run == mono.trace[-1].k
 
 
 def test_bit_identical_covering():

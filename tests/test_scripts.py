@@ -17,7 +17,7 @@ def run_script(name, *args):
 
 
 DEMO_HEADER = "== proportional-fair packing on a single link =="
-TRACE_HEADER = " alpha   eps   iters stages stopped      utility        gap  max_load"
+TRACE_HEADER = " alpha   eps   iters stages stopped      utility        gap  max_load        mu"
 
 
 @pytest.mark.parametrize("name, header", [
