@@ -18,6 +18,7 @@ from fairpc import rounds
 from fairpc.cli import run_cli
 from fairpc.errors import LocalityViolation, MissingLoad
 from fairpc.matrix import write_matrix_market
+from fairpc.packing import CHECK_EVERY
 from fairpc.regularization import GradientKernel
 from fairpc.rounds import (
     ShardMessage,
@@ -103,11 +104,13 @@ def test_bit_identical_with_early_stop(alpha, eps, stride):
     assert mono.stages == dist.stages
     assert [s.multiplier for s in mono.stages] == [s.multiplier for s in dist.stages]
     if stride == 1000:
-        # certified between traced rows, and the stop written as the last row;
-        # alpha = 0 stops at 1,200, where its LP dual bound lags the primal
+        # certified every CHECK_EVERY iterations between traced rows, with every
+        # stage's end and the stop written as rows; alpha = 0 stops at 1,200,
+        # where its LP dual bound lags the primal
         assert mono.iterations_run < (1000 if alpha > 0.0 else 2000)
-        assert mono.iterations_run % 1000 != 0
+        assert mono.iterations_run % CHECK_EVERY == 0 and mono.iterations_run % 1000 != 0
         assert mono.stages[-1].until == mono.iterations_run == mono.trace[-1].k
+        assert {s.until for s in mono.stages} <= {row.k for row in mono.trace}
 
 
 def test_bit_identical_covering():
