@@ -62,6 +62,6 @@ from .oracle import (
     single_constraint_packing_optimum,
     small_dense_packing_optimum,
 )
-from .rounds import LocalityAudit, Shard, ShardMessage, local_update, run_distributed
+from .rounds import LocalityAudit, ShardMessages, Shards, local_update, run_distributed
 
 __version__ = "0.1.0"

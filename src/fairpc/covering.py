@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CertificateShortfall, InvalidBeta, NegativeCoordinate
 from .matrix import column_loads
-from .problem import CoveringInstance, ScalingRecord, SolverConfig, g_beta_value
+from .problem import COVER, CoveringInstance, ScalingRecord, SolverConfig, g_beta_value
 from .packing import (
     PackingRunRecorder,
     TraceBuffer,
@@ -187,8 +187,12 @@ def solve_covering(instance: CoveringInstance, config: SolverConfig,
     the budget and return the inflated averaged covering vector.
 
     ``kernel(matrix, 0, beta, 0)`` builds the run's gradient kernel:
-    ``GradientKernel`` for the monolithic engine.
+    ``GradientKernel`` for the monolithic engine. A config of another mode
+    raises ``ValueError``.
     """
+    if config.mode != COVER:
+        raise ValueError(f"solve_covering runs mode {COVER!r}, but the config's mode is "
+                         f"{config.mode!r}")
     params = derive_covering_params(instance.m, instance.n, instance.rho, config.beta,
                                     config.epsilon)
     if scaling is None:

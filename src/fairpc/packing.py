@@ -237,13 +237,19 @@ def enter_stage(state: PackingState, params: PackingRegParams, kernel: GradientK
 
     The transformed iterate, ``u**(1 - alpha)`` or ``ln u``, does not depend
     on epsilon, so ``x_hat``, ``u`` and the checked ``loads`` are kept, and
-    so is the multiplier; a pending retry is dropped with the mirror state
-    it would redo.
+    so is the multiplier, halved (never below 1) until ``mu * |scale|`` is
+    below 1 for the rule's step scale. That keeps every step in the rule's
+    domain: the multiplicative factor ``1 - mu c t`` and the mirror's
+    ``1 + z`` stay positive, for any truncated gradient t in [-1, 1] and
+    z >= 0, as at any feasible iterate. A pending retry is dropped with the
+    mirror state it would redo.
     """
     alpha = kernel.alpha
     state.params = params
     state.kernel = kernel
     state.rule = update_rule(params, alpha)
+    while state.mu > 1.0 and state.mu * abs(state.rule[0]) >= 1.0:
+        state.mu = max(1.0, state.mu / 2.0)
     state.retry = None
     if alpha < 1.0:
         state.z = np.power(state.x_hat, -params.beta_prime) - 1.0
@@ -609,8 +615,11 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
     multiplier, binds its own constants (``enter_stage``) and re-checks the
     same certificate against its own radius. The budget, the trace stride
     and the reported constants are the target's, counted on one iteration
-    counter.
+    counter. A config of another mode raises ``ValueError``.
     """
+    if config.mode != PACK:
+        raise ValueError(f"solve_packing runs mode {PACK!r}, but the config's mode is "
+                         f"{config.mode!r}")
     alpha = config.alpha
     m, n, rho = instance.m, instance.n, instance.rho
     if scaling is None:

@@ -7,21 +7,29 @@ column touches, and the update is elementwise; so only the gradient can
 break locality, through its matrix reads and its load messages.
 
 The columns are split into ``SHARD_COUNT`` contiguous blocks of the
-column-major arrays. ``_Lockstep`` is a gradient kernel whose every
-evaluation is one round, which sends each shard only the loads of its
-incident rows and has it compute its block's truncated gradient through the
-monolithic kernel's own ``truncated_columns``, in the form the kernel chose
-for the run. ``run_distributed`` passes its constructor to
+column-major arrays. ``build_shards`` lays out every shard's local data once
+per kernel, as concatenated shard-major arrays (``Shards``): the entries it
+gathers, their terms in the form the kernel chose for the run, and each
+entry's slot in one message buffer, which holds every shard's incident rows,
+shard after shard. A shard is its offsets into those arrays. ``_Lockstep``
+is a gradient kernel whose every evaluation is one round, of a fixed number
+of NumPy calls whatever the shard count: one ``take`` fills every shard's
+slice of the message buffer with its rows' loads (``shard_messages``), one
+audit checks every shard's gather range and message slice
+(``audit_round``), and one call of the monolithic kernel's own
+``truncated_columns`` computes every block's truncated gradient
+(``local_update``). ``run_distributed`` passes its constructor to
 ``packing.solve_packing`` or ``covering.solve_covering``, which build one
 per stage and drive it with the same start, step, feasibility check,
-recorder and stop rule as the monolithic engine; every update expression
-is elementwise, so the two engines are bit-identical whatever the
-partition.
+recorder and stop rule as the monolithic engine; a column's segment sum
+does not depend on its offset and every update expression is elementwise,
+so the two engines are bit-identical whatever the partition.
 
 Locality is structural: a shard reads the matrix only through gather
-indices inside its own ``col_ptr`` range. That is checked when the shard is
-built and audited every round, along with each message's row set, which
-must equal the shard's incident rows.
+indices inside its own ``col_ptr`` range, and the loads only through slots
+inside its own message slice. The gathers are checked when the shards are
+built; every round re-checks each shard's gather range and slots, and that
+its message slice carries exactly its incident rows.
 """
 
 from __future__ import annotations
@@ -46,25 +54,43 @@ SHARD_COUNT = 4
 
 
 @dataclass(frozen=True, eq=False)
-class Shard:
-    """Columns ``[c0, c1)``: everything the block may read, plus the form
-    and allocation term the run's kernel bound."""
+class Shards:
+    """Every shard's local data, concatenated shard-major.
 
-    index: int
-    c0: int
-    c1: int
-    gather: np.ndarray      # column-major entry indices the shard reads
-    rows: np.ndarray        # sorted incident rows
-    row_pos: np.ndarray     # each entry's position in ``rows``
-    col_local: np.ndarray | None   # each entry's column, counted from c0; fallback form only
-    col_starts: np.ndarray  # each column's first entry, counted from the block's first
+    Shard s owns columns ``[bounds[s], bounds[s+1])``, positions
+    ``[starts[s], starts[s+1])`` of the per-entry arrays and slots
+    ``[slots[s], slots[s+1])`` of the message buffer, whose rows ``rows``
+    lists. ``reads`` stacks each entry's gather index over its slot, and
+    ``lo``/``hi`` bound both, per shard: the entries of its columns and its
+    message slice.
+    """
+
+    bounds: np.ndarray      # column bounds, one past the last shard's
+    starts: np.ndarray      # entry offsets, one past the last shard's
+    reads: np.ndarray       # (2, entries): column-major gather indices; message slots
+    lo: np.ndarray          # (2, shards): each shard's first entry; its first slot
+    hi: np.ndarray          # (2, shards): one past its last entry; one past its last slot
+    rows: np.ndarray        # the message buffer's rows: each shard's sorted incident rows
+    slots: np.ndarray       # slot offsets, one past the last shard's
+    entry_col: np.ndarray | None   # each entry's column; fallback form only
+    col_starts: np.ndarray  # each column's first entry
     terms: np.ndarray       # each entry's term in the kernel's form: A_ij, or ln(A_ij) + logC
+    m: int                  # rows of the matrix, for the scattered barrier weights
     form: ColumnForm
     allocation_term: Callable   # the kernel's allocation term
 
+    @property
+    def gather(self) -> np.ndarray:
+        return self.reads[0]
 
-class ShardMessage(NamedTuple):
-    """The loads of ``rows``, in that order, for one shard and round."""
+    @property
+    def row_pos(self) -> np.ndarray:
+        return self.reads[1]
+
+
+class ShardMessages(NamedTuple):
+    """Every shard's message of one round, in one buffer: slot i carries the
+    load of row ``rows[i]``, and shard s reads slots ``[slots[s], slots[s+1])``."""
 
     round_index: int
     rows: np.ndarray
@@ -90,79 +116,108 @@ class LocalityAudit:
             )
 
 
-def _outside_block(gather: np.ndarray, col_ptr: np.ndarray, c0: int, c1: int) -> np.ndarray:
-    """The gather indices that leave the entry range of columns [c0, c1)."""
-    lo, hi = col_ptr[c0], col_ptr[c1]
-    if gather.size and lo <= np.minimum.reduce(gather) and np.maximum.reduce(gather) < hi:
-        return gather[:0]
-    return gather[(gather < lo) | (gather >= hi)]
+def _outside(values: np.ndarray, shard: np.ndarray, lo: np.ndarray,
+             hi: np.ndarray) -> np.ndarray:
+    """Positions of ``values`` outside ``[lo[s], hi[s])``, s their ``shard``."""
+    return np.flatnonzero((values < lo[shard]) | (values >= hi[shard]))
 
 
-def build_shard(kernel: GradientKernel, index: int, c0: int, c1: int,
-                gather: np.ndarray) -> Shard:
-    """Gather the block's entries, the shard's only matrix reads; any index
-    outside the entries of columns [c0, c1) raises."""
+def shard_gather(col_ptr: np.ndarray, c0: int, c1: int) -> np.ndarray:
+    """The column-major entry indices of columns [c0, c1): what a shard reads."""
+    return np.arange(col_ptr[c0], col_ptr[c1])
+
+
+def build_shards(kernel: GradientKernel, count: int) -> Shards:
+    """Lay out ``count`` (at most n) contiguous column blocks of near-equal
+    width; any gather index outside its block's entries raises."""
     matrix = kernel.matrix
-    outside = _outside_block(gather, matrix.col_ptr, c0, c1)
+    n, col_ptr = matrix.n, matrix.col_ptr
+    count = min(count, n)
+    bounds = n * np.arange(count + 1) // count
+    gathers = [shard_gather(col_ptr, c0, c1) for c0, c1 in zip(bounds[:-1], bounds[1:])]
+    starts = np.cumsum([0] + [g.size for g in gathers])
+    gather = np.concatenate(gathers)
+    first, last = col_ptr[bounds[:-1]], col_ptr[bounds[1:]]
+    shard = segment_index(starts)
+    outside = _outside(gather, shard, first, last)
     if outside.size:
+        e = outside[0]
+        s = shard[e]
         raise LocalityViolation(
-            f"shard {index} (columns {c0}..{c1 - 1}) gathers entry {int(outside[0])} "
-            "outside its columns"
+            f"shard {s} (columns {bounds[s]}..{bounds[s + 1] - 1}) gathers entry "
+            f"{int(gather[e])} outside its columns"
         )
-    rows, row_pos = np.unique(matrix.col_row[gather], return_inverse=True)
-    return Shard(
-        index=index, c0=c0, c1=c1, gather=gather, rows=rows, row_pos=row_pos,
-        col_local=None if kernel.entry_col is None else kernel.entry_col[gather] - c0,
-        col_starts=matrix.col_ptr[c0:c1] - matrix.col_ptr[c0],
-        terms=kernel.entry_terms[gather],
+    # each shard's sorted incident rows, shard after shard, from one sort of
+    # (shard, row) keys; an entry's slot is its key's rank
+    keys, slot = np.unique(shard * matrix.m + matrix.col_row.take(gather), return_inverse=True)
+    slots = np.searchsorted(keys, np.arange(count + 1) * matrix.m)
+    return Shards(
+        bounds=bounds, starts=starts, reads=np.stack([gather, slot]),
+        lo=np.stack([first, slots[:-1]]), hi=np.stack([last, slots[1:]]),
+        rows=keys % matrix.m, slots=slots,
+        entry_col=None if kernel.entry_col is None else kernel.entry_col.take(gather),
+        col_starts=col_ptr[:-1], terms=kernel.entry_terms.take(gather), m=matrix.m,
         form=kernel.form, allocation_term=kernel.allocation_term,
     )
 
 
-def build_shards(kernel: GradientKernel, count: int) -> list[Shard]:
-    """``count`` (at most n) contiguous column blocks of near-equal width."""
-    n, col_ptr = kernel.matrix.n, kernel.matrix.col_ptr
-    count = min(count, n)
-    bounds = [n * s // count for s in range(count + 1)]
-    return [
-        build_shard(kernel, i, c0, c1, np.arange(col_ptr[c0], col_ptr[c1]))
-        for i, (c0, c1) in enumerate(zip(bounds[:-1], bounds[1:]))
-    ]
+def shard_messages(shards: Shards, loads: np.ndarray, k: int) -> ShardMessages:
+    return ShardMessages(round_index=k, rows=shards.rows, loads=loads.take(shards.rows))
 
 
-def shard_message(shard: Shard, loads: np.ndarray, k: int) -> ShardMessage:
-    return ShardMessage(round_index=k, rows=shard.rows, loads=loads[shard.rows])
+def _malformed(msg: ShardMessages, shards: Shards) -> list[int]:
+    """The shards whose message slice does not carry exactly their incident
+    rows; a buffer longer than the layout's is charged to the last shard."""
+    rows = shards.rows
+    if msg.rows is rows or np.array_equal(msg.rows, rows):
+        return []
+    common = min(msg.rows.size, rows.size)
+    wrong = np.ones(rows.size, dtype=bool)
+    wrong[:common] = msg.rows[:common] != rows[:common]
+    bad = set(segment_index(shards.slots)[wrong].tolist())
+    if msg.rows.size > rows.size:
+        bad.add(shards.slots.size - 2)
+    return sorted(bad)
 
 
-def _carries_rows(msg: ShardMessage, shard: Shard) -> bool:
-    """Whether the message's rows are exactly the shard's incident rows."""
-    return msg.rows is shard.rows or np.array_equal(msg.rows, shard.rows)
-
-
-def local_update(shard: Shard, msg: ShardMessage, x_hat: np.ndarray,
+def local_update(shards: Shards, msg: ShardMessages, x_hat: np.ndarray,
                  u: np.ndarray) -> GradientPair:
-    """The block's truncated gradient, from the shard's own entries, its
-    round message and its block ``x_hat``, ``u`` of the iterate; with the
-    barrier weights of ``shard.rows`` when the form makes them."""
-    if not _carries_rows(msg, shard):
-        missing = np.setdiff1d(shard.rows, msg.rows)
+    """Every block's truncated gradient, each from its shard's own entries,
+    its message slice and its block of ``x_hat``, ``u``; with the barrier
+    weights, scattered to their rows, when the form makes them."""
+    bad = _malformed(msg, shards)
+    if bad:
+        s = bad[0]
+        lo, hi = shards.slots[s], shards.slots[s + 1]
+        missing = np.setdiff1d(shards.rows[lo:hi], msg.rows[lo:hi])
         lacks = f"the load of row {int(missing[0])}" if missing.size else "its incident rows"
-        raise MissingLoad(f"round {msg.round_index}: shard {shard.index}'s message lacks {lacks}")
+        raise MissingLoad(f"round {msg.round_index}: shard {s}'s message lacks {lacks}")
     _s, _saturated, truncated, weights = truncated_columns(
-        shard.form, shard.terms, shard.row_pos, shard.col_local, shard.col_starts,
-        shard.allocation_term(x_hat, u), np.log(msg.loads),
+        shards.form, shards.terms, shards.row_pos, shards.entry_col, shards.col_starts,
+        shards.allocation_term(x_hat, u), np.log(msg.loads),
     )
+    if weights is not None:
+        scattered = np.zeros(shards.m)
+        scattered[shards.rows] = weights
+        weights = scattered
     return GradientPair(truncated, weights)
 
 
-def audit_round(shards: list[Shard], msgs: list[ShardMessage], col_ptr: np.ndarray,
-                k: int, audit: LocalityAudit) -> None:
-    """Re-check every shard's gather range and message rows; raise on a breach."""
-    for shard, msg in zip(shards, msgs):
-        outside = _outside_block(shard.gather, col_ptr, shard.c0, shard.c1)
-        audit.out_of_column += [(k, shard.index, int(e)) for e in outside]
-        if not _carries_rows(msg, shard):
-            audit.message_key_mismatches.append((k, shard.index))
+def audit_round(shards: Shards, msg: ShardMessages, k: int, audit: LocalityAudit) -> None:
+    """Re-check every shard's gather range and message slice, and that the
+    message buffer is the layout's; on a breach, record each shard's and raise."""
+    reads, first = shards.reads, shards.starts[:-1]
+    within = ((np.minimum.reduceat(reads, first, axis=1) >= shards.lo)
+              & (np.maximum.reduceat(reads, first, axis=1) < shards.hi))
+    if within.all() and msg.rows is shards.rows:
+        return
+    shard = segment_index(shards.starts)
+    gather, slot = reads
+    outside = _outside(gather, shard, shards.lo[0], shards.hi[0])
+    audit.out_of_column += [(k, int(shard[e]), int(gather[e])) for e in outside]
+    strays = shard[_outside(slot, shard, shards.lo[1], shards.hi[1])].tolist()
+    bad = sorted(set(strays).union(_malformed(msg, shards)))
+    audit.message_key_mismatches += [(k, s) for s in bad]
     audit.require_clean()
 
 
@@ -173,7 +228,7 @@ def run_distributed(instance, config: SolverConfig, mode: str | None = None,
     The monolithic solve runs with ``_Lockstep`` as its kernel constructor,
     so the solution is bit-identical to its own. Every stage's kernel
     shares the one audit, and every round re-checks each shard's gather
-    range and message rows; the audit reports how many entries of each
+    range and message slice; the audit reports how many entries of each
     column the last stage's shards read.
     """
     if mode is None:
@@ -211,26 +266,17 @@ class _Lockstep(GradientKernel):
         self.audit = audit
 
     def evaluate(self, x_hat: np.ndarray, u: np.ndarray, loads: np.ndarray) -> GradientPair:
-        """Message every shard its rows' ``loads``, audit, and join the blocks."""
+        """Message every shard its rows' ``loads``, audit, and compute every block."""
         audit = self.audit
         k = audit.rounds = audit.rounds + 1
-        shards = self.shards
-        msgs = [shard_message(s, loads, k) for s in shards]
-        audit_round(shards, msgs, self.matrix.col_ptr, k, audit)
-        blocks = [local_update(s, msg, x_hat[s.c0:s.c1], u[s.c0:s.c1])
-                  for s, msg in zip(shards, msgs)]
-        truncated = np.concatenate([b.truncated for b in blocks])
-        weights = None
-        if blocks[0].weights is not None:
-            weights = np.zeros(self.matrix.m)
-            for s, b in zip(shards, blocks):
-                weights[s.rows] = b.weights
-        return GradientPair(truncated, weights)
+        msg = shard_messages(self.shards, loads, k)
+        audit_round(self.shards, msg, k, audit)
+        return local_update(self.shards, msg, x_hat, u)
 
     def close(self) -> LocalityAudit:
         audit = self.audit
-        read = np.concatenate([s.gather for s in self.shards])
-        counts = np.bincount(segment_index(self.matrix.col_ptr)[read], minlength=self.matrix.n)
+        counts = np.bincount(segment_index(self.matrix.col_ptr)[self.shards.gather],
+                             minlength=self.matrix.n)
         audit.touched_counts = {j: int(c) for j, c in enumerate(counts)}
         audit.require_clean()
         return audit

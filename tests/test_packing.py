@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from fairpc import packing, rounds
 from fairpc.errors import NegativeCoordinate
 from fairpc.packing import (
     MULTIPLIER_START, PackingRunRecorder, TraceBuffer, back_off, enter_stage, epsilon_schedule,
-    iterate_loads,
+    iterate_loads, update_rule,
 )
 from fairpc.problem import epsilon_upper_bound
 from fairpc.regularization import GradientKernel
@@ -434,6 +435,46 @@ def test_without_early_stop_the_multiplier_stays_one():
         for _ in range(20):
             step(state)
             assert state.mu == 1.0 and state.retry is None
+
+
+@pytest.mark.parametrize("engine", ["monolithic", "rounds"])
+@pytest.mark.parametrize("alpha,eps", [(0.0, 0.1), (0.5, 0.1), (2.0, 0.05), (3.0, 0.05)])
+def test_huge_multiplier_start_stays_in_the_rule_domain(monkeypatch, engine, alpha, eps):
+    # unguarded, a step at mu = 2**20 leaves its rule's domain: above 1 the
+    # factor 1 - mu c t turns negative, below 1 so does the mirror's 1 + z, and
+    # numpy warns (in log, in power) before the retry guard sees the loads.
+    # Entering a stage halves mu until mu |scale| < 1, so nothing warns
+    monkeypatch.setattr(packing, "MULTIPLIER_START", 2.0 ** 20)
+    inst, _ = instance_from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
+    config = SolverConfig(fairness=alpha, epsilon=eps, early_stop=True, trace_stride=25,
+                          max_iters=20_000)
+    first = derive_packing_params(2, 3, inst.rho, alpha, epsilon_schedule(alpha, eps)[0])
+    state = init_packing(inst, config, first)
+    assert 1.0 < state.mu < 2.0 ** 20 and state.mu * abs(state.rule[0]) < 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_packing(inst, config) if engine == "monolithic" else (
+            run_distributed(inst, config)[0])
+    assert sol.stopped_early and sol.is_feasible
+    assert all(top <= 1.0 for top in (row.max_load for row in sol.trace))
+    for stage in sol.stages:
+        scale, _ = update_rule(derive_packing_params(2, 3, inst.rho, alpha, stage.epsilon), alpha)
+        assert stage.multiplier * abs(scale) < 1.0
+
+
+def test_entry_points_reject_a_config_of_the_other_mode():
+    pack = SolverConfig(fairness=1.0, epsilon=0.1)
+    cover = SolverConfig(fairness=1.0, epsilon=0.1, mode=COVER)
+    with pytest.raises(ValueError, match="solve_packing runs mode 'pack', but the config's "
+                                         "mode is 'cover'"):
+        solve_packing(identity_instance(2), cover)
+    covering = identity_instance(2, mode=COVER)
+    for run in (lambda: solve_covering(covering, pack),
+                lambda: run_distributed(covering, pack, mode=COVER)):
+        # the rounds engine's mode argument does not override the config's
+        with pytest.raises(ValueError, match="solve_covering runs mode 'cover', but the "
+                                             "config's mode is 'pack'"):
+            run()
 
 
 @pytest.mark.parametrize("engine", ["monolithic", "rounds"])

@@ -43,5 +43,7 @@ def test_probes_count_every_step_and_trace_row(probes, tmp_path):
     spans = tracer.spans
     assert spans["covering.step"].calls == 100
     assert spans["packing.step"].calls == 100
+    # each lockstep round computes every shard's block in one local_update call
+    assert spans["rounds.local_update"].calls == 100
     # 11 trace rows (iterations 0, 10, ..., 100) per run, both through the one recorder
     assert spans["packing.record"].calls == 22

@@ -1,11 +1,16 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fairpc import (
     COVER,
+    PACK,
     SolverConfig,
+    derive_covering_params,
     derive_packing_params,
     init_packing,
     instance_from_dense,
@@ -21,12 +26,12 @@ from fairpc.matrix import write_matrix_market
 from fairpc.packing import CHECK_EVERY
 from fairpc.regularization import GradientKernel
 from fairpc.rounds import (
-    ShardMessage,
+    ShardMessages,
     audit_round,
-    build_shard,
     build_shards,
     local_update,
     run_distributed,
+    shard_messages,
 )
 
 from conftest import identity_instance, single_row_instance
@@ -34,8 +39,9 @@ from conftest import identity_instance, single_row_instance
 
 def one_shard(instance, params):
     kernel = GradientKernel(instance.matrix, 1.0, params.beta, params.logC)
-    (shard,) = build_shards(kernel, count=1)
-    return kernel, shard
+    shards = build_shards(kernel, count=1)
+    assert shards.bounds.tolist() == [0, instance.n]
+    return kernel, shards
 
 
 def test_local_update_reproduces_monolithic_step():
@@ -45,7 +51,7 @@ def test_local_update_reproduces_monolithic_step():
     state = init_packing(inst, config, params)
     kernel, shard = one_shard(inst, params)
     loads = state.u.copy()   # the identity's loads are the allocation
-    msg = ShardMessage(round_index=1, rows=np.array([0]), loads=loads)
+    msg = ShardMessages(round_index=1, rows=np.array([0]), loads=loads)
     block = local_update(shard, msg, state.x_hat, state.u)
     whole = kernel.evaluate(state.x_hat, state.u, loads)
     assert block.truncated.tobytes() == whole.truncated.tobytes()
@@ -61,7 +67,7 @@ def test_local_update_zero_gradient_is_noop():
     _, shard = one_shard(inst, params)
     # at load exp(-logC * beta) the weighted sum is exactly 1 -> gradient 0
     x_hat = np.array([-params.logC * params.beta / (1.0 + params.beta)])
-    msg = ShardMessage(round_index=4, rows=np.array([0]), loads=np.exp(x_hat))
+    msg = ShardMessages(round_index=4, rows=np.array([0]), loads=np.exp(x_hat))
     block = local_update(shard, msg, x_hat, np.exp(x_hat))
     assert block.truncated[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -71,8 +77,8 @@ def test_local_update_missing_load():
     params = derive_packing_params(1, 2, 1.0, 1.0, 0.1)
     _, shard = one_shard(inst, params)
     x_hat = np.array([-1.0, -1.0])
-    empty = ShardMessage(round_index=1, rows=np.array([], dtype=np.int64), loads=np.array([]))
-    with pytest.raises(MissingLoad):
+    empty = ShardMessages(round_index=1, rows=np.array([], dtype=np.int64), loads=np.array([]))
+    with pytest.raises(MissingLoad, match="round 1: shard 0's message lacks the load of row 0"):
         local_update(shard, empty, x_hat, np.exp(x_hat))
 
 
@@ -224,22 +230,37 @@ def test_shards_partition_the_columns():
     params = derive_packing_params(inst.m, inst.n, inst.rho, 1.0, 0.1)
     kernel = GradientKernel(inst.matrix, 1.0, params.beta, params.logC)
     shards = build_shards(kernel, count=4)
-    assert shards[0].c0 == 0 and shards[-1].c1 == inst.n
-    assert all(a.c1 == b.c0 for a, b in zip(shards, shards[1:]))
-    for s in shards:
-        lo, hi = inst.matrix.col_ptr[s.c0], inst.matrix.col_ptr[s.c1]
-        assert s.gather.tolist() == list(range(lo, hi))
-        assert s.rows.tolist() == sorted(set(inst.matrix.col_row[lo:hi].tolist()))
-        assert (s.rows[s.row_pos] == inst.matrix.col_row[lo:hi]).all()
+    col_ptr, col_row = inst.matrix.col_ptr, inst.matrix.col_row
+    assert shards.bounds.tolist() == [0, 2, 4, 6, 9]
+    assert shards.gather.tolist() == list(range(inst.matrix.nnz))
+    for s, (c0, c1) in enumerate(zip(shards.bounds[:-1], shards.bounds[1:])):
+        lo, hi = col_ptr[c0], col_ptr[c1]
+        assert (shards.starts[s], shards.starts[s + 1]) == (lo, hi)
+        # the shard's message slice: its sorted incident rows, and no other
+        first, last = shards.slots[s], shards.slots[s + 1]
+        assert shards.rows[first:last].tolist() == sorted(set(col_row[lo:hi].tolist()))
+        slots = shards.row_pos[lo:hi]
+        assert ((first <= slots) & (slots < last)).all()
+    assert (shards.rows[shards.row_pos] == col_row).all()
+    assert shards.terms.tobytes() == kernel.entry_terms.tobytes()
 
 
-def test_out_of_column_gather_raises():
+@pytest.mark.parametrize("shard,c0", [(0, 0), (2, 2)])
+def test_out_of_column_gather_raises(monkeypatch, shard, c0):
     inst = identity_instance(3)
     params = derive_packing_params(3, 3, 1.0, 1.0, 0.1)
     kernel = GradientKernel(inst.matrix, 1.0, params.beta, params.logC)
-    # the shard owns column 0 (entry 0) but gathers entry 1, which is column 1's
-    with pytest.raises(LocalityViolation, match="gathers entry 1"):
-        build_shard(kernel, 0, 0, 1, np.array([0, 1]))
+    honest = rounds.shard_gather
+
+    def overreach(col_ptr, lo, hi):
+        # the named shard owns one column but also gathers entry 1, column 1's
+        gather = honest(col_ptr, lo, hi)
+        return np.append(gather, 1) if lo == c0 else gather
+
+    monkeypatch.setattr(rounds, "shard_gather", overreach)
+    with pytest.raises(LocalityViolation,
+                       match=rf"shard {shard} \(columns {c0}..{c0}\) gathers entry 1 "):
+        build_shards(kernel, count=3)
 
 
 def test_per_round_audit_records_breaches():
@@ -247,28 +268,68 @@ def test_per_round_audit_records_breaches():
     params = derive_packing_params(3, 3, 1.0, 1.0, 0.1)
     kernel = GradientKernel(inst.matrix, 1.0, params.beta, params.logC)
     good = build_shards(kernel, count=3)
-    # a shard whose gather was altered after the build-time check
-    bad = [good[0], dataclasses.replace(good[1], gather=np.array([2])), good[2]]
-    msgs = [rounds.shard_message(s, np.ones(3), 5) for s in bad]
-    msgs[2] = ShardMessage(round_index=5, rows=np.array([0, 2]), loads=np.ones(2))
     audit = rounds.LocalityAudit()
-    with pytest.raises(LocalityViolation):
-        audit_round(bad, msgs, inst.matrix.col_ptr, 5, audit)
+    audit_round(good, shard_messages(good, np.ones(3), 4), 4, audit)
+    assert audit.ok
+    # altered after the build-time check: shard 1 gathers entry 2, column 2's,
+    # and shard 0 reads slot 1, which is shard 1's message slice
+    reads = good.reads.copy()
+    reads[0, 1], reads[1, 0] = 2, 1
+    bad = dataclasses.replace(good, reads=reads)
+    # and shard 2's message slice carries row 0 instead of its row 2
+    msg = shard_messages(bad, np.ones(3), 5)
+    msg = msg._replace(rows=np.array([0, 1, 0]))
+    with pytest.raises(LocalityViolation, match="1 out-of-column accesses, 2 malformed"):
+        audit_round(bad, msg, 5, audit)
     assert audit.out_of_column == [(5, 1, 2)]
-    assert audit.message_key_mismatches == [(5, 2)]
+    assert audit.message_key_mismatches == [(5, 0), (5, 2)]
+
+
+def test_audit_charges_a_short_or_long_buffer():
+    inst = partition_instance()
+    kernel = GradientKernel(inst.matrix, 0.0, 0.01, 0.0)
+    shards = build_shards(kernel, count=4)
+    full = shard_messages(shards, np.ones(inst.m), 1)
+    # a buffer cut inside shard 2's slice fails shards 2 and 3; one with a slot
+    # past the last is charged to the last shard
+    cut = full._replace(rows=full.rows[:shards.slots[2] + 1])
+    longer = full._replace(rows=np.append(full.rows, 0))
+    for msg, breached in [(cut, [2, 3]), (longer, [3])]:
+        audit = rounds.LocalityAudit()
+        with pytest.raises(LocalityViolation):
+            audit_round(shards, msg, 1, audit)
+        assert audit.message_key_mismatches == [(1, s) for s in breached]
+        assert audit.out_of_column == []
+
+
+def test_one_local_update_per_round(monkeypatch):
+    # every round computes all blocks in one call, whatever the shard count
+    inst = partition_instance()
+    monkeypatch.setattr(rounds, "SHARD_COUNT", inst.n)
+    calls = []
+    honest = rounds.local_update
+
+    def counted(shards, msg, x_hat, u):
+        calls.append(msg.round_index)
+        return honest(shards, msg, x_hat, u)
+
+    monkeypatch.setattr(rounds, "local_update", counted)
+    _, audit = run_distributed(inst, SolverConfig(fairness=1.0, epsilon=0.1, max_iters=40))
+    assert calls == list(range(1, 41)) and audit.rounds == 40
 
 
 def test_out_of_column_read_exits_3(tmp_path, monkeypatch, capsys):
     path = tmp_path / "id3.mtx"
     write_matrix_market(path, identity_instance(3).matrix)
 
-    honest = rounds.build_shard
+    honest = rounds.shard_gather
 
-    def overreach(kernel, index, c0, c1, gather, *rest):
+    def overreach(col_ptr, c0, c1):
         # every shard also reads the entry after its last one
-        return honest(kernel, index, c0, c1, np.append(gather, gather[-1] + 1), *rest)
+        gather = honest(col_ptr, c0, c1)
+        return np.append(gather, gather[-1] + 1)
 
-    monkeypatch.setattr(rounds, "build_shard", overreach)
+    monkeypatch.setattr(rounds, "shard_gather", overreach)
     code = run_cli(["--mode", "pack", "--alpha", "1", "--epsilon", "0.1", "--input", str(path),
                     "--engine", "rounds", "--max-iters", "5"])
     err = capsys.readouterr().err
@@ -279,14 +340,67 @@ def test_out_of_column_read_exits_3(tmp_path, monkeypatch, capsys):
 def test_malformed_message_exits_3(tmp_path, monkeypatch, capsys):
     path = tmp_path / "id3.mtx"
     write_matrix_market(path, identity_instance(3).matrix)
-    honest = rounds.shard_message
+    honest = rounds.shard_messages
 
-    def short(shard, loads, k):
-        msg = honest(shard, loads, k)
-        return ShardMessage(round_index=k, rows=msg.rows[:0], loads=msg.loads[:0])
+    def short(shards, loads, k):
+        msg = honest(shards, loads, k)
+        return ShardMessages(round_index=k, rows=msg.rows[:0], loads=msg.loads[:0])
 
-    monkeypatch.setattr(rounds, "shard_message", short)
+    monkeypatch.setattr(rounds, "shard_messages", short)
     code = run_cli(["--mode", "pack", "--alpha", "1", "--epsilon", "0.1", "--input", str(path),
                     "--engine", "rounds", "--max-iters", "5"])
     assert code == 3
     assert "malformed messages" in capsys.readouterr().err
+
+
+# ---- the round against the monolithic kernel, evaluation by evaluation ----
+
+# (mode, fairness, epsilon) of each kernel form: alpha = 0 forms the barrier
+# weights, then the mirror, additive and multiplicative regimes, the log-domain
+# fallback, and covering's dual kernel (product form, weights, C = 1)
+KERNEL_FORMS = {
+    "weights": (PACK, 0.0, 0.1),
+    "mirror": (PACK, 0.5, 0.1),
+    "additive": (PACK, 1.0, 0.1),
+    "multiplicative": (PACK, 2.0, 0.05),
+    "fallback": (PACK, *FALLBACK),
+    "covering": (COVER, 1.0, 0.1),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8),
+       n=st.integers(1, 10), form=st.sampled_from(sorted(KERNEL_FORMS)),
+       top=st.one_of(st.just(1.0), st.floats(0.5, 1.0)))
+def test_round_evaluates_bitwise_as_the_kernel(data, seed, m, n, form, top):
+    mode, fairness, eps = KERNEL_FORMS[form]
+    rng = np.random.default_rng(seed)
+    dense = np.where(rng.random((m, n)) < 0.3, 1.0 + 99.0 * rng.random((m, n)) ** 2, 0.0)
+    cover = np.arange(max(m, n))
+    dense[cover % m, cover % n] += 1.0   # no empty row or column
+    inst, _ = instance_from_dense(dense, mode=mode)
+    if mode == PACK:
+        params = derive_packing_params(m, n, inst.rho, fairness, eps)
+        alpha, beta, logC = fairness, params.beta, params.logC
+    else:
+        alpha, beta, logC = 0.0, derive_covering_params(m, n, inst.rho, fairness, eps).beta, 0.0
+    kernel = GradientKernel(inst.matrix, alpha, beta, logC)
+    # the fallback needs m n rho above about 711 at these constants
+    assume(kernel.form.product is (form != "fallback"))
+    # an allocation spread over six decades, scaled so its fullest row has load ``top``
+    u = np.exp(rng.uniform(np.log(1e-6), 0.0, n))
+    u *= top / kernel.loads_of(u).max()
+    x_hat = u if mode == COVER else transform_inverse(u, alpha)
+    loads = kernel.loads_of(u)
+    count = data.draw(st.integers(1, n), label="shards")
+    with mock.patch.object(rounds, "SHARD_COUNT", count):
+        lockstep = rounds._Lockstep(inst.matrix, alpha, beta, logC, rounds.LocalityAudit())
+    assert lockstep.shards.bounds.size == count + 1
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        whole = kernel.evaluate(x_hat, u, loads)
+        sharded = lockstep.evaluate(x_hat, u, loads)
+    assert sharded.truncated.tobytes() == whole.truncated.tobytes()
+    assert (sharded.weights is None) is (whole.weights is None) is (form not in ("weights", "covering"))
+    if whole.weights is not None:
+        assert sharded.weights.tobytes() == whole.weights.tobytes()
+    assert lockstep.audit.rounds == 1 and lockstep.audit.ok
