@@ -7,8 +7,8 @@ proves the regime's guarantee (capped at 30,000 iterations). Writes one CSV
 per fairness value (consumable by any plotting tool) plus a summary table to
 stdout: the stop iteration, the number of epsilon stages run, whether the
 certificate stopped the run, the certified gap, and the step multiplier
-each stage ended with (8 unless a stalled gap or an overloaded row halved
-it).
+each stage ended with (8 unless a trial step overloaded a row and was
+redone at half of it).
 
 Usage: python scripts/convergence_trace.py [outdir]
 """
@@ -37,7 +37,7 @@ def main():
     print(f"instance: {inst.m}x{inst.n}, width={inst.rho:.2f}")
     print(f"{'alpha':>6} {'eps':>5} {'iters':>7} {'stages':>6} {'stopped':>7} {'utility':>12} "
           f"{'gap':>10} {'max_load':>9} {'mu':>9}")
-    for alpha in (0.0, 0.5, 1.0, 2.0):
+    for alpha in (0.0, 0.25, 0.5, 1.0, 2.0):
         eps = 0.1 if alpha <= 1.0 else 0.05
         config = SolverConfig(
             fairness=alpha, epsilon=eps, max_iters=30_000, trace_stride=30, early_stop=True,

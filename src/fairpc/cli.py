@@ -93,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--early-stop", action="store_true",
                    help="packing: start from the scaled feasible point, run epsilon stages "
                         "from the largest admissible down to --epsilon within one budget at "
-                        "8 times the paper's step, halved whenever the certified gap stalls "
-                        "or a step would overload a row, and stop once the dual bound, "
+                        "8 times the paper's step, halved only where a step would overload "
+                        "a row, and stop once the dual bound, "
                         "checked every 50 iterations and at traced rows, proves the "
                         "regime's guarantee at --epsilon (any alpha)")
     p.add_argument("--trace-stride", type=int, help="record every N-th iteration")

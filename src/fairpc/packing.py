@@ -25,12 +25,12 @@ Under early stop the certificate, not the step analysis, proves the stop,
 so the step only has to keep iterates feasible: its scale is the paper's
 times a multiplier ``mu`` that starts at ``MULTIPLIER_START`` and carries
 across stages. The run is certified at every traced row and every
-``CHECK_EVERY``-th iteration, and each check halves ``mu`` (never below 1,
-the paper's step) when the least certified gap has not shrunk since the
-stage's previous check (``back_off``). A step taken at ``mu`` above 1 whose
-iterate overloads a row is redone from the kept iterate with the same
-gradient at half the multiplier (``iterate_loads``). Without early stop
-``mu`` is 1 and the run is the paper's.
+``CHECK_EVERY``-th iteration. ``mu`` changes only where a step would leave
+its rule: a step taken at ``mu`` above 1 whose iterate overloads a row is
+redone from the kept iterate with the same gradient at half the multiplier
+(``iterate_loads``), and entering a stage halves it until the step stays in
+the rule's domain (``enter_stage``); never below 1, the paper's step.
+Without early stop ``mu`` is 1 and the run is the paper's.
 """
 
 from __future__ import annotations
@@ -485,27 +485,12 @@ class PackingRunRecorder:
             return self.best._replace(value=self.last.value)
         return self.last
 
-    def least_gap(self) -> float:
-        """The least bound seen minus the last certified value; inf before
-        any bound is finite."""
-        return math.inf if self.best is None else self.best.bound - self.last.value
-
     def should_stop(self) -> bool:
         if not self.config.early_stop or self.best is None:
             return False
         bound, value = self.best.bound, self.last.value
         radius, _ = stop_radius(self.alpha, self.epsilon, self.instance.n, bound, value)
         return bound - value <= radius
-
-
-def back_off(mu: float, gap: float, previous: float | None) -> float:
-    """The step multiplier after a check whose least certified gap is
-    ``gap``: halved, never below 1, unless ``gap`` is smaller than
-    ``previous``, the gap at the previous check of the same stage. A
-    stage's first check (``previous`` None) keeps it."""
-    if previous is None or gap < previous:
-        return mu
-    return max(1.0, mu / 2.0)
 
 
 def run_budget(state, advance, record, planned: int, stride: int, check=None) -> bool:
@@ -636,19 +621,13 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
     recorder = PackingRunRecorder(state.kernel, instance, config)
     recorder.epsilon = schedule[0]
     stages: list[Stage] = []   # the stages ended so far
-    previous = None   # the least certified gap at the stage's previous check
 
     def visit(k: int, traced: bool) -> bool:
-        nonlocal previous
         loads = iterate_loads(state, k)
         if traced:
             recorder.record(state.x_hat, state.u, k, state.trace, loads)
         else:
             recorder.check(state.x_hat, loads)
-        if not config.early_stop:
-            return False
-        gap = recorder.least_gap()
-        state.mu, previous = back_off(state.mu, gap, previous), gap
         while recorder.should_stop():
             if not traced:   # a check that ends a stage is traced, on that stage's kernel
                 recorder.record(state.x_hat, state.u, k, state.trace, loads, checked=True)
@@ -659,7 +638,6 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
             new = stage_params(schedule[len(stages)])
             enter_stage(state, new, kernel(instance.matrix, alpha, new.beta, new.logC))
             recorder.kernel, recorder.epsilon = state.kernel, new.epsilon
-            previous = None
         return False
 
     stopped_early = run_budget(state, step, lambda k: visit(k, True), planned, stride,

@@ -9,9 +9,10 @@ break locality, through its matrix reads and its load messages.
 The columns are split into ``SHARD_COUNT`` contiguous blocks of the
 column-major arrays. ``build_shards`` lays out every shard's local data once
 per kernel, as concatenated shard-major arrays (``Shards``): the entries it
-gathers, their terms in the form the kernel chose for the run, and each
-entry's slot in one message buffer, which holds every shard's incident rows,
-shard after shard. A shard is its offsets into those arrays. ``_Lockstep``
+gathers and each entry's slot in one message buffer, which holds every
+shard's incident rows, shard after shard. The gathers concatenate to every
+entry in column-major order, so a shard is its offsets into the kernel's
+own per-entry arrays and into the message buffer. ``_Lockstep``
 is a gradient kernel whose every evaluation is one round, of a fixed number
 of NumPy calls whatever the shard count: one ``take`` fills every shard's
 slice of the message buffer with its rows' loads (``shard_messages``), one
@@ -35,7 +36,7 @@ its message slice carries exactly its incident rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .covering import solve_covering
 # not called here: perfbench's probes look these two names up in this module
 from .packing import finalize_packing  # noqa: F401
 from .covering import finalize_covering  # noqa: F401
-from .regularization import ColumnForm, GradientKernel, GradientPair, truncated_columns
+from .regularization import GradientKernel, GradientPair, truncated_columns
 
 # column blocks per run, capped at the number of columns
 SHARD_COUNT = 4
@@ -58,7 +59,7 @@ class Shards:
     """Every shard's local data, concatenated shard-major.
 
     Shard s owns columns ``[bounds[s], bounds[s+1])``, positions
-    ``[starts[s], starts[s+1])`` of the per-entry arrays and slots
+    ``[starts[s], starts[s+1])`` of the kernel's per-entry arrays and slots
     ``[slots[s], slots[s+1])`` of the message buffer, whose rows ``rows``
     lists. ``reads`` stacks each entry's gather index over its slot, and
     ``lo``/``hi`` bound both, per shard: the entries of its columns and its
@@ -72,12 +73,6 @@ class Shards:
     hi: np.ndarray          # (2, shards): one past its last entry; one past its last slot
     rows: np.ndarray        # the message buffer's rows: each shard's sorted incident rows
     slots: np.ndarray       # slot offsets, one past the last shard's
-    entry_col: np.ndarray | None   # each entry's column; fallback form only
-    col_starts: np.ndarray  # each column's first entry
-    terms: np.ndarray       # each entry's term in the kernel's form: A_ij, or ln(A_ij) + logC
-    m: int                  # rows of the matrix, for the scattered barrier weights
-    form: ColumnForm
-    allocation_term: Callable   # the kernel's allocation term
 
     @property
     def gather(self) -> np.ndarray:
@@ -155,9 +150,6 @@ def build_shards(kernel: GradientKernel, count: int) -> Shards:
         bounds=bounds, starts=starts, reads=np.stack([gather, slot]),
         lo=np.stack([first, slots[:-1]]), hi=np.stack([last, slots[1:]]),
         rows=keys % matrix.m, slots=slots,
-        entry_col=None if kernel.entry_col is None else kernel.entry_col.take(gather),
-        col_starts=col_ptr[:-1], terms=kernel.entry_terms.take(gather), m=matrix.m,
-        form=kernel.form, allocation_term=kernel.allocation_term,
     )
 
 
@@ -180,11 +172,12 @@ def _malformed(msg: ShardMessages, shards: Shards) -> list[int]:
     return sorted(bad)
 
 
-def local_update(shards: Shards, msg: ShardMessages, x_hat: np.ndarray,
-                 u: np.ndarray) -> GradientPair:
-    """Every block's truncated gradient, each from its shard's own entries,
-    its message slice and its block of ``x_hat``, ``u``; with the barrier
-    weights, scattered to their rows, when the form makes them."""
+def local_update(kernel: GradientKernel, shards: Shards, msg: ShardMessages,
+                 x_hat: np.ndarray, u: np.ndarray) -> GradientPair:
+    """Every block's truncated gradient, each from its shard's own entries
+    of ``kernel`` (the kernel ``shards`` was built for), its message slice
+    and its block of ``x_hat``, ``u``; with the barrier weights, scattered
+    to their rows, when the kernel's form makes them."""
     bad = _malformed(msg, shards)
     if bad:
         s = bad[0]
@@ -193,11 +186,11 @@ def local_update(shards: Shards, msg: ShardMessages, x_hat: np.ndarray,
         lacks = f"the load of row {int(missing[0])}" if missing.size else "its incident rows"
         raise MissingLoad(f"round {msg.round_index}: shard {s}'s message lacks {lacks}")
     _s, _saturated, truncated, weights = truncated_columns(
-        shards.form, shards.terms, shards.row_pos, shards.entry_col, shards.col_starts,
-        shards.allocation_term(x_hat, u), np.log(msg.loads),
+        kernel.form, kernel.entry_terms, shards.row_pos, kernel.entry_col,
+        kernel.matrix.col_ptr[:-1], kernel.allocation_term(x_hat, u), np.log(msg.loads),
     )
     if weights is not None:
-        scattered = np.zeros(shards.m)
+        scattered = np.zeros(kernel.matrix.m)
         scattered[shards.rows] = weights
         weights = scattered
     return GradientPair(truncated, weights)
@@ -271,7 +264,7 @@ class _Lockstep(GradientKernel):
         k = audit.rounds = audit.rounds + 1
         msg = shard_messages(self.shards, loads, k)
         audit_round(self.shards, msg, k, audit)
-        return local_update(self.shards, msg, x_hat, u)
+        return local_update(self, self.shards, msg, x_hat, u)
 
     def close(self) -> LocalityAudit:
         audit = self.audit

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from fairpc import (
 from fairpc import packing, rounds
 from fairpc.errors import NegativeCoordinate
 from fairpc.packing import (
-    MULTIPLIER_START, PackingRunRecorder, TraceBuffer, back_off, enter_stage, epsilon_schedule,
+    MULTIPLIER_START, PackingRunRecorder, TraceBuffer, enter_stage, epsilon_schedule,
     iterate_loads, update_rule,
 )
 from fairpc.problem import epsilon_upper_bound
@@ -337,8 +338,9 @@ def test_epsilon_schedule_certifies_in_both_engines(seed, alpha):
     eps = min(0.1, epsilon_upper_bound(alpha)) / 2.0
     assert len(epsilon_schedule(alpha, eps)) >= 2
     config = SolverConfig(fairness=alpha, epsilon=eps, early_stop=True, max_iters=20_000)
-    mono = solve_packing(inst, config)
-    dist, audit = run_distributed(inst, config)
+    with mock.patch.object(packing, "redo", side_effect=packing.redo) as redo:
+        mono = solve_packing(inst, config)
+        dist, audit = run_distributed(inst, config)
     assert mono.x.tobytes() == dist.x.tobytes() and mono.trace == dist.trace
     assert mono.stages == dist.stages and mono.gap_estimate == dist.gap_estimate
     assert [s.multiplier for s in mono.stages] == [s.multiplier for s in dist.stages]
@@ -348,6 +350,8 @@ def test_epsilon_schedule_certifies_in_both_engines(seed, alpha):
     multipliers = [s.multiplier for s in mono.stages]
     assert multipliers == sorted(multipliers, reverse=True)
     assert all(1.0 <= mu <= MULTIPLIER_START for mu in multipliers)
+    if not redo.called:   # at mu = 8 only a redone trial lowers it
+        assert multipliers == [MULTIPLIER_START] * len(multipliers)
     tol = 1e-6
     opt = small_dense_packing_optimum(inst, alpha, tol=tol).objective
     if mono.stopped_early:
@@ -365,22 +369,19 @@ def test_epsilon_schedule_certifies_in_both_engines(seed, alpha):
 
 # ---- the early-stop step multiplier ----
 
-def test_back_off_halves_when_the_gap_does_not_shrink():
-    assert back_off(8.0, 0.5, 1.0) == 8.0
-    assert back_off(8.0, 1.0, 1.0) == 4.0
-    assert back_off(8.0, 2.0, 1.0) == 4.0
-    assert back_off(8.0, math.inf, math.inf) == 4.0   # no finite bound at either check
-
-
-def test_back_off_never_goes_below_one():
-    assert back_off(2.0, 1.0, 1.0) == 1.0
-    assert back_off(1.0, 1.0, 1.0) == 1.0
-    assert back_off(1.0, 0.5, 1.0) == 1.0
-
-
-def test_back_off_keeps_a_stages_first_check():
-    assert back_off(8.0, 5.0, None) == 8.0
-    assert back_off(8.0, math.inf, None) == 8.0
+@pytest.mark.parametrize("index,alpha", [(39, 0.25), (10, 0.25), (47, 1.0), (31, 0.0)])
+def test_a_flat_gap_does_not_lower_the_multiplier(packing_suite, index, alpha):
+    # a check whose least certified gap has not shrunk leaves mu as it is:
+    # these runs meet such checks (at alpha = 0.25 the first ones see no
+    # finite bound), and at mu = 8 throughout each proves its stop quickly
+    inst = packing_suite[index]
+    config = SolverConfig(fairness=alpha, epsilon=0.1, early_stop=True, max_iters=20_000)
+    mono = solve_packing(inst, config)
+    dist, audit = run_distributed(inst, config)
+    assert mono.stopped_early and mono.iterations_run <= 3_500
+    assert mono.x.tobytes() == dist.x.tobytes() and mono.trace == dist.trace
+    assert mono.stages == dist.stages and mono.iterations_run == audit.rounds
+    assert all(stage.multiplier == MULTIPLIER_START for stage in mono.stages)
 
 
 @pytest.mark.parametrize("alpha,eps", [(0.5, 0.1), (1.0, 0.1), (2.0, 0.05)])
@@ -422,7 +423,7 @@ def test_overshooting_multiplier_is_rejected_and_halved(monkeypatch, alpha, eps)
     assert all(after == before / 2.0 for before, after in halved)
     assert [k for k, _ in accepted] == list(range(mono.iterations_run + 1))
     assert all(top <= 1.0 for _, top in accepted)
-    assert mono.stopped_early and mono.is_feasible
+    assert mono.is_feasible
     assert mono.stages[0].multiplier < 1024.0
     assert mono.x.tobytes() == dist.x.tobytes() and mono.stages == dist.stages
     assert audit.rounds == dist.iterations_run == mono.iterations_run
@@ -455,7 +456,7 @@ def test_huge_multiplier_start_stays_in_the_rule_domain(monkeypatch, engine, alp
         warnings.simplefilter("error")
         sol = solve_packing(inst, config) if engine == "monolithic" else (
             run_distributed(inst, config)[0])
-    assert sol.stopped_early and sol.is_feasible
+    assert sol.is_feasible
     assert all(top <= 1.0 for top in (row.max_load for row in sol.trace))
     for stage in sol.stages:
         scale, _ = update_rule(derive_packing_params(2, 3, inst.rho, alpha, stage.epsilon), alpha)
