@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 2 on input or validation problems, 3 when a
 solver-internal assertion trips (any ``SolverAssertion``: feasibility,
-truncation domain, certificate, locality or missing-load failures, which
-indicate bugs rather than bad input).
+truncation domain, certificate or locality failures, which indicate bugs
+rather than bad input).
 
 Floats are printed with 17 significant digits in a fixed field order so
 identical runs produce byte-identical JSON.
@@ -221,7 +221,7 @@ def run_cli(argv) -> int:
     try:
         start = time.perf_counter()
         if args.engine == ROUNDS:
-            solution, audit = run_distributed(instance, config, mode=args.mode, scaling=record)
+            solution, _ = run_distributed(instance, config, scaling=record)
         elif args.mode == PACK:
             solution = solve_packing(instance, config, scaling=record)
         else:

@@ -97,10 +97,6 @@ class LocalityViolation(SolverAssertion):
     pass
 
 
-class MissingLoad(SolverAssertion):
-    """A round message lacks a load its shard needs: an engine bug."""
-
-
 class UnsupportedStructure(FairpcError):
     pass
 

@@ -165,7 +165,7 @@ def test_internal_assertion_exits_3(id3_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("error", [
     "TruncationDomainViolation", "FeasibilityViolation", "CertificateShortfall",
-    "LocalityViolation", "MissingLoad",
+    "LocalityViolation",
 ])
 def test_every_solver_assertion_exits_3(id3_path, capsys, monkeypatch, error):
     # the solve looks up ``step`` when it runs, so the patched one raises at the first step

@@ -470,12 +470,13 @@ def test_entry_points_reject_a_config_of_the_other_mode():
                                          "mode is 'cover'"):
         solve_packing(identity_instance(2), cover)
     covering = identity_instance(2, mode=COVER)
-    for run in (lambda: solve_covering(covering, pack),
-                lambda: run_distributed(covering, pack, mode=COVER)):
-        # the rounds engine's mode argument does not override the config's
-        with pytest.raises(ValueError, match="solve_covering runs mode 'cover', but the "
-                                             "config's mode is 'pack'"):
-            run()
+    with pytest.raises(ValueError, match="solve_covering runs mode 'cover', but the "
+                                         "config's mode is 'pack'"):
+        solve_covering(covering, pack)
+    # the rounds engine runs the config's mode; a mode argument that differs raises
+    with pytest.raises(ValueError, match="run_distributed was given mode 'cover', but the "
+                                         "config's mode is 'pack'"):
+        run_distributed(covering, pack, mode=COVER)
 
 
 @pytest.mark.parametrize("engine", ["monolithic", "rounds"])

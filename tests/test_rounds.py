@@ -21,14 +21,15 @@ from fairpc import (
 )
 from fairpc import rounds
 from fairpc.cli import run_cli
-from fairpc.errors import LocalityViolation, MissingLoad
+from fairpc.errors import LocalityViolation
 from fairpc.matrix import write_matrix_market
 from fairpc.packing import CHECK_EVERY
 from fairpc.regularization import GradientKernel
 from fairpc.rounds import (
     ShardMessages,
-    audit_round,
     build_shards,
+    check_layout,
+    check_message,
     local_update,
     run_distributed,
     shard_messages,
@@ -72,14 +73,16 @@ def test_local_update_zero_gradient_is_noop():
     assert block.truncated[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_local_update_missing_load():
+def test_message_check_missing_load():
     inst = single_row_instance([1.0, 1.0])
     params = derive_packing_params(1, 2, 1.0, 1.0, 0.1)
-    kernel, shard = one_shard(inst, params)
-    x_hat = np.array([-1.0, -1.0])
+    _, shard = one_shard(inst, params)
     empty = ShardMessages(round_index=1, rows=np.array([], dtype=np.int64), loads=np.array([]))
-    with pytest.raises(MissingLoad, match="round 1: shard 0's message lacks the load of row 0"):
-        local_update(kernel, shard, empty, x_hat, np.exp(x_hat))
+    audit = rounds.LocalityAudit()
+    with pytest.raises(LocalityViolation,
+                       match="round 1: .*shard 0's message lacks the load of row 0"):
+        check_message(shard, empty, audit)
+    assert audit.message_key_mismatches == [(1, 0)]
 
 
 @pytest.mark.parametrize("alpha,eps", [(0.0, 0.1), (0.5, 0.1), (0.9, 0.1), (1.0, 0.1), (1.5, 0.1), (3.0, 0.05)])
@@ -140,13 +143,12 @@ def test_trace_matches_monolithic():
         assert a == b
 
 
-def test_audit_reports_touched_entries():
+def test_clean_run_records_no_breach():
     inst, _ = instance_from_dense(np.array([[1.0, 2.0], [1.0, 0.0]]))
     config = SolverConfig(fairness=0.0, epsilon=0.1, max_iters=5)
     _, audit = run_distributed(inst, config)
-    assert audit.ok
-    assert audit.touched_counts == {0: 2, 1: 1}  # column nnz
-    assert audit.out_of_column == []
+    assert audit.ok and audit.rounds == 5
+    assert audit.out_of_column == [] and audit.message_key_mismatches == []
 
 
 # ---- shard partitions and the structural audit ----
@@ -181,7 +183,6 @@ def test_bit_identical_over_partitions(monkeypatch, alpha, eps, count):
     assert mono.utility == dist.utility
     assert [r.f_r for r in mono.trace] == [r.f_r for r in dist.trace]
     assert audit.ok and audit.rounds == 150
-    assert sum(audit.touched_counts.values()) == inst.matrix.nnz
 
 
 @pytest.mark.parametrize("count", [1, 2, 4, None])
@@ -232,10 +233,8 @@ def test_shards_partition_the_columns():
     shards = build_shards(kernel, count=4)
     col_ptr, col_row = inst.matrix.col_ptr, inst.matrix.col_row
     assert shards.bounds.tolist() == [0, 2, 4, 6, 9]
-    assert shards.gather.tolist() == list(range(inst.matrix.nnz))
     for s, (c0, c1) in enumerate(zip(shards.bounds[:-1], shards.bounds[1:])):
         lo, hi = col_ptr[c0], col_ptr[c1]
-        assert (shards.starts[s], shards.starts[s + 1]) == (lo, hi)
         # the shard's message slice: its sorted incident rows, and no other
         first, last = shards.slots[s], shards.slots[s + 1]
         assert shards.rows[first:last].tolist() == sorted(set(col_row[lo:hi].tolist()))
@@ -244,44 +243,75 @@ def test_shards_partition_the_columns():
     assert (shards.rows[shards.row_pos] == col_row).all()
 
 
-@pytest.mark.parametrize("shard,c0", [(0, 0), (2, 2)])
-def test_out_of_column_gather_raises(monkeypatch, shard, c0):
-    inst = identity_instance(3)
-    params = derive_packing_params(3, 3, 1.0, 1.0, 0.1)
-    kernel = GradientKernel(inst.matrix, 1.0, params.beta, params.logC)
-    honest = rounds.shard_gather
-
-    def overreach(col_ptr, lo, hi):
-        # the named shard owns one column but also gathers entry 1, column 1's
-        gather = honest(col_ptr, lo, hi)
-        return np.append(gather, 1) if lo == c0 else gather
-
-    monkeypatch.setattr(rounds, "shard_gather", overreach)
-    with pytest.raises(LocalityViolation,
-                       match=rf"shard {shard} \(columns {c0}..{c0}\) gathers entry 1 "):
-        build_shards(kernel, count=3)
+def test_shards_are_read_only():
+    inst = partition_instance()
+    shards = build_shards(GradientKernel(inst.matrix, 0.0, 0.01, 0.0), count=4)
+    for name in ("bounds", "row_pos", "rows", "slots"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(shards, name)[0] = 0
 
 
-def test_per_round_audit_records_breaches():
-    inst = identity_instance(3)
-    params = derive_packing_params(3, 3, 1.0, 1.0, 0.1)
-    kernel = GradientKernel(inst.matrix, 1.0, params.beta, params.logC)
+@pytest.mark.parametrize("shard,slot", [(0, 1), (2, 0)])
+def test_out_of_slice_slot_raises(shard, slot):
+    # one row over three one-column shards: every slot carries row 0, so a
+    # slot in another shard's slice still carries the entry's own row
+    inst = single_row_instance([1.0, 2.0, 3.0])
+    kernel = GradientKernel(inst.matrix, 1.0, 0.01, 0.0)
     good = build_shards(kernel, count=3)
     audit = rounds.LocalityAudit()
-    audit_round(good, shard_messages(good, np.ones(3), 4), 4, audit)
+    check_layout(good, inst.matrix, audit)
     assert audit.ok
-    # altered after the build-time check: shard 1 gathers entry 2, column 2's,
-    # and shard 0 reads slot 1, which is shard 1's message slice
-    reads = good.reads.copy()
-    reads[0, 1], reads[1, 0] = 2, 1
-    bad = dataclasses.replace(good, reads=reads)
-    # and shard 2's message slice carries row 0 instead of its row 2
-    msg = shard_messages(bad, np.ones(3), 5)
-    msg = msg._replace(rows=np.array([0, 1, 0]))
-    with pytest.raises(LocalityViolation, match="1 out-of-column accesses, 2 malformed"):
-        audit_round(bad, msg, 5, audit)
-    assert audit.out_of_column == [(5, 1, 2)]
-    assert audit.message_key_mismatches == [(5, 0), (5, 2)]
+    row_pos = good.row_pos.copy()
+    row_pos[shard] = slot
+    stray = dataclasses.replace(good, row_pos=row_pos)
+    with pytest.raises(LocalityViolation,
+                       match=rf"shard {shard} \(columns {shard}..{shard}\) reads the load of "
+                             rf"entry {shard}'s row 0 from slot {slot}, outside its message "
+                             rf"slice \[{shard}, {shard + 1}\)"):
+        check_layout(stray, inst.matrix, audit)
+    assert audit.out_of_column == [(shard, shard)]
+
+
+def test_slot_carrying_another_row_raises():
+    # two entries of one shard swap slots: both stay inside the shard's
+    # message slice, but each reads the other's row load
+    inst = partition_instance()
+    kernel = GradientKernel(inst.matrix, 0.0, 0.01, 0.0)
+    good = build_shards(kernel, count=4)
+    col_row = inst.matrix.col_row
+    lo, hi = inst.matrix.col_ptr[good.bounds[1]], inst.matrix.col_ptr[good.bounds[2]]
+    first = int(lo)
+    second = first + int(np.flatnonzero(col_row[lo:hi] != col_row[first])[0])
+    row_pos = good.row_pos.copy()
+    row_pos[[first, second]] = row_pos[[second, first]]
+    swapped = dataclasses.replace(good, row_pos=row_pos)
+    audit = rounds.LocalityAudit()
+    with pytest.raises(LocalityViolation,
+                       match=rf"shard 1 .* entry {first}'s row {col_row[first]} from slot "
+                             rf"{row_pos[first]}, which carries row {col_row[second]}$"):
+        check_layout(swapped, inst.matrix, audit)
+    assert audit.out_of_column == [(1, first), (1, second)]
+
+
+def test_message_check_records_breaches():
+    inst = identity_instance(3)
+    kernel = GradientKernel(inst.matrix, 1.0, 0.01, 0.0)
+    shards = build_shards(kernel, count=3)
+    audit = rounds.LocalityAudit()
+    check_message(shards, shard_messages(shards, np.ones(3), 4), audit)
+    assert audit.ok
+    # an equal copy of the layout's rows passes too
+    copied = shard_messages(shards, np.ones(3), 4)._replace(rows=shards.rows.copy())
+    check_message(shards, copied, audit)
+    assert audit.ok
+    # shard 2's message slice carries row 0 instead of its row 2
+    msg = shard_messages(shards, np.ones(3), 5)._replace(rows=np.array([0, 1, 0]))
+    with pytest.raises(LocalityViolation,
+                       match=r"round 5: malformed messages from shards \[2\]; "
+                             r"shard 2's message lacks the load of row 2"):
+        check_message(shards, msg, audit)
+    assert audit.message_key_mismatches == [(5, 2)]
+    assert audit.out_of_column == []
 
 
 def test_audit_charges_a_short_or_long_buffer():
@@ -296,7 +326,7 @@ def test_audit_charges_a_short_or_long_buffer():
     for msg, breached in [(cut, [2, 3]), (longer, [3])]:
         audit = rounds.LocalityAudit()
         with pytest.raises(LocalityViolation):
-            audit_round(shards, msg, 1, audit)
+            check_message(shards, msg, audit)
         assert audit.message_key_mismatches == [(1, s) for s in breached]
         assert audit.out_of_column == []
 
@@ -317,23 +347,33 @@ def test_one_local_update_per_round(monkeypatch):
     assert calls == list(range(1, 41)) and audit.rounds == 40
 
 
-def test_out_of_column_read_exits_3(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("breach,fault", [
+    ("stray slot", "from slot 1, outside its message slice [0, 1)"),
+    ("wrong row", "from slot 0, which carries row 2"),
+])
+def test_out_of_column_read_exits_3(tmp_path, monkeypatch, capsys, breach, fault):
     path = tmp_path / "id3.mtx"
     write_matrix_market(path, identity_instance(3).matrix)
+    honest = rounds.build_shards
 
-    honest = rounds.shard_gather
+    def broken(kernel, count):
+        # one column per shard: either shard 0's entry reads slot 1, in shard
+        # 1's message slice, or the buffer lists the rows in reverse, so each
+        # slot stays in its shard's slice but carries another row
+        shards = honest(kernel, count)
+        if breach == "stray slot":
+            row_pos = shards.row_pos.copy()
+            row_pos[0] = shards.slots[1]
+            return dataclasses.replace(shards, row_pos=row_pos)
+        return dataclasses.replace(shards, rows=shards.rows[::-1])
 
-    def overreach(col_ptr, c0, c1):
-        # every shard also reads the entry after its last one
-        gather = honest(col_ptr, c0, c1)
-        return np.append(gather, gather[-1] + 1)
-
-    monkeypatch.setattr(rounds, "shard_gather", overreach)
+    monkeypatch.setattr(rounds, "build_shards", broken)
     code = run_cli(["--mode", "pack", "--alpha", "1", "--epsilon", "0.1", "--input", str(path),
                     "--engine", "rounds", "--max-iters", "5"])
     err = capsys.readouterr().err
     assert code == 3
-    assert "solver assertion failed" in err and "outside its columns" in err
+    assert err == ("solver assertion failed: shard 0 (columns 0..0) reads the load of entry "
+                   f"0's row 0 {fault}\n")
 
 
 def test_malformed_message_exits_3(tmp_path, monkeypatch, capsys):
