@@ -87,7 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--input", required=True, help="MatrixMarket coordinate file")
     p.add_argument("--output", help="result JSON path (default: stdout)")
-    p.add_argument("--trace", help="convergence trace CSV path")
+    p.add_argument("--trace", help="convergence trace CSV path; without it (or with an empty "
+                                   "path) no trace row is built, only counted in "
+                                   "trace_rows_dropped")
     p.add_argument("--engine", choices=[MONOLITHIC, ROUNDS], default=MONOLITHIC)
     p.add_argument("--max-iters", type=int, help="override the derived iteration budget")
     p.add_argument("--early-stop", action="store_true",
@@ -97,7 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "a row, and stop once the dual bound, "
                         "checked every 50 iterations and at traced rows, proves the "
                         "regime's guarantee at --epsilon (any alpha)")
-    p.add_argument("--trace-stride", type=int, help="record every N-th iteration")
+    p.add_argument("--trace-stride", type=int,
+                   help="trace every N-th iteration; a run that certifies its trace rows "
+                        "certifies these iterations with --trace or without")
     return p
 
 
@@ -211,6 +215,7 @@ def run_cli(argv) -> int:
             max_iters=args.max_iters,
             early_stop=args.early_stop,
             trace_stride=args.trace_stride,
+            keep_trace=bool(args.trace),
         )
         entries, m, n = read_matrix_market(args.input)
         instance, record = standardize(entries, m, n, mode=args.mode, fairness=fairness)

@@ -72,8 +72,11 @@ class CoveringResidualReport:
 
 
 def running_average(y_avg, y_new, k: int):
-    """Numerically stable running mean after the k-th sample."""
-    return ((k - 1.0) / k) * y_avg + y_new / k
+    """Numerically stable running mean after the k-th sample, updated in
+    ``y_avg`` and returned."""
+    y_avg *= (k - 1.0) / k
+    y_avg += y_new / k
+    return y_avg
 
 
 def init_covering(instance: CoveringInstance, config: SolverConfig,
@@ -116,7 +119,7 @@ def step_covering(state: CoveringState) -> CoveringState:
     state.x = x
     state.loads = loads
     k = state.k + 1
-    state.y_avg = running_average(state.y_avg, pair.weights, k)
+    running_average(state.y_avg, pair.weights, k)
     state.k = k
     return state
 

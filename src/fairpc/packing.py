@@ -73,16 +73,22 @@ class TraceRow:
 
 
 class TraceBuffer:
-    """Bounded trace storage; past capacity the oldest rows are dropped and counted."""
+    """Bounded trace storage: the latest ``capacity`` rows. Every row is
+    counted, kept or not (a run that keeps no trace appends None), so
+    ``dropped`` is the number of oldest rows a kept trace evicts."""
 
     def __init__(self, capacity: int = TRACE_CAPACITY):
         self._rows = deque(maxlen=capacity)
-        self.dropped = 0
+        self.count = 0
 
-    def append(self, row: TraceRow) -> None:
-        if len(self._rows) == self._rows.maxlen:
-            self.dropped += 1
-        self._rows.append(row)
+    def append(self, row: TraceRow | None) -> None:
+        self.count += 1
+        if row is not None:
+            self._rows.append(row)
+
+    @property
+    def dropped(self) -> int:
+        return max(0, self.count - self._rows.maxlen)
 
     def rows(self) -> list[TraceRow]:
         return list(self._rows)
@@ -436,9 +442,10 @@ class PackingRunRecorder:
     The fairness is the kernel's: packing's alpha, or 0 for covering's dual
     engine, whose rows are never certified. A traced packing row is
     certified above fairness 1, and in every regime under early stop, where
-    ``check`` also certifies untraced iterates; the least finite dual bound
-    seen is kept, since each one bounds OPT, whatever stage's barrier
-    weights it came from. ``should_stop`` says whether that bound proves the
+    ``check`` also certifies untraced iterates. A run whose config keeps no
+    trace builds no row, only counts it, and certifies it all the same. The
+    least finite dual bound seen is kept, since each one bounds OPT,
+    whatever stage's barrier weights it came from. ``should_stop`` says whether that bound proves the
     last certified iterate within ``stop_radius`` at ``epsilon``, the
     current stage's; an iterate whose bound is not finite never proves it.
     ``solve_packing`` sets ``kernel`` and ``epsilon`` at each stage.
@@ -461,20 +468,21 @@ class PackingRunRecorder:
             self.best = cert
 
     def record(self, x_hat: np.ndarray, u: np.ndarray, k: int, trace: TraceBuffer,
-               loads: np.ndarray, checked: bool = False) -> TraceRow:
-        """Trace row of iteration ``k``; ``loads`` are those of ``u``, as
-        ``iterate_loads`` computed and checked them. ``checked`` says that
-        ``check`` has just certified this iterate."""
-        kernel = self.kernel
-        utility = f_alpha_value(u, self.alpha)
-        f_r = kernel.f_r(x_hat, loads=loads)
+               loads: np.ndarray, checked: bool = False) -> TraceRow | None:
+        """Trace row of iteration ``k``, or None where the config keeps no
+        trace; ``loads`` are those of ``u``, as ``iterate_loads`` computed
+        and checked them. ``checked`` says that ``check`` has just
+        certified this iterate."""
+        if self.certifies and not checked:
+            self.check(x_hat, loads)
+        if not self.config.keep_trace:
+            trace.append(None)
+            return None
         gap = None
-        if self.certifies:
-            if not checked:
-                self.check(x_hat, loads)
-            if math.isfinite(self.last.bound):
-                gap = self.last.gap
-        row = TraceRow(k=k, utility=utility, max_load=float(loads.max()), f_r=f_r, gap=gap)
+        if self.certifies and math.isfinite(self.last.bound):
+            gap = self.last.gap
+        row = TraceRow(k=k, utility=f_alpha_value(u, self.alpha), max_load=float(loads.max()),
+                       f_r=self.kernel.f_r(x_hat, loads=loads), gap=gap)
         trace.append(row)
         return row
 

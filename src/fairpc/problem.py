@@ -165,7 +165,14 @@ def check_run(mode: str, fairness: float, epsilon: float) -> None:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Run parameters: fairness (alpha or beta), epsilon, and overrides."""
+    """Run parameters: fairness (alpha or beta), epsilon, and overrides.
+
+    ``keep_trace`` says whether the caller keeps the solution's trace.
+    Without it no trace row is built: every traced iteration is still
+    counted, so ``trace_dropped`` is what a kept trace would have dropped,
+    and still certified where a kept row would be, so ``trace_stride``
+    still places certificate checks.
+    """
 
     fairness: float
     epsilon: float
@@ -173,6 +180,7 @@ class SolverConfig:
     max_iters: int | None = None
     early_stop: bool = False
     trace_stride: int | None = None
+    keep_trace: bool = True
 
     def __post_init__(self):
         if self.mode not in (PACK, COVER):

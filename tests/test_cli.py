@@ -3,13 +3,14 @@ import io
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fairpc import derive_packing_params, single_constraint_packing_optimum
+from fairpc import derive_packing_params, packing, single_constraint_packing_optimum
 from fairpc.cli import emit_json, emit_trace, run_cli
 from fairpc.packing import TraceRow
 
@@ -372,6 +373,60 @@ def test_dropped_trace_rows_are_counted(tmp_path, capsys, engine):
     assert json.loads(out)["trace_rows_dropped"] == 905
     lines = trace.read_text().splitlines()
     assert lines[1].split(",")[0] == "905" and len(lines) == 1 + 4096
+    # without --trace no row is built, but every one is counted
+    code, out, _ = run(
+        ["--mode", "pack", "--alpha", "1", "--epsilon", "0.1", "--input", str(p),
+         "--max-iters", "5000", "--trace-stride", "1", "--engine", engine],
+        capsys,
+    )
+    assert code == 0 and json.loads(out)["trace_rows_dropped"] == 905
+
+
+SPARSE34 = ("%%MatrixMarket matrix coordinate real general\n3 4 7\n"
+            "1 1 2.0\n1 2 1.0\n1 4 1.0\n2 2 5.0\n2 3 1.5\n3 3 1.0\n3 4 4.0\n")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mode", "pack", "--alpha", "0.5", "--epsilon", "0.1"],
+    ["--mode", "pack", "--alpha", "1", "--epsilon", "0.1"],
+    ["--mode", "pack", "--alpha", "2", "--epsilon", "0.05"],
+    ["--mode", "pack", "--alpha", "0.5", "--epsilon", "0.1", "--early-stop"],
+    ["--mode", "pack", "--alpha", "1", "--epsilon", "0.1", "--early-stop"],
+    ["--mode", "pack", "--alpha", "2", "--epsilon", "0.05", "--early-stop"],
+    ["--mode", "cover", "--beta", "1", "--epsilon", "0.1"],
+])
+def test_json_does_not_depend_on_trace(tmp_path, capsys, flags):
+    # a run without --trace builds no trace row: its JSON is the traced
+    # run's, byte for byte apart from the wall time, on both engines (at
+    # alpha = 2 the early-stop run ends at an untraced check, iteration 200)
+    p = tmp_path / "sparse.mtx"
+    p.write_text(SPARSE34)
+    outputs = {}
+    for engine in ("monolithic", "rounds"):
+        for traced in (False, True):
+            out = tmp_path / f"{engine}{traced}.json"
+            argv = [*flags, "--input", str(p), "--max-iters", "400", "--trace-stride", "30",
+                    "--engine", engine, "--output", str(out)]
+            if traced:
+                argv += ["--trace", str(tmp_path / "t.csv")]
+            assert run(argv, capsys)[0] == 0
+            text = re.sub(r'"wall_time_s": [^}]*', '"wall_time_s": 0', out.read_text())
+            outputs[engine, traced] = text.replace(f'"engine": "{engine}"', '"engine": ""')
+    assert len(set(outputs.values())) == 1
+    # the alpha = 2 run without --early-stop reports its last row's certificate
+    doc = json.loads(outputs["rounds", False])
+    uncertified = flags[1] == "pack" and float(flags[3]) <= 1.0 and "--early-stop" not in flags
+    assert (doc["dual"] is None) == uncertified
+
+
+def test_empty_trace_path_keeps_no_trace(id2_path, tmp_path, monkeypatch, capsys):
+    # an empty --trace path is no trace: exit 0, no file, and no row built
+    monkeypatch.chdir(tmp_path)
+    with mock.patch.object(packing, "TraceRow", side_effect=packing.TraceRow) as rows:
+        code, out, _ = run(["--mode", "pack", "--alpha", "2", "--epsilon", "0.1", "--input",
+                            str(id2_path), "--max-iters", "50", "--trace", ""], capsys)
+    assert code == 0 and rows.call_count == 0 and json.loads(out)["dual"] is not None
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["id2.mtx"]
 
 
 def test_no_trace_rows_dropped_is_reported_as_zero(id2_path, capsys):

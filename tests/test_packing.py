@@ -617,6 +617,50 @@ def test_no_certificate_at_or_below_one_without_early_stop(alpha):
     assert sol.eps_f_basis == "returned utility stands in for the unknown optimum"
 
 
+def _counted_solve(solve, inst, config):
+    """Solve, counting the calls of the trace row's values and of the certificate."""
+    with mock.patch.object(packing, "f_alpha_value", side_effect=packing.f_alpha_value) as util, \
+            mock.patch.object(GradientKernel, "f_r", autospec=True,
+                              side_effect=GradientKernel.f_r) as f_r, \
+            mock.patch.object(packing, "certify", side_effect=packing.certify) as cert:
+        sol = solve(inst, config)
+    return sol, util.call_count, f_r.call_count, cert.call_count
+
+
+@pytest.mark.parametrize("engine", ["monolithic", "rounds"])
+def test_untraced_runs_build_no_trace_row(engine):
+    # 11 rows (iterations 0, 10, ..., 100) are counted but never built: no
+    # utility or f_r beyond the finalizers', and an alpha = 2 run certifies
+    # each of them all the same
+    solve = solve_packing if engine == "monolithic" else (lambda *a: run_distributed(*a)[0])
+    cover = solve_covering if engine == "monolithic" else solve
+    inst = single_row_instance([1.0, 2.0, 3.0])
+    for alpha in (0.5, 1.0, 2.0):
+        for keep in (True, False):
+            config = SolverConfig(fairness=alpha, epsilon=0.05, max_iters=100, trace_stride=10,
+                                  keep_trace=keep)
+            sol, util, f_r, cert = _counted_solve(solve, inst, config)
+            rows = 11 if keep else 0
+            assert len(sol.trace) == rows and sol.trace_dropped == 0
+            assert (util, f_r) == (rows + 1, rows)   # + finalize_packing's utility
+            assert cert == (11 if alpha > 1.0 else 0)
+    # under early stop every check still certifies: here at 0, 30, 50 (an
+    # untraced check that ends the first stage), 60 and 90, where it stops
+    counts = []
+    for keep in (True, False):
+        config = SolverConfig(fairness=2.0, epsilon=0.05, early_stop=True, max_iters=1000,
+                              trace_stride=30, keep_trace=keep)
+        sol, util, f_r, cert = _counted_solve(
+            solve, single_row_instance([100.0, 100.0, 100.0, 1.0, 1.0]), config)
+        counts.append((sol.iterations_run, sol.stages, sol.gap_estimate, cert))
+    assert counts[0] == counts[1] and counts[1][3] == 5 and (util, f_r) == (1, 0)
+    cover_inst = single_row_instance([1.0, 2.0, 3.0], mode=COVER)
+    config = SolverConfig(fairness=1.0, epsilon=0.1, mode=COVER, max_iters=100,
+                          trace_stride=10, keep_trace=False)
+    sol, _, f_r, cert = _counted_solve(cover, cover_inst, config)
+    assert sol.trace == [] and (f_r, cert) == (1, 0)   # finalize_covering's f_r
+
+
 def test_eps_f_forms():
     inst = identity_instance(1)
     sol = solve_packing(inst, SolverConfig(fairness=1.0, epsilon=0.1, max_iters=10))
