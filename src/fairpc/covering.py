@@ -29,6 +29,7 @@ from .packing import (
     TraceBuffer,
     TraceRow,
     mirror_iterate,
+    mirror_state,
     plan_iterations,
     run_budget,
     update_rule,
@@ -97,7 +98,7 @@ def init_covering(instance: CoveringInstance, config: SolverConfig,
     n, m, rho = instance.n, instance.m, instance.rho
     x0 = np.full(n, (1.0 / (n * rho)) * (1.0 / (m * rho)) ** params.beta)
     with np.errstate(divide="ignore"):   # a start point of 0 gives z = inf, caught below
-        z = np.power(x0, -params.beta_prime) - 1.0
+        z = mirror_state(x0, params.beta_prime)
     if not mirror_iterate(z[:1], params.beta_prime)[0] > 0.0:
         raise InvalidBeta(
             f"covering beta={params.beta:g} is too large for m={m}, n={n}, rho={rho:g}: "
@@ -135,8 +136,7 @@ def covering_residual(instance: CoveringInstance, y) -> CoveringResidualReport:
 
 
 def finalize_covering(state: CoveringState, instance: CoveringInstance,
-                      params: CoveringRegParams, config: SolverConfig,
-                      scaling: ScalingRecord) -> CoveringSolution:
+                      config: SolverConfig, scaling: ScalingRecord) -> CoveringSolution:
     """Check the pre-scale certificate, inflate, and assemble the report.
 
     The certificate is only enforced when the full derived budget ran; a
@@ -144,7 +144,7 @@ def finalize_covering(state: CoveringState, instance: CoveringInstance,
     CertificateShortfall.
     """
     eps = config.epsilon
-    kernel = state.kernel
+    kernel, params = state.kernel, state.params
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         prescale_loads = column_loads(instance.matrix, state.y_avg)
         prescale_residual = float(prescale_loads.min())
@@ -202,11 +202,11 @@ def solve_covering(instance: CoveringInstance, config: SolverConfig,
         scaling = ScalingRecord(c=1.0, alpha_used=-params.beta)
     state = init_covering(instance, config, params, kernel)
     planned, stride = plan_iterations(config, params)
-    recorder = PackingRunRecorder(state.kernel, instance, config)
+    recorder = PackingRunRecorder(config)
 
-    def record(k: int) -> bool:
-        recorder.record(state.x, state.x, k, state.trace, state.loads)
+    def visit(k: int, traced: bool) -> bool:
+        recorder.record(state.kernel, state.x, state.x, k, state.trace, state.loads)
         return False
 
-    run_budget(state, step_covering, record, planned, stride)
-    return finalize_covering(state, instance, params, config, scaling)
+    run_budget(state, step_covering, visit, planned, stride)
+    return finalize_covering(state, instance, config, scaling)

@@ -152,6 +152,11 @@ def mirror_iterate(z, beta_prime: float):
     return np.power(1.0 + z, -1.0 / beta_prime)
 
 
+def mirror_state(x, beta_prime: float):
+    """The mirror state z = x**(-b') - 1 whose ``mirror_iterate`` is ``x``."""
+    return np.power(x, -beta_prime) - 1.0
+
+
 def mirror_update(z, truncated, eh: float):
     return z + eh * truncated
 
@@ -258,7 +263,7 @@ def enter_stage(state: PackingState, params: PackingRegParams, kernel: GradientK
         state.mu = max(1.0, state.mu / 2.0)
     state.retry = None
     if alpha < 1.0:
-        state.z = np.power(state.x_hat, -params.beta_prime) - 1.0
+        state.z = mirror_state(state.x_hat, params.beta_prime)
 
 
 def require_feasible(top: float, k: int) -> None:
@@ -410,19 +415,11 @@ def certify(kernel: GradientKernel, x_hat: np.ndarray, loads: np.ndarray) -> Cer
     return Certificate(y, dual_bound(kernel.matrix, alpha, y), value)
 
 
-def guarantee_target(alpha: float, epsilon: float, n: int, utility: float) -> tuple[float, str]:
-    """Additive guarantee radius; the returned utility stands in for the
-    unknown optimum and the form string says so."""
-    if alpha == 1.0:
-        return 3.0 * epsilon * n, "3*eps*n"
-    if alpha < 1.0:
-        return 3.0 * epsilon * (1.0 - alpha) * utility, "3*eps*(1-alpha)*utility"
-    return 10.0 * epsilon * (alpha - 1.0) * abs(utility), "10*eps*(alpha-1)*|utility|"
-
-
-def stop_radius(alpha: float, epsilon: float, n: int, bound: float,
-                value: float) -> tuple[float, str]:
-    """The gap ``bound - value`` that proves the paper's guarantee, and its form.
+def stop_radius(alpha: float, epsilon: float, n: int, bound: float, value: float,
+                names: tuple[str, str] = ("f", "g")) -> tuple[float, str]:
+    """The gap ``bound - value`` that proves the paper's guarantee, and its
+    form, naming value and bound ``names`` (the a-priori guarantee passes
+    the returned utility as both, standing in for the unknown optimum).
 
     Below 1 the gap may reach 3 eps (1-alpha) value, since value <= OPT;
     at 1, 3 eps n. Above 1 it is 10 eps (alpha-1) |bound|: OPT <= bound < 0
@@ -431,58 +428,47 @@ def stop_radius(alpha: float, epsilon: float, n: int, bound: float,
     if alpha == 1.0:
         return 3.0 * epsilon * n, "3*eps*n"
     if alpha < 1.0:
-        return 3.0 * epsilon * (1.0 - alpha) * value, "3*eps*(1-alpha)*f"
-    return 10.0 * epsilon * (alpha - 1.0) * abs(bound), "10*eps*(alpha-1)*|g|"
+        return 3.0 * epsilon * (1.0 - alpha) * value, f"3*eps*(1-alpha)*{names[0]}"
+    return 10.0 * epsilon * (alpha - 1.0) * abs(bound), f"10*eps*(alpha-1)*|{names[1]}|"
 
 
 class PackingRunRecorder:
     """Per-run bookkeeping shared by both modes and both engines: trace
-    rows, the feasibility audit, certificates and the early-stop policy.
+    rows, certificates and the early-stop policy. It keeps only the run's
+    facts; each call is given the stage's kernel, or its epsilon and ``n``.
 
-    The fairness is the kernel's: packing's alpha, or 0 for covering's dual
-    engine, whose rows are never certified. A traced packing row is
-    certified above fairness 1, and in every regime under early stop, where
-    ``check`` also certifies untraced iterates. A run whose config keeps no
-    trace builds no row, only counts it, and certifies it all the same. The
-    least finite dual bound seen is kept, since each one bounds OPT,
-    whatever stage's barrier weights it came from. ``should_stop`` says whether that bound proves the
-    last certified iterate within ``stop_radius`` at ``epsilon``, the
-    current stage's; an iterate whose bound is not finite never proves it.
-    ``solve_packing`` sets ``kernel`` and ``epsilon`` at each stage.
+    ``check``, the one call that certifies, is made by ``solve_packing``'s
+    visit of each iterate when the run ``certifies``. ``record`` builds the
+    row at the kernel's fairness (0 for covering), with that check's gap,
+    or only counts it where the config keeps no trace. The least finite
+    dual bound seen is kept, since each bounds OPT whatever stage it came
+    from; ``should_stop`` says whether it proves the last certified iterate
+    within ``stop_radius``.
     """
 
-    def __init__(self, kernel: GradientKernel, instance: PackingInstance, config: SolverConfig):
-        self.kernel = kernel
-        self.instance = instance
+    def __init__(self, config: SolverConfig):
         self.config = config
-        self.alpha = kernel.alpha
-        self.epsilon = config.epsilon
-        self.certifies = config.mode == PACK and (config.early_stop or self.alpha > 1.0)
+        self.certifies = config.mode == PACK and (config.early_stop or config.alpha > 1.0)
         self.last: Certificate | None = None   # the latest certified iterate's
         self.best: Certificate | None = None   # the least finite bound's
 
-    def check(self, x_hat: np.ndarray, loads: np.ndarray) -> None:
+    def check(self, kernel: GradientKernel, x_hat: np.ndarray, loads: np.ndarray) -> None:
         """Certify the iterate ``x_hat``, whose allocation has ``loads``."""
-        cert = self.last = certify(self.kernel, x_hat, loads)
+        cert = self.last = certify(kernel, x_hat, loads)
         if math.isfinite(cert.bound) and (self.best is None or cert.bound < self.best.bound):
             self.best = cert
 
-    def record(self, x_hat: np.ndarray, u: np.ndarray, k: int, trace: TraceBuffer,
-               loads: np.ndarray, checked: bool = False) -> TraceRow | None:
+    def record(self, kernel: GradientKernel, x_hat: np.ndarray, u: np.ndarray, k: int,
+               trace: TraceBuffer, loads: np.ndarray) -> TraceRow | None:
         """Trace row of iteration ``k``, or None where the config keeps no
-        trace; ``loads`` are those of ``u``, as ``iterate_loads`` computed
-        and checked them. ``checked`` says that ``check`` has just
-        certified this iterate."""
-        if self.certifies and not checked:
-            self.check(x_hat, loads)
+        trace; ``loads`` are those of ``u``, as ``iterate_loads`` checked
+        them. A certifying run's row carries the gap of this iterate's ``check``."""
         if not self.config.keep_trace:
             trace.append(None)
             return None
-        gap = None
-        if self.certifies and math.isfinite(self.last.bound):
-            gap = self.last.gap
-        row = TraceRow(k=k, utility=f_alpha_value(u, self.alpha), max_load=float(loads.max()),
-                       f_r=self.kernel.f_r(x_hat, loads=loads), gap=gap)
+        gap = self.last.gap if self.certifies and math.isfinite(self.last.bound) else None
+        row = TraceRow(k=k, utility=f_alpha_value(u, kernel.alpha), max_load=float(loads.max()),
+                       f_r=kernel.f_r(x_hat, loads=loads), gap=gap)
         trace.append(row)
         return row
 
@@ -493,32 +479,29 @@ class PackingRunRecorder:
             return self.best._replace(value=self.last.value)
         return self.last
 
-    def should_stop(self) -> bool:
+    def should_stop(self, epsilon: float, n: int) -> bool:
         if not self.config.early_stop or self.best is None:
             return False
         bound, value = self.best.bound, self.last.value
-        radius, _ = stop_radius(self.alpha, self.epsilon, self.instance.n, bound, value)
+        radius, _ = stop_radius(self.config.alpha, epsilon, n, bound, value)
         return bound - value <= radius
 
 
-def run_budget(state, advance, record, planned: int, stride: int, check=None) -> bool:
-    """The one solve loop of both modes: record iteration 0, then advance
+def run_budget(state, advance, visit, planned: int, stride: int, checks: bool = False) -> bool:
+    """The one solve loop of both modes: visit iteration 0, then advance
     ``state`` (whose ``k`` counts the steps taken) up to ``planned`` times,
-    recording every ``stride``-th iteration and the last, and passing every
-    other ``CHECK_EVERY``-th one to ``check`` when given. Returns True at
-    the first ``record(k)`` or ``check(k)`` that does, which ends the run
-    early.
+    visiting every ``stride``-th iteration and the last as traced and, when
+    ``checks``, every other ``CHECK_EVERY``-th one as untraced. Returns True
+    at the first ``visit(k, traced)`` that does, which ends the run early.
     """
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        if record(0):
+        if visit(0, True):
             return True
         while state.k < planned:
             advance(state)
             k = state.k
-            if k % stride == 0 or k == planned:
-                if record(k):
-                    return True
-            elif check is not None and k % CHECK_EVERY == 0 and check(k):
+            traced = k % stride == 0 or k == planned
+            if (traced or checks and k % CHECK_EVERY == 0) and visit(k, traced):
                 return True
     return False
 
@@ -556,7 +539,8 @@ def finalize_packing(state: PackingState, instance: PackingInstance,
             if math.isfinite(certificate.bound):
                 gap = certificate.gap
         if not config.early_stop:
-            eps_f, form = guarantee_target(alpha, config.epsilon, instance.n, utility)
+            eps_f, form = stop_radius(alpha, config.epsilon, instance.n, utility, utility,
+                                      ("utility", "utility"))
             basis = "returned utility stands in for the unknown optimum"
         else:
             scale = 1.0 if alpha == 1.0 else float(np.power(scaling.c, alpha - 1.0))
@@ -599,14 +583,13 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
     The budget is the derived K unless ``config.max_iters`` overrides it.
     Under ``config.early_stop`` the run goes through ``epsilon_schedule``'s
     stages, in every regime, starting at the first, with the step
-    multiplier of the module docstring. Each check, at a traced row or
-    every ``CHECK_EVERY`` iterations, ends every stage whose
-    ``stop_radius`` the least dual bound so far proves, and the run stops
-    at the check that proves the target's; an untraced check that ends a
-    stage is written as a trace row, so the run's last row is its final
-    iterate. A new stage keeps the iterate, its checked loads and the
-    multiplier, binds its own constants (``enter_stage``) and re-checks the
-    same certificate against its own radius. The budget, the trace stride
+    multiplier of the module docstring. Its ``visit`` of an iterate, at a
+    traced row or every ``CHECK_EVERY`` iterations, is the one place the run
+    certifies; it records the row when the iterate is traced or proves a
+    stage, so the run's last row is its final iterate. One proof ends every
+    stage it proves, and the run stops at the target's. A new stage keeps
+    the iterate, its checked loads and the multiplier and binds its own
+    constants to the state (``enter_stage``). The budget, the trace stride
     and the reported constants are the target's, counted on one iteration
     counter. A config of another mode raises ``ValueError``.
     """
@@ -626,32 +609,28 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
 
     state = init_packing(instance, config, stage_params(schedule[0]), kernel)
     planned, stride = plan_iterations(config, params)
-    recorder = PackingRunRecorder(state.kernel, instance, config)
-    recorder.epsilon = schedule[0]
+    recorder = PackingRunRecorder(config)
     stages: list[Stage] = []   # the stages ended so far
 
     def visit(k: int, traced: bool) -> bool:
         loads = iterate_loads(state, k)
-        if traced:
-            recorder.record(state.x_hat, state.u, k, state.trace, loads)
-        else:
-            recorder.check(state.x_hat, loads)
-        while recorder.should_stop():
-            if not traced:   # a check that ends a stage is traced, on that stage's kernel
-                recorder.record(state.x_hat, state.u, k, state.trace, loads, checked=True)
-                traced = True
-            stages.append(Stage(recorder.epsilon, k, state.mu))
+        if recorder.certifies:
+            recorder.check(state.kernel, state.x_hat, loads)
+        proven = recorder.should_stop(state.params.epsilon, n)
+        if traced or proven:   # on the kernel of the stage the check ends
+            recorder.record(state.kernel, state.x_hat, state.u, k, state.trace, loads)
+        while proven:
+            stages.append(Stage(state.params.epsilon, k, state.mu))
             if len(stages) == len(schedule):
                 return True
             new = stage_params(schedule[len(stages)])
             enter_stage(state, new, kernel(instance.matrix, alpha, new.beta, new.logC))
-            recorder.kernel, recorder.epsilon = state.kernel, new.epsilon
+            proven = recorder.should_stop(new.epsilon, n)
         return False
 
-    stopped_early = run_budget(state, step, lambda k: visit(k, True), planned, stride,
-                               (lambda k: visit(k, False)) if config.early_stop else None)
+    stopped_early = run_budget(state, step, visit, planned, stride, config.early_stop)
     if config.early_stop and not stopped_early:
-        stages.append(Stage(recorder.epsilon, state.k, state.mu))
+        stages.append(Stage(state.params.epsilon, state.k, state.mu))
 
     return finalize_packing(state, instance, params, config, scaling, stopped_early,
                             recorder.reported(), stages if config.early_stop else None)

@@ -196,7 +196,8 @@ class GradientPair(NamedTuple):
 
 @dataclass(frozen=True)
 class ColumnForm:
-    """The run constants of the column routine, held by the kernel and every shard."""
+    """The run constants of the column routine, held by the kernel; the
+    round engine's ``local_update`` reads the kernel's."""
 
     inv_beta: float
     logC: float

@@ -29,7 +29,7 @@ from fairpc import packing, rounds
 from fairpc.errors import NegativeCoordinate
 from fairpc.packing import (
     MULTIPLIER_START, PackingRunRecorder, TraceBuffer, enter_stage, epsilon_schedule,
-    iterate_loads, update_rule,
+    iterate_loads, mirror_state, update_rule,
 )
 from fairpc.problem import epsilon_upper_bound
 from fairpc.regularization import GradientKernel
@@ -245,11 +245,13 @@ def test_zero_dual_mass_never_stops(alpha):
     config = SolverConfig(fairness=alpha, epsilon=eps, early_stop=True)
     params = derive_packing_params(2, 2, 1.0, alpha, eps)
     state = init_packing(inst, config, params)
-    recorder = PackingRunRecorder(state.kernel, inst, config)
+    recorder = PackingRunRecorder(config)
     u = np.array([1e-3, 0.9])
     x_hat = np.log(u) if alpha == 1.0 else u ** (1.0 - alpha)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        row = recorder.record(x_hat, u, 0, TraceBuffer(), state.kernel.loads_of(u))
+        loads = state.kernel.loads_of(u)
+        recorder.check(state.kernel, x_hat, loads)
+        row = recorder.record(state.kernel, x_hat, u, 0, TraceBuffer(), loads)
     if alpha <= 1.0:
         assert recorder.last.dual[0] == 0.0 and recorder.last.bound == math.inf
         assert row.gap is None and recorder.best is None
@@ -261,7 +263,7 @@ def test_zero_dual_mass_never_stops(alpha):
                                            rel=1e-12)
         assert cert.bound >= diagonal_packing_optimum([1.0, 1.0], alpha).objective
         assert row.gap == cert.gap > 0.0 and recorder.best is cert
-    assert not recorder.should_stop()
+    assert not recorder.should_stop(eps, inst.n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -325,7 +327,7 @@ def test_stage_change_keeps_the_iterate(alpha, rounds):
     if rounds:
         assert kernel.audit is old_kernel.audit and kernel.shards is not old_kernel.shards
     if alpha < 1.0:
-        np.testing.assert_array_equal(state.z, np.power(x_hat, -new.beta_prime) - 1.0)
+        np.testing.assert_array_equal(state.z, mirror_state(x_hat, new.beta_prime))
 
 
 @settings(max_examples=15, deadline=None)
@@ -668,3 +670,38 @@ def test_eps_f_forms():
     assert sol.eps_f_form == "3*eps*n"
     sol = solve_packing(inst, SolverConfig(fairness=0.5, epsilon=0.1, max_iters=10))
     assert sol.eps_f == pytest.approx(3 * 0.1 * 0.5 * sol.utility)
+    assert sol.eps_f_form == "3*eps*(1-alpha)*utility"
+    sol = solve_packing(inst, SolverConfig(fairness=2.0, epsilon=0.05, max_iters=10))
+    assert sol.eps_f == pytest.approx(10 * 0.05 * 1.0 * abs(sol.utility))
+    assert sol.eps_f_form == "10*eps*(alpha-1)*|utility|"
+    # the certified runs name the stop rule that proved them
+    dense, _ = instance_from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
+    for alpha, rule in [(0.5, "3*eps*(1-alpha)*f"), (1.0, "3*eps*n"),
+                        (2.0, "10*eps*(alpha-1)*|g|")]:
+        sol = solve_packing(dense, SolverConfig(fairness=alpha, epsilon=0.05, early_stop=True))
+        assert sol.stopped_early
+        assert sol.eps_f_form == "g-f: least dual bound g >= optimum, minus utility f"
+        assert sol.eps_f_basis == f"certified: the run stopped once g-f <= {rule}"
+
+
+@pytest.mark.parametrize("engine", ["monolithic", "rounds"])
+def test_a_check_that_ends_several_stages_writes_one_row(engine):
+    # on this 30 x 30 instance the untraced check at iteration 150 proves
+    # the radii of stages 0.5, 0.25 and 0.125 at once: it is traced once,
+    # and every stage ends at a row of the trace
+    rng = np.random.default_rng(1)
+    dense = np.zeros((30, 30))
+    offsets = rng.choice(30, size=4, replace=False)
+    for i in range(30):
+        for o in offsets:
+            dense[i, (i + o) % 30] = rng.uniform(1.0, 100.0)
+    inst, _ = instance_from_dense(dense)
+    config = SolverConfig(fairness=1.0, epsilon=0.05, early_stop=True, trace_stride=1000)
+    sol = solve_packing(inst, config) if engine == "monolithic" else \
+        run_distributed(inst, config)[0]
+    assert sol.stopped_early
+    assert [(s.epsilon, s.until) for s in sol.stages[:3]] == [(0.5, 150), (0.25, 150),
+                                                              (0.125, 150)]
+    ks = [row.k for row in sol.trace]
+    assert all(a < b for a, b in zip(ks, ks[1:]))
+    assert {s.until for s in sol.stages} <= set(ks)
