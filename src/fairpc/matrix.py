@@ -3,9 +3,11 @@
 The matrix is kept in two synchronized layouts, the only views the solvers
 read: row-major (for constraint loads ``Ax``) and column-major (for
 per-coordinate gradient sums and ``A^T y``). Within a row or column,
-entries keep the order they were given in, and every segment reduction
-goes through ``np.add.reduceat`` so that results are deterministic and
-identical no matter which layout slice a caller sums over.
+entries keep the order they were given in (a view given in order is not
+sorted at all, one out of order costs one sort), and every segment
+reduction goes through ``np.add.reduceat`` so that results are
+deterministic and identical no matter which layout slice a caller sums
+over.
 
 Ingestion is array-at-a-time: entries travel as an ``Entries`` (three
 parallel arrays) from the parser through standardization to the build, and
@@ -98,8 +100,11 @@ def dense_entries(dense) -> tuple[Entries, int, int]:
 class SparseNonnegMatrix:
     """An m x n sparse matrix with strictly positive stored entries.
 
-    ``row_*``/``col_*`` are stable-sorted views (original order preserved
-    within each row/column). Instances are immutable and safe to share.
+    ``row_*``/``col_*`` are the entries stable-sorted by row and by column:
+    within each row and each column they keep the order they were given
+    in; a view whose index was given in order (the row view of a row-major
+    file) is a copy of the given arrays. Every array is the matrix's own.
+    Instances are immutable and safe to share.
     """
 
     m: int
@@ -142,19 +147,57 @@ def _outside(rows: np.ndarray, cols: np.ndarray, m: int, n: int) -> np.ndarray:
     return (rows < 0) | (rows >= m) | (cols < 0) | (cols >= n)
 
 
+def stable_order(idx: np.ndarray, size: int) -> np.ndarray | None:
+    """The stable sort order of ``idx``, whose values lie in ``[0, size)``,
+    or None where ``idx`` is already in order and so its own order.
+
+    Indexing with the result gathers the entries sorted by ``idx``, ties
+    in their given order. Out of order, the unique keys
+    ``idx * nnz + position`` are sorted in place (one int64 array and no
+    merge buffer, where a stable argsort needs up to half as much again),
+    and each sorted key's position, ``key % nnz``, is the order: equal to
+    ``np.argsort(idx, kind="stable")``, which serves where those keys
+    would overflow int64.
+    """
+    nnz = idx.size
+    if not (idx[1:] < idx[:-1]).any():
+        return None
+    if size * nnz > _INT64_MAX:
+        return np.argsort(idx, kind="stable")
+    keys = idx * np.int64(nnz)
+    # positions are added a block at a time, so no second nnz-long array is made
+    block = 1 << 16
+    for lo in range(0, nnz, block):
+        keys[lo:lo + block] += np.arange(lo, min(lo + block, nnz))
+    keys.sort()
+    keys %= nnz
+    return keys
+
+
 def _first_duplicate(rows: np.ndarray, cols: np.ndarray, m: int, n: int) -> int | None:
     """Index of the first entry whose in-range (row, col) repeats an earlier one."""
     if m * n > _INT64_MAX:
         raise DimensionMismatch(f"dimensions {m}x{n} exceed the int64 coordinate range")
     keys = rows * np.int64(n) + cols
     # a plain sort finds out whether any key repeats; only then is the
-    # (slower) stable argsort paid for, to name the earliest repeat
+    # stable order computed, to name the earliest repeat
     ordered = np.sort(keys)
     if not (ordered[1:] == ordered[:-1]).any():
         return None
-    order = np.argsort(keys, kind="stable")
+    order = stable_order(keys, m * n)
+    if order is None:
+        order = np.arange(keys.size)
     repeat = keys[order[1:]] == keys[order[:-1]]
     return int(order[1:][repeat].min())
+
+
+def _in_order(values: np.ndarray, order: np.ndarray | None) -> np.ndarray:
+    """``values`` gathered in a ``stable_order``; copied where it is None.
+
+    The copy is what keeps the views fast: the given arrays are read-only,
+    and ``take`` copies a read-only index array on every call.
+    """
+    return values.copy() if order is None else values[order]
 
 
 def _segment_ptr(idx: np.ndarray, size: int, what: str) -> np.ndarray:
@@ -176,7 +219,10 @@ def build_matrix(entries, m: int, n: int) -> SparseNonnegMatrix:
 
     Rejects zero, negative and non-finite values, duplicate coordinates,
     out-of-range indices and empty rows/columns, naming the first offending
-    entry.
+    entry. Each view keeps the given order within every row or column
+    (``stable_order``): a view whose index is out of order costs one sort
+    of nnz int64 keys and a gather; one already in order costs neither,
+    only a copy of the given arrays.
     """
     if m < 1 or n < 1:
         raise DimensionMismatch(f"matrix dimensions must be positive, got {m}x{n}")
@@ -202,18 +248,18 @@ def build_matrix(entries, m: int, n: int) -> SparseNonnegMatrix:
     row_ptr = _segment_ptr(rows, m, "row")
     col_ptr = _segment_ptr(cols, n, "column")
 
-    # stable sorts keep insertion order inside each row/column
-    rorder = np.argsort(rows, kind="stable")
-    corder = np.argsort(cols, kind="stable")
+    # stable orders keep insertion order inside each row/column
+    rorder = stable_order(rows, m)
+    corder = stable_order(cols, n)
     return SparseNonnegMatrix(
         m=m,
         n=n,
         row_ptr=row_ptr,
-        row_col=cols[rorder],
-        row_val=vals[rorder],
+        row_col=_in_order(cols, rorder),
+        row_val=_in_order(vals, rorder),
         col_ptr=col_ptr,
-        col_row=rows[corder],
-        col_val=vals[corder],
+        col_row=_in_order(rows, corder),
+        col_val=_in_order(vals, corder),
     )
 
 

@@ -439,11 +439,11 @@ class PackingRunRecorder:
 
     ``check``, the one call that certifies, is made by ``solve_packing``'s
     visit of each iterate when the run ``certifies``. ``record`` builds the
-    row at the kernel's fairness (0 for covering), with that check's gap,
-    or only counts it where the config keeps no trace. The least finite
-    dual bound seen is kept, since each bounds OPT whatever stage it came
-    from; ``should_stop`` says whether it proves the last certified iterate
-    within ``stop_radius``.
+    row at the kernel's fairness (0 for covering), with the gap the run
+    would report there, or only counts it where the config keeps no trace.
+    The least finite dual bound seen is kept, since each bounds OPT
+    whatever stage it came from; ``should_stop`` says whether it proves the
+    last certified iterate within ``stop_radius``.
     """
 
     def __init__(self, config: SolverConfig):
@@ -462,11 +462,14 @@ class PackingRunRecorder:
                trace: TraceBuffer, loads: np.ndarray) -> TraceRow | None:
         """Trace row of iteration ``k``, or None where the config keeps no
         trace; ``loads`` are those of ``u``, as ``iterate_loads`` checked
-        them. A certifying run's row carries the gap of this iterate's ``check``."""
+        them. A certifying run's row carries the gap ``reported`` gives after
+        this iterate's ``check``: under early stop the least bound seen minus
+        this row's value, so the stop row's gap is the one the run reports."""
         if not self.config.keep_trace:
             trace.append(None)
             return None
-        gap = self.last.gap if self.certifies and math.isfinite(self.last.bound) else None
+        cert = self.reported() if self.certifies else None
+        gap = cert.gap if cert is not None and math.isfinite(cert.bound) else None
         row = TraceRow(k=k, utility=f_alpha_value(u, kernel.alpha), max_load=float(loads.max()),
                        f_r=kernel.f_r(x_hat, loads=loads), gap=gap)
         trace.append(row)

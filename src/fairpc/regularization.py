@@ -21,8 +21,9 @@ built.
 
 Every floating-point step here is shared verbatim between the monolithic
 solver and the column-block shards of the round engine (see ``rounds``):
-both run the columns through ``truncated_columns`` with the same form, which
-is what makes the two engines bit-identical.
+both compute each row's factor with ``ColumnForm.row_factors`` and run the
+columns through ``truncated_columns`` with the same form, which is what
+makes the two engines bit-identical.
 """
 
 from __future__ import annotations
@@ -204,6 +205,20 @@ class ColumnForm:
     product: bool        # product form; False selects the log-domain fallback
     column_factor: bool  # False at alpha = 0, where the allocation term is 0.0
 
+    def row_factors(self, loads: np.ndarray) -> np.ndarray:
+        """Each row's factor in its columns' sums, from its load, once per row.
+
+        Product form: ``load**(1/beta)``, or without a column factor the
+        barrier weight ``C * load**(1/beta)``, which the kernel also
+        returns. Log-domain fallback: the exponent ``ln(load)/beta``.
+        """
+        log_loads = np.log(loads)
+        if not self.product:
+            return self.inv_beta * log_loads
+        if self.column_factor:
+            return np.exp(self.inv_beta * log_loads)
+        return barrier_weights(self.inv_beta, self.logC, log_loads)
+
 
 def product_form_bound(matrix: SparseNonnegMatrix, alpha: float, logC: float) -> float:
     """The largest exponent the product form can meet on a feasible packing iterate.
@@ -223,24 +238,23 @@ def barrier_weights(inv_beta: float, logC: float, log_loads: np.ndarray) -> np.n
     return np.exp(logC + inv_beta * log_loads)
 
 
-def truncated_columns(form: ColumnForm, terms, entry_row, entry_col, col_starts, t, log_loads):
-    """Scaled gradient ``s`` of a run of whole columns, its saturation mask,
-    its truncation, and the barrier weights when formed.
+def truncated_columns(form: ColumnForm, terms, entry_row, entry_col, col_starts, t, factors):
+    """Scaled gradient ``s`` of a run of whole columns, its saturation mask
+    and its truncation.
 
     ``terms`` are the run's column-major entries (``A_ij`` in product form,
     ``ln A_ij + logC`` in the fallback); ``entry_row`` indexes each entry's
-    row in ``log_loads`` and ``entry_col`` its column in ``t`` (read by the
-    fallback alone); ``col_starts`` opens each column's segment. ``t`` is
-    the run's ``allocation_term``: one value per column, or 0.0 when
-    ``form`` has no column factor (alpha = 0).
+    row factor (``form.row_factors``) in ``factors`` and ``entry_col`` its
+    column in ``t`` (read by the fallback alone); ``col_starts`` opens each
+    column's segment. ``t`` is the run's ``allocation_term``: one value per
+    column, or 0.0 when ``form`` has no column factor (alpha = 0).
 
     Product form: ``s = exp(logC + t) * (A^T load**(1/beta)) - 1``. ``C`` sits
     in the column factor, so on a feasible iterate the row factors lie in
     [0, 1] and ``product_form_bound`` bounds the column factor's exponent.
     Without a column factor the row factors are the barrier weights
-    themselves (returned for reuse); one that overflows makes ``s`` +inf,
-    which truncates to 1. A saturated column is one whose ``s`` is +inf,
-    and ``saturated`` is None.
+    themselves; one that overflows makes ``s`` +inf, which truncates to 1.
+    A saturated column is one whose ``s`` is +inf, and ``saturated`` is None.
 
     Log-domain fallback: each entry's exponent ``(terms + t) + q`` is
     exponentiated; exponents above EXP_SAT are never materialized: their
@@ -251,19 +265,15 @@ def truncated_columns(form: ColumnForm, terms, entry_row, entry_col, col_starts,
     Both engines run every column through this one function with the same
     form, so each column's arithmetic agrees bitwise.
     """
-    weights = None
     saturated = None
     if form.product:
+        s = segment_sums(col_starts, entry_row, terms, factors)
         if form.column_factor:
-            row_factor = np.exp(form.inv_beta * log_loads)
-            s = np.exp(form.logC + t) * segment_sums(col_starts, entry_row, terms, row_factor)
-        else:
-            weights = barrier_weights(form.inv_beta, form.logC, log_loads)
-            s = segment_sums(col_starts, entry_row, terms, weights)
+            s *= np.exp(form.logC + t)
         s -= 1.0
     else:
         t_entry = t.take(entry_col) if form.column_factor else t
-        e = (terms + t_entry) + (form.inv_beta * log_loads).take(entry_row)
+        e = (terms + t_entry) + factors.take(entry_row)
         if float(np.maximum.reduce(e)) > EXP_SAT:
             saturated = np.maximum.reduceat(e, col_starts) > EXP_SAT
             e = np.where(e > EXP_SAT, -np.inf, e)
@@ -276,7 +286,7 @@ def truncated_columns(form: ColumnForm, terms, entry_row, entry_col, col_starts,
     truncated = np.minimum(s, 1.0)
     if saturated is not None:
         truncated[saturated] = 1.0
-    return s, saturated, truncated, weights
+    return s, saturated, truncated
 
 
 def _identity(x_hat):
@@ -350,12 +360,12 @@ class GradientKernel:
     def evaluate(self, x_hat: np.ndarray, u: np.ndarray, loads: np.ndarray) -> GradientPair:
         """Truncated gradient at ``x_hat``, whose allocation ``u`` has the
         constraint loads ``loads``, with the barrier weights when formed."""
-        mat = self.matrix
-        _s, _saturated, truncated, weights = truncated_columns(
-            self.form, self.entry_terms, mat.col_row, self.entry_col, self._col_starts,
-            self.allocation_term(x_hat, u), np.log(loads),
+        factors = self.form.row_factors(loads)
+        _s, _saturated, truncated = truncated_columns(
+            self.form, self.entry_terms, self.matrix.col_row, self.entry_col, self._col_starts,
+            self.allocation_term(x_hat, u), factors,
         )
-        return GradientPair(truncated, weights)
+        return GradientPair(truncated, None if self.form.column_factor else factors)
 
     def f_r(self, x_hat: np.ndarray, loads: np.ndarray | None = None) -> float:
         """Regularized objective value; may return POSITIVE_OVERFLOW."""
@@ -408,9 +418,9 @@ def grad_f_r(instance, params, x_hat, alpha: float) -> GradientPair:
     mat = instance.matrix
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         u = kernel.allocation(x_hat)
-        s, saturated, truncated, _weights = truncated_columns(
+        s, saturated, truncated = truncated_columns(
             kernel.form, kernel.entry_terms, mat.col_row, kernel.entry_col, mat.col_ptr[:-1],
-            kernel.allocation_term(x_hat, u), np.log(kernel.loads_of(u)),
+            kernel.allocation_term(x_hat, u), kernel.form.row_factors(kernel.loads_of(u)),
         )
         if alpha == 1.0:
             grad, sentinel = s, np.inf

@@ -13,18 +13,21 @@ incident rows, shard after shard, and each entry's slot in it. A shard's
 entries are its columns' own range of the kernel's per-entry arrays, so the
 layout holds no gather. ``_Lockstep`` is a gradient kernel whose every
 evaluation is one round, of a fixed number of NumPy calls whatever the
-shard count: one ``take`` fills every shard's slice of the message buffer
-with its rows' loads (``shard_messages``), and one call of the monolithic
-kernel's own ``truncated_columns`` computes every block's truncated
-gradient (``local_update``). ``run_distributed`` passes its constructor to
-``packing.solve_packing`` or ``covering.solve_covering``, which build one
-per stage and drive it with the same start, step, feasibility check,
-recorder and stop rule as the monolithic engine; a column's segment sum
-does not depend on its offset and every update expression is elementwise,
-so the two engines are bit-identical whatever the partition.
+shard count: each row computes its factor from its load once, as the
+monolithic kernel does (``ColumnForm.row_factors``), so a constraint
+publishes its price; one ``take`` fills every shard's slice of the message
+buffer with its rows' factors (``shard_messages``), and one call of the
+monolithic kernel's own ``truncated_columns`` computes every block's
+truncated gradient (``local_update``). ``run_distributed`` passes its
+constructor to ``packing.solve_packing`` or ``covering.solve_covering``,
+which build one per stage and drive it with the same start, step,
+feasibility check, recorder and stop rule as the monolithic engine; a
+column's segment sum does not depend on its offset and every update
+expression is elementwise, so the two engines are bit-identical whatever
+the partition.
 
-Locality is structural: a shard reads the loads only through slots inside
-its own message slice. ``check_layout`` checks once, when a kernel's shards
+Locality is structural: a shard reads its rows' factors only through slots
+inside its own message slice. ``check_layout`` checks once, when a kernel's shards
 are built, that every entry's slot lies in its shard's slice and carries
 the entry's own row; the layout's arrays are read-only, so what was checked
 stays true. Every round ``check_message`` checks only that the message
@@ -75,11 +78,12 @@ class Shards:
 
 class ShardMessages(NamedTuple):
     """Every shard's message of one round, in one buffer: slot i carries the
-    load of row ``rows[i]``, and shard s reads slots ``[slots[s], slots[s+1])``."""
+    factor (``ColumnForm.row_factors``) of row ``rows[i]``, and shard s
+    reads slots ``[slots[s], slots[s+1])``."""
 
     round_index: int
     rows: np.ndarray
-    loads: np.ndarray
+    factors: np.ndarray
 
 
 @dataclass(eq=False)
@@ -126,8 +130,8 @@ def check_layout(shards: Shards, matrix: SparseNonnegMatrix, audit: LocalityAudi
         )
 
 
-def shard_messages(shards: Shards, loads: np.ndarray, k: int) -> ShardMessages:
-    return ShardMessages(round_index=k, rows=shards.rows, loads=loads.take(shards.rows))
+def shard_messages(shards: Shards, factors: np.ndarray, k: int) -> ShardMessages:
+    return ShardMessages(round_index=k, rows=shards.rows, factors=factors.take(shards.rows))
 
 
 def check_message(shards: Shards, msg: ShardMessages, audit: LocalityAudit) -> None:
@@ -158,20 +162,15 @@ def check_message(shards: Shards, msg: ShardMessages, audit: LocalityAudit) -> N
 
 
 def local_update(kernel: GradientKernel, shards: Shards, msg: ShardMessages,
-                 x_hat: np.ndarray, u: np.ndarray) -> GradientPair:
+                 x_hat: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Every block's truncated gradient, each from its shard's own entries
     of ``kernel`` (the kernel ``shards`` was built for), its message slice
-    and its block of ``x_hat``, ``u``; with the barrier weights, scattered
-    to their rows, when the kernel's form makes them."""
-    _s, _saturated, truncated, weights = truncated_columns(
+    and its block of ``x_hat``, ``u``."""
+    _s, _saturated, truncated = truncated_columns(
         kernel.form, kernel.entry_terms, shards.row_pos, kernel.entry_col,
-        kernel.matrix.col_ptr[:-1], kernel.allocation_term(x_hat, u), np.log(msg.loads),
+        kernel.matrix.col_ptr[:-1], kernel.allocation_term(x_hat, u), msg.factors,
     )
-    if weights is not None:
-        scattered = np.zeros(kernel.matrix.m)
-        scattered[shards.rows] = weights
-        weights = scattered
-    return GradientPair(truncated, weights)
+    return truncated
 
 
 def run_distributed(instance, config: SolverConfig, mode: str | None = None,
@@ -212,10 +211,14 @@ class _Lockstep(GradientKernel):
         self.audit = audit
 
     def evaluate(self, x_hat: np.ndarray, u: np.ndarray, loads: np.ndarray) -> GradientPair:
-        """Message every shard its rows' ``loads``, check the message, and
-        compute every block."""
+        """Compute each row's factor from ``loads``, message every shard its
+        rows' factors, check the message, and compute every block; with
+        the barrier weights, which are the row factors, when the form
+        makes them."""
         audit = self.audit
         k = audit.rounds = audit.rounds + 1
-        msg = shard_messages(self.shards, loads, k)
+        factors = self.form.row_factors(loads)
+        msg = shard_messages(self.shards, factors, k)
         check_message(self.shards, msg, audit)
-        return local_update(self, self.shards, msg, x_hat, u)
+        truncated = local_update(self, self.shards, msg, x_hat, u)
+        return GradientPair(truncated, None if self.form.column_factor else factors)

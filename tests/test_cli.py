@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fairpc import derive_packing_params, packing, single_constraint_packing_optimum
 from fairpc.cli import emit_json, emit_trace, run_cli
+from fairpc.matrix import from_dense, write_matrix_market
 from fairpc.packing import TraceRow
 
 ID3 = "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 1 1.0\n2 2 1.0\n3 3 1.0\n"
@@ -521,6 +522,30 @@ def test_early_stop_above_one_proves_the_bound(tmp_path, capsys, engine):
     assert doc["objective"] >= (1.0 + 10 * 0.1 * (2.0 - 1.0)) * opt   # -2048
     assert doc["guarantee"]["basis"].startswith("certified")
     assert 0.0 <= doc["guarantee"]["eps_f"] <= 10 * 0.1 * abs(opt)
+
+
+@pytest.mark.parametrize("engine", ["monolithic", "rounds"])
+@pytest.mark.parametrize("alpha", ["1", "2"])
+def test_early_stop_trace_ends_on_the_reported_gap(tmp_path, capsys, alpha, engine):
+    # under --early-stop a row's gap is the least dual bound seen minus the
+    # row's value, so the stop row shows the gap that proved the stop; at
+    # alpha = 1 the stop row's own certificate gives about 3,640 here, the
+    # least bound 3.48
+    rng = np.random.default_rng(1)
+    dense = np.zeros((30, 30))
+    offsets = rng.choice(30, 4, replace=False)   # four entries in every row and column
+    for i in range(30):
+        dense[i, (i + offsets) % 30] = rng.uniform(1.0, 100.0, 4)
+    p = tmp_path / "m30.mtx"
+    write_matrix_market(p, from_dense(dense))
+    csv = tmp_path / "t.csv"
+    code, out, _ = run(["--mode", "pack", "--alpha", alpha, "--epsilon", "0.05", "--early-stop",
+                        "--trace-stride", "1000", "--input", str(p), "--engine", engine,
+                        "--trace", str(csv)], capsys)
+    doc = json.loads(out)
+    last = csv.read_text().splitlines()[-1].split(",")
+    assert code == 0 and doc["stopped_early"] and int(last[0]) == doc["iterations"]
+    assert float(last[4]) == doc["dual"]["gap_estimate"]
 
 
 @pytest.mark.parametrize("engine", ["monolithic", "rounds"])

@@ -74,11 +74,11 @@ def _columns(inst, alpha, beta, logC, u, product):
     """``truncated_columns`` over every column in the given form."""
     mat = inst.matrix
     terms = mat.col_val if product else np.log(mat.col_val) + logC
+    form = ColumnForm(1.0 / beta, logC, product, alpha != 0.0)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         return truncated_columns(
-            ColumnForm(1.0 / beta, logC, product, alpha != 0.0), terms, mat.col_row,
-            _entry_cols(mat), mat.col_ptr[:-1], allocation_term(alpha)(_x_hat(u, alpha), u),
-            np.log(mat.to_dense() @ u),
+            form, terms, mat.col_row, _entry_cols(mat), mat.col_ptr[:-1],
+            allocation_term(alpha)(_x_hat(u, alpha), u), form.row_factors(mat.to_dense() @ u),
         )
 
 
@@ -88,8 +88,8 @@ def test_product_form_matches_log_domain(seed, case):
     rng = np.random.default_rng(seed)
     inst, alpha, beta, logC, u = _kernel_args(rng, case)
     x_hat = _x_hat(u, alpha)
-    s_p, sat_p, trunc_p, _ = _columns(inst, alpha, beta, logC, u, product=True)
-    _, sat_l, trunc_l, _ = _columns(inst, alpha, beta, logC, u, product=False)
+    s_p, sat_p, trunc_p = _columns(inst, alpha, beta, logC, u, product=True)
+    _, sat_l, trunc_l = _columns(inst, alpha, beta, logC, u, product=False)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         # each column's largest combined exponent, as the fallback forms it
         mat = inst.matrix

@@ -1,8 +1,11 @@
 import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairpc import build_matrix, column_loads, constraint_loads, from_dense
 from fairpc.errors import (
@@ -12,7 +15,13 @@ from fairpc.errors import (
     MatrixMarketFormatError,
     NegativeEntry,
 )
-from fairpc.matrix import Entries, read_matrix_market, segment_sums, write_matrix_market
+from fairpc.matrix import (
+    Entries,
+    read_matrix_market,
+    segment_sums,
+    stable_order,
+    write_matrix_market,
+)
 
 
 def test_build_and_views_consistent():
@@ -42,6 +51,51 @@ def test_entries_are_row_major_and_round_trip(tmp_path):
     entries, m, n = read_matrix_market(path)
     assert (m, n) == (5, 7) and entries == mat.entries()
     np.testing.assert_array_equal(build_matrix(entries, m, n).to_dense(), dense)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12), n=st.integers(1, 12),
+       density=st.floats(0.05, 1.0), order=st.sampled_from(["shuffled", "rows", "columns"]))
+def test_views_are_the_stable_argsort_of_the_given_entries(seed, m, n, density, order):
+    # both views keep the given order within each row and column, whatever
+    # order the entries come in; every array is the matrix's own and
+    # writable, even where a view is a copy of the given read-only arrays
+    # (``take`` copies a read-only index array on every call)
+    rng = np.random.default_rng(seed)
+    dense = np.where(rng.random((m, n)) < density, rng.uniform(1.0, 9.0, (m, n)), 0.0)
+    k = np.arange(max(m, n))
+    dense[k % m, k % n] = 1.0
+    rows, cols = np.nonzero(dense)
+    perm = {"shuffled": rng.permutation(rows.size), "rows": np.arange(rows.size),
+            "columns": np.lexsort((rows, cols))}[order]
+    rows, cols = rows[perm], cols[perm]
+    entries = Entries(rows, cols, dense[rows, cols])
+    mat = build_matrix(entries, m, n)
+    r, c = np.argsort(rows, kind="stable"), np.argsort(cols, kind="stable")
+    expected = {
+        "row_ptr": np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m)))),
+        "row_col": entries.cols[r], "row_val": entries.vals[r],
+        "col_ptr": np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n)))),
+        "col_row": entries.rows[c], "col_val": entries.vals[c],
+    }
+    for name, want in expected.items():
+        got = getattr(mat, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert got.flags.writeable and not np.shares_memory(got, entries.vals), name
+        assert not np.shares_memory(got, entries.rows) and not np.shares_memory(got, entries.cols)
+
+
+def test_stable_order_falls_back_to_argsort_where_keys_would_overflow():
+    idx = np.array([2, 0, 2, 1, 0, 1])
+    want = np.argsort(idx, kind="stable")
+    top = np.iinfo(np.int64).max // idx.size   # the largest size whose keys fit
+    for size, fallback in ((3, False), (top, False), (top + 1, True)):
+        values = idx if size == 3 else idx * (size // 3)   # up to size - 1
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            order = stable_order(values, size)
+        assert argsort.called is fallback
+        assert order.dtype == np.int64 and order.tolist() == want.tolist()
+    assert stable_order(np.array([0, 0, 1, 3]), 4) is None
 
 
 def test_rejects_bad_matrices():

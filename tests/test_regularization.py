@@ -180,7 +180,7 @@ def truncate(s):
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
     cols = np.arange(s.size)
     form = ColumnForm(inv_beta=1.0, logC=0.0, product=True, column_factor=False)
-    return truncated_columns(form, s + 1.0, cols, None, cols, 0.0, np.zeros(s.size))[2]
+    return truncated_columns(form, s + 1.0, cols, None, cols, 0.0, np.ones(s.size))[2]
 
 
 def test_truncate_scalar():

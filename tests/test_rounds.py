@@ -52,10 +52,10 @@ def test_local_update_reproduces_monolithic_step():
     state = init_packing(inst, config, params)
     kernel, shard = one_shard(inst, params)
     loads = state.u.copy()   # the identity's loads are the allocation
-    msg = ShardMessages(round_index=1, rows=np.array([0]), loads=loads)
+    msg = ShardMessages(round_index=1, rows=np.array([0]), factors=kernel.form.row_factors(loads))
     block = local_update(kernel, shard, msg, state.x_hat, state.u)
     whole = kernel.evaluate(state.x_hat, state.u, loads)
-    assert block.truncated.tobytes() == whole.truncated.tobytes()
+    assert block.tobytes() == whole.truncated.tobytes()
 
     step(state)
     assert state.k == 1
@@ -68,16 +68,17 @@ def test_local_update_zero_gradient_is_noop():
     kernel, shard = one_shard(inst, params)
     # at load exp(-logC * beta) the weighted sum is exactly 1 -> gradient 0
     x_hat = np.array([-params.logC * params.beta / (1.0 + params.beta)])
-    msg = ShardMessages(round_index=4, rows=np.array([0]), loads=np.exp(x_hat))
+    factors = kernel.form.row_factors(np.exp(x_hat))
+    msg = ShardMessages(round_index=4, rows=np.array([0]), factors=factors)
     block = local_update(kernel, shard, msg, x_hat, np.exp(x_hat))
-    assert block.truncated[0] == pytest.approx(0.0, abs=1e-12)
+    assert block[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_message_check_missing_load():
     inst = single_row_instance([1.0, 1.0])
     params = derive_packing_params(1, 2, 1.0, 1.0, 0.1)
     _, shard = one_shard(inst, params)
-    empty = ShardMessages(round_index=1, rows=np.array([], dtype=np.int64), loads=np.array([]))
+    empty = ShardMessages(round_index=1, rows=np.array([], dtype=np.int64), factors=np.array([]))
     audit = rounds.LocalityAudit()
     with pytest.raises(LocalityViolation,
                        match="round 1: .*shard 0's message lacks the load of row 0"):
@@ -381,9 +382,9 @@ def test_malformed_message_exits_3(tmp_path, monkeypatch, capsys):
     write_matrix_market(path, identity_instance(3).matrix)
     honest = rounds.shard_messages
 
-    def short(shards, loads, k):
-        msg = honest(shards, loads, k)
-        return ShardMessages(round_index=k, rows=msg.rows[:0], loads=msg.loads[:0])
+    def short(shards, factors, k):
+        msg = honest(shards, factors, k)
+        return ShardMessages(round_index=k, rows=msg.rows[:0], factors=msg.factors[:0])
 
     monkeypatch.setattr(rounds, "shard_messages", short)
     code = run_cli(["--mode", "pack", "--alpha", "1", "--epsilon", "0.1", "--input", str(path),
