@@ -10,9 +10,10 @@ deterministic and identical no matter which layout slice a caller sums
 over.
 
 Ingestion is array-at-a-time: entries travel as an ``Entries`` (three
-parallel arrays) from the parser through standardization to the build, and
-every check runs over whole arrays while still naming the first offending
-entry.
+parallel arrays) from the parser through standardization to the build.
+One scan, ``first_offense``, decides which entry is the first, in the
+given order, that a matrix may not store and why; ``read_matrix_market``
+and ``build_matrix`` raise from it, in 1-based and 0-based coordinates.
 """
 
 from __future__ import annotations
@@ -143,10 +144,6 @@ def segment_index(ptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
 
 
-def _outside(rows: np.ndarray, cols: np.ndarray, m: int, n: int) -> np.ndarray:
-    return (rows < 0) | (rows >= m) | (cols < 0) | (cols >= n)
-
-
 def stable_order(idx: np.ndarray, size: int) -> np.ndarray | None:
     """The stable sort order of ``idx``, whose values lie in ``[0, size)``,
     or None where ``idx`` is already in order and so its own order.
@@ -174,21 +171,65 @@ def stable_order(idx: np.ndarray, size: int) -> np.ndarray | None:
     return keys
 
 
-def _first_duplicate(rows: np.ndarray, cols: np.ndarray, m: int, n: int) -> int | None:
-    """Index of the first entry whose in-range (row, col) repeats an earlier one."""
+def first_offense(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                  m: int, n: int) -> tuple[int, str] | None:
+    """The first entry, in the given order, that no m x n matrix may store.
+
+    Returns its position and reason, or None: it lies ``"outside"`` m x n
+    (0-based), its value is ``"non-finite"``, ``"negative"`` or ``"zero"``,
+    or it repeats an earlier entry's coordinates (``"duplicate"``). An
+    entry's own range or value offense is named before its being a repeat.
+    """
     if m * n > _INT64_MAX:
         raise DimensionMismatch(f"dimensions {m}x{n} exceed the int64 coordinate range")
-    keys = rows * np.int64(n) + cols
-    # a plain sort finds out whether any key repeats; only then is the
-    # stable order computed, to name the earliest repeat
-    ordered = np.sort(keys)
-    if not (ordered[1:] == ordered[:-1]).any():
+    outside = (rows < 0) | (rows >= m) | (cols < 0) | (cols >= n)
+    bad = np.flatnonzero(outside | ~((vals > 0.0) & (vals < np.inf)))
+    # the entries before the first bad one are in range: a repeat among
+    # them comes first; otherwise the bad entry does
+    k = int(bad[0]) if bad.size else vals.size
+    keys = rows[:k] * np.int64(n) + cols[:k]
+    # keys in order (a row-major file's) need no sort to show a repeat
+    in_order = not (keys[1:] < keys[:-1]).any()
+    ordered = keys if in_order else np.sort(keys)
+    if (ordered[1:] == ordered[:-1]).any():
+        # the stable order names the earliest repeat
+        order = np.arange(k) if in_order else stable_order(keys, m * n)
+        repeat = keys[order[1:]] == keys[order[:-1]]
+        return int(order[1:][repeat].min()), "duplicate"
+    if k == vals.size:
         return None
-    order = stable_order(keys, m * n)
-    if order is None:
-        order = np.arange(keys.size)
-    repeat = keys[order[1:]] == keys[order[:-1]]
-    return int(order[1:][repeat].min())
+    if outside[k]:
+        return k, "outside"
+    if not np.isfinite(vals[k]):
+        return k, "non-finite"
+    return k, "negative" if vals[k] < 0.0 else "zero"
+
+
+# each offense's error and message: build_matrix's, 0-based, and the
+# reader's, 1-based, which differ in three of the five
+_BUILD_ERRORS = {
+    "outside": (DimensionMismatch, "entry ({i}, {j}) outside {m}x{n}"),
+    "non-finite": (NegativeEntry, "entry ({i}, {j}) has non-finite value {v}"),
+    "negative": (NegativeEntry, "entry ({i}, {j}) is negative: {v}"),
+    "zero": (NegativeEntry, "entry ({i}, {j}) is zero; zeros are never stored"),
+    "duplicate": (DuplicateEntry, "duplicate entry at ({i}, {j})"),
+}
+_READ_ERRORS = {
+    **_BUILD_ERRORS,
+    "outside": (MatrixMarketFormatError, "entry ({i}, {j}) outside declared {m}x{n}"),
+    "non-finite": (MatrixMarketFormatError, "non-finite value {v} at ({i}, {j})"),
+    "zero": (MatrixMarketFormatError, "explicit zero at ({i}, {j})"),
+}
+
+
+def _check_entries(rows, cols, vals, m: int, n: int, errors: dict, base: int) -> None:
+    """Raise ``errors``' error for the first offense, coordinates ``base``-based."""
+    offense = first_offense(rows, cols, vals, m, n)
+    if offense is not None:
+        k, reason = offense
+        error, message = errors[reason]
+        raise error(message.format(i=int(rows[k]) + base, j=int(cols[k]) + base,
+                                   v=float(vals[k]), m=m, n=n))
 
 
 def _in_order(values: np.ndarray, order: np.ndarray | None) -> np.ndarray:
@@ -200,15 +241,16 @@ def _in_order(values: np.ndarray, order: np.ndarray | None) -> np.ndarray:
     return values.copy() if order is None else values[order]
 
 
-def _segment_ptr(idx: np.ndarray, size: int, what: str) -> np.ndarray:
-    """Segment pointer over ``size`` rows or columns; every one must be nonempty."""
+def _segment_ptr(idx: np.ndarray, size: int, what: str, base: int) -> np.ndarray:
+    """Segment pointer over ``size`` rows or columns; every one must be
+    nonempty, or the first empty one is named ``base``-based."""
     # nnz entries cover at most nnz indices, so when size > nnz an empty one
     # lies below nnz + 1 and the counts need not span all of ``size``
     bound = min(size, idx.size + 1)
     counts = np.bincount(idx if bound == size else idx[idx < bound], minlength=bound)
     empty = np.flatnonzero(counts == 0)
     if empty.size:
-        raise EmptyRowOrColumn(f"{what} {int(empty[0])} has no entries")
+        raise EmptyRowOrColumn(f"{what} {int(empty[0]) + base} has no entries")
     ptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
     return ptr
@@ -217,36 +259,20 @@ def _segment_ptr(idx: np.ndarray, size: int, what: str) -> np.ndarray:
 def build_matrix(entries, m: int, n: int) -> SparseNonnegMatrix:
     """Build a validated matrix from (row, col, value) triples, 0-based.
 
-    Rejects zero, negative and non-finite values, duplicate coordinates,
-    out-of-range indices and empty rows/columns, naming the first offending
-    entry. Each view keeps the given order within every row or column
-    (``stable_order``): a view whose index is out of order costs one sort
-    of nnz int64 keys and a gather; one already in order costs neither,
-    only a copy of the given arrays.
+    Rejects the ``first_offense``, then an empty row or column. Each view
+    keeps the given order within every row or column (``stable_order``): a
+    view whose index is out of order costs one sort of nnz int64 keys and a
+    gather; one already in order costs neither, only a copy of the arrays.
     """
     if m < 1 or n < 1:
         raise DimensionMismatch(f"matrix dimensions must be positive, got {m}x{n}")
     entries = as_entries(entries)
     rows, cols, vals = entries.rows, entries.cols, entries.vals
-    outside = _outside(rows, cols, m, n)
-    invalid = (vals < 0.0) | ~np.isfinite(vals)
-    bad = np.flatnonzero(outside | invalid | (vals == 0.0))
-    if bad.size:
-        k = int(bad[0])
-        i, j, v = entries[k]
-        if outside[k]:
-            raise DimensionMismatch(f"entry ({i}, {j}) outside {m}x{n}")
-        if invalid[k]:
-            raise NegativeEntry(f"entry ({i}, {j}) has invalid value {v}")
-        raise NegativeEntry(f"entry ({i}, {j}) is zero; zeros are never stored")
+    _check_entries(rows, cols, vals, m, n, _BUILD_ERRORS, 0)
     if not vals.size:
         raise EmptyRowOrColumn("matrix has no positive entries")
-
-    dup = _first_duplicate(rows, cols, m, n)
-    if dup is not None:
-        raise DuplicateEntry(f"duplicate entry at ({rows[dup]}, {cols[dup]})")
-    row_ptr = _segment_ptr(rows, m, "row")
-    col_ptr = _segment_ptr(cols, n, "column")
+    row_ptr = _segment_ptr(rows, m, "row", 0)
+    col_ptr = _segment_ptr(cols, n, "column", 0)
 
     # stable orders keep insertion order inside each row/column
     rorder = stable_order(rows, m)
@@ -334,11 +360,9 @@ def read_matrix_market(path) -> tuple[Entries, int, int]:
 
     Only the ``coordinate real general`` flavor is accepted. An entry line
     is two integer indices and a value; comments (``%``) and blank lines may
-    appear anywhere. Out-of-range indices, explicit zeros, non-finite values
-    and duplicate coordinates are rejected, naming the first offending
-    entry (1-based). Returns (entries, m, n); signs are left unvalidated so
-    the caller's standardization can report negative entries through its
-    own contract.
+    appear anywhere. The ``first_offense`` in file order, a wrong entry
+    count and an empty row or column of the declared shape are rejected,
+    every coordinate named 1-based. Returns (entries, m, n).
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").rstrip("\r")
@@ -346,21 +370,16 @@ def read_matrix_market(path) -> tuple[Entries, int, int]:
             raise MatrixMarketFormatError(
                 f"unsupported MatrixMarket header {header!r}; expected {MM_HEADER!r}"
             )
-        size_line = None
         consumed = 1
         for line in iter(fh.readline, ""):
             consumed += 1
-            stripped = line.strip()
-            if stripped and not stripped.startswith("%"):
-                size_line = stripped
+            size_line = line.strip()
+            if size_line and not size_line.startswith("%"):
                 break
-        if size_line is None:
+        else:
             raise MatrixMarketFormatError("missing size line")
-        parts = size_line.split()
-        if len(parts) != 3:
-            raise MatrixMarketFormatError(f"malformed size line {size_line!r}")
         try:
-            m, n, nnz = int(parts[0]), int(parts[1]), int(parts[2])
+            m, n, nnz = map(int, size_line.split())
         except ValueError as exc:
             raise MatrixMarketFormatError(f"malformed size line {size_line!r}") from exc
 
@@ -386,25 +405,14 @@ def read_matrix_market(path) -> tuple[Entries, int, int]:
     cols = data["j"] - 1
     vals = np.ascontiguousarray(data["v"])
     del data
-    outside = _outside(rows, cols, m, n)
-    bad = np.flatnonzero(outside | (vals == 0.0) | ~np.isfinite(vals))
-    # entries before the first bad one are in range: among them, a repeat
-    # is the first offense; otherwise the bad entry is
-    first_bad = int(bad[0]) if bad.size else vals.size
-    dup = _first_duplicate(rows[:first_bad], cols[:first_bad], m, n)
-    if dup is not None:
-        raise DuplicateEntry(f"duplicate entry at ({rows[dup] + 1}, {cols[dup] + 1})")
-    if bad.size:
-        i, j, v = rows[first_bad] + 1, cols[first_bad] + 1, vals[first_bad]
-        if outside[first_bad]:
-            raise MatrixMarketFormatError(f"entry ({i}, {j}) outside declared {m}x{n}")
-        if v == 0.0:
-            raise MatrixMarketFormatError(f"explicit zero at ({i}, {j})")
-        raise MatrixMarketFormatError(f"non-finite value {v} at ({i}, {j})")
+    _check_entries(rows, cols, vals, m, n, _READ_ERRORS, 1)
     if vals.size != nnz:
         raise MatrixMarketFormatError(
             f"size line declares {nnz} entries, file has {vals.size}"
         )
+    if vals.size:
+        _segment_ptr(rows, m, "row", 1)
+        _segment_ptr(cols, n, "column", 1)
     return Entries(rows, cols, vals), m, n
 
 

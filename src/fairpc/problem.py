@@ -9,6 +9,7 @@ exactly 1 and the maximum entry equals the width ``rho``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,6 @@ from .errors import (
     InvalidAlpha,
     InvalidBeta,
     NegativeCoordinate,
-    NegativeEntry,
     NonPositiveCoordinate,
     WidthOverflow,
 )
@@ -86,42 +86,32 @@ class CoveringInstance(_StandardInstance):
 
 
 def standardize(entries, m: int, n: int, mode: str = PACK, fairness: float = 0.0):
-    """Scale raw nonnegative entries (an ``Entries`` or any triples) into standard form.
+    """Build raw entries (an ``Entries`` or any triples) into a matrix, then scale it.
 
-    Zero entries are dropped; afterwards every row and column must still be
-    nonempty. Negative and non-finite values are rejected, and so is a width
-    (largest over smallest entry) that overflows float64. Returns the
-    instance (packing or covering, per ``mode``) and the ScalingRecord
-    carrying the scale factor.
+    Exact zeros are dropped; ``build_matrix`` rejects every other offending
+    entry, and an empty row or column. A width (largest over smallest
+    entry) that overflows float64 is rejected; otherwise both value views
+    are divided by the smallest entry. Returns the instance (packing or
+    covering, per ``mode``) and the ScalingRecord carrying the scale factor.
     """
     if mode not in (PACK, COVER):
         raise ValueError(f"mode must be {PACK!r} or {COVER!r}, got {mode!r}")
     entries = as_entries(entries)
-    rows, cols, vals = entries.rows, entries.cols, entries.vals
-    bad = np.flatnonzero((vals < 0.0) | ~np.isfinite(vals))
-    if bad.size:
-        i, j, v = entries[int(bad[0])]
-        if v < 0.0:
-            raise NegativeEntry(f"entry ({i}, {j}) is negative: {v}")
-        raise NegativeEntry(f"entry ({i}, {j}) has non-finite value {v}")
-    kept = vals > 0.0
+    kept = entries.vals != 0.0   # NaN is kept, for the build to name
     if not kept.any():
-        raise AllZero("all entries are zero" if vals.size else "no entries given")
+        raise AllZero("all entries are zero" if len(entries) else "no entries given")
     if not kept.all():
-        rows, cols, vals = rows[kept], cols[kept], vals[kept]
-    c = float(vals.min())
-    top = float(vals.max())
+        entries = Entries(entries.rows[kept], entries.cols[kept], entries.vals[kept])
+    matrix = build_matrix(entries, m, n)
+    c, top = matrix.min_entry, matrix.max_entry
     if math.isinf(top / c):
         raise WidthOverflow(
             f"width {top!r}/{c!r} (largest over smallest nonzero entry) "
             f"overflows float64; rescaling the instance would produce inf"
         )
-    matrix = build_matrix(Entries(rows, cols, vals / c), m, n)
-    rho = matrix.max_entry
-    record = ScalingRecord(c=c, alpha_used=float(fairness))
-    if mode == PACK:
-        return PackingInstance(matrix=matrix, rho=rho), record
-    return CoveringInstance(matrix=matrix, rho=rho), record
+    matrix = dataclasses.replace(matrix, row_val=matrix.row_val / c, col_val=matrix.col_val / c)
+    kind = PackingInstance if mode == PACK else CoveringInstance
+    return kind(matrix=matrix, rho=matrix.max_entry), ScalingRecord(c=c, alpha_used=float(fairness))
 
 
 def instance_from_dense(dense, mode: str = PACK, fairness: float = 0.0):

@@ -338,7 +338,12 @@ def test_cover_beta_with_subnormal_start_still_solves(id3_path, capsys):
         ("2 2 2\n1 1 1.0\n2 2 nan\n", "non-finite value nan at (2, 2)"),
         ("1 2 2\n1 1 1e-300\n1 2 1e300\n", "width 1e+300/1e-300"),
         ("2 2 0\n", "no entries given"),
-        ("1000000000000000 1 1\n1 1 1.0\n", "row 1 has no entries"),
+        ("1000000000000000 1 1\n1 1 1.0\n", "row 2 has no entries"),
+        # every coordinate is the file's, 1-based
+        ("2 3 1\n2 3 -4.0\n", "entry (2, 3) is negative: -4.0"),
+        ("2 3 2\n1 1 1.0\n2 2 1.0\n", "column 3 has no entries"),
+        # the first offending entry in file order, whatever its offense
+        ("2 2 3\n1 1 -1.0\n2 2 1.0\n1 2 0\n", "entry (1, 1) is negative: -1.0"),
         ("10000000000 10000000000 1\n1 1 1.0\n", "int64"),
         # width 1e308 is finite, but 4*m*n*rho/eps is not
         ("1 2 2\n1 1 1e-154\n1 2 1e154\n", "derived constant beta = 0.0"),

@@ -3,12 +3,25 @@
 import contextlib
 import dataclasses
 import io
+import math
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fairpc import cli, matrix
 from fairpc.cli import run_cli
+from fairpc.errors import (
+    AllZero,
+    DimensionMismatch,
+    DuplicateEntry,
+    EmptyRowOrColumn,
+    FairpcError,
+    MatrixMarketFormatError,
+    NegativeEntry,
+)
 from fairpc.matrix import MM_HEADER, build_matrix, read_matrix_market, write_matrix_market
 from fairpc.problem import standardize
 
@@ -110,3 +123,148 @@ def test_malformed_matrix_market_exit_contract(tmp_path_factory, text):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ")
+
+
+# ---- one decision on the first offending entry, wherever entries come in ----
+
+# reason: (the reader's error and message, 1-based; build_matrix's, 0-based)
+_OFFENSES = {
+    "outside": ((MatrixMarketFormatError, "entry ({i}, {j}) outside declared {m}x{n}"),
+                (DimensionMismatch, "entry ({i}, {j}) outside {m}x{n}")),
+    "non-finite": ((MatrixMarketFormatError, "non-finite value {v} at ({i}, {j})"),
+                   (NegativeEntry, "entry ({i}, {j}) has non-finite value {v}")),
+    "negative": ((NegativeEntry, "entry ({i}, {j}) is negative: {v}"),
+                 (NegativeEntry, "entry ({i}, {j}) is negative: {v}")),
+    "zero": ((MatrixMarketFormatError, "explicit zero at ({i}, {j})"),
+             (NegativeEntry, "entry ({i}, {j}) is zero; zeros are never stored")),
+    "duplicate": ((DuplicateEntry, "duplicate entry at ({i}, {j})"),
+                  (DuplicateEntry, "duplicate entry at ({i}, {j})")),
+}
+
+
+def _reference_offense(triples, m, n):
+    """The first offending entry by a plain loop: (position, reason) or None."""
+    seen = set()
+    for k, (i, j, v) in enumerate(triples):
+        if not (0 <= i < m and 0 <= j < n):
+            return k, "outside"
+        if not math.isfinite(v):
+            return k, "non-finite"
+        if v < 0.0:
+            return k, "negative"
+        if v == 0.0:
+            return k, "zero"
+        if (i, j) in seen:
+            return k, "duplicate"
+        seen.add((i, j))
+    return None
+
+
+_BAD_VALUES = [math.nan, math.inf, -math.inf, -2.0, 0.0, -0.0]
+
+
+@st.composite
+def _offending_entries(draw):
+    """Small valid entry lists with offenses injected anywhere."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cell = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+    good = st.sampled_from([1.0, 2.5, 9.0])
+    triples = [(i, j, draw(good)) for i, j in draw(st.lists(cell, min_size=1, max_size=8))]
+    kinds = st.sampled_from(["outside", "value", "repeat"])
+    for kind in draw(st.lists(kinds, max_size=3)):
+        if kind == "outside":
+            i, j = draw(st.sampled_from([(-1, 0), (m, 0), (0, -1), (0, n)]))
+            entry = (i, j, draw(st.one_of(good, st.sampled_from(_BAD_VALUES))))
+        elif kind == "value":
+            entry = (*draw(cell), draw(st.sampled_from(_BAD_VALUES)))
+        else:
+            entry = (*triples[draw(st.integers(0, len(triples) - 1))][:2], draw(good))
+        triples.insert(draw(st.integers(0, len(triples))), entry)
+    return triples, m, n
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except FairpcError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_offending_entries())
+def test_reader_build_and_standardize_name_the_same_first_offense(tmp_path_factory, case):
+    triples, m, n = case
+    path = tmp_path_factory.getbasetemp() / "offense.mtx"
+    path.write_text("\n".join([MM_HEADER, f"{m} {n} {len(triples)}",
+                               *(f"{i + 1} {j + 1} {v!r}" for i, j, v in triples)]) + "\n")
+    read, built = _raised(read_matrix_market, path), _raised(build_matrix, triples, m, n)
+    offense = _reference_offense(triples, m, n)
+    if offense is None:
+        # no offense: the two agree on the first empty row or column, if any
+        assert (read is None) == (built is None)
+        if read is not None:
+            assert read[0] is built[0] is EmptyRowOrColumn
+            what, index, rest = built[1].split(" ", 2)
+            assert read[1] == f"{what} {int(index) + 1} {rest}"
+    else:
+        k, reason = offense
+        i, j, v = triples[k]
+        (read_error, read_message), (build_error, build_message) = _OFFENSES[reason]
+        assert read == (read_error, read_message.format(i=i + 1, j=j + 1, v=v, m=m, n=n))
+        assert built == (build_error, build_message.format(i=i, j=j, v=v, m=m, n=n))
+    # standardize drops exact zeros, then raises what the build raises
+    nonzero = [t for t in triples if t[2] != 0.0]
+    scaled = _raised(standardize, triples, m, n)
+    if nonzero:
+        assert scaled == _raised(build_matrix, nonzero, m, n)
+    else:
+        assert scaled == (AllZero, "all entries are zero")
+
+
+@pytest.mark.parametrize("flags", [["--mode", "pack", "--alpha", "2", "--epsilon", "0.05",
+                                    "--early-stop"],
+                                   ["--mode", "cover", "--beta", "1", "--epsilon", "0.2"]])
+@pytest.mark.parametrize("engine", ["monolithic", "rounds"])
+def test_ingest_runs_inside_the_setup_spans(tmp_path, monkeypatch, flags, engine):
+    # the benchmark's setup_s is the time inside cli.read_matrix_market and
+    # cli.standardize: a build or an offense scan anywhere else in a run
+    # would be charged to solve_s unseen
+    depth, calls = [0], []
+
+    def setup(fn):
+        def inside(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return inside
+
+    def watched(name, fn):
+        def call(*args, **kwargs):
+            calls.append((name, depth[0] > 0))
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("build_matrix", "first_offense"):
+        original = getattr(matrix, name)
+        wrapper = watched(name, original)
+        for module in [mod for key, mod in sys.modules.items() if key.split(".")[0] == "fairpc"]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    monkeypatch.setattr(cli, "read_matrix_market", setup(cli.read_matrix_market))
+    monkeypatch.setattr(cli, "standardize", setup(cli.standardize))
+
+    (raw, m, n), = random_entry_suite(1, max_dim=8)
+    path = tmp_path / "a.mtx"
+    write_matrix_market(path, build_matrix(raw, m, n))
+    calls.clear()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run_cli(flags + ["--input", str(path), "--engine", engine, "--max-iters", "200",
+                                "--trace", str(tmp_path / "t.csv")])
+    assert code == 0
+    assert {name for name, _ in calls} == {"build_matrix", "first_offense"}
+    assert all(inside for _, inside in calls), calls

@@ -1,3 +1,4 @@
+import math
 import os
 import warnings
 from unittest import mock
@@ -17,6 +18,7 @@ from fairpc.errors import (
 )
 from fairpc.matrix import (
     Entries,
+    first_offense,
     read_matrix_market,
     segment_sums,
     stable_order,
@@ -111,6 +113,37 @@ def test_rejects_bad_matrices():
         build_matrix([(0, 5, 1.0)], 1, 2)
 
 
+def test_build_matrix_names_the_first_offense_in_given_order():
+    # the repeat comes before the entry outside the shape, as in a file
+    with pytest.raises(DuplicateEntry, match=r"^duplicate entry at \(0, 0\)$"):
+        build_matrix([(0, 0, 1.0), (0, 0, 2.0), (5, 1, 1.0)], 2, 2)
+    with pytest.raises(NegativeEntry, match=r"^entry \(0, 0\) is negative: -1.0$"):
+        build_matrix([(0, 0, -1.0), (1, 1, 1.0), (0, 1, 0.0)], 2, 2)
+    # an entry's own offense is named before its being a repeat
+    with pytest.raises(NegativeEntry, match="non-finite value nan"):
+        build_matrix([(0, 0, 1.0), (0, 0, math.nan)], 1, 1)
+
+
+def test_offense_scan_sorts_only_keys_out_of_order():
+    rows, cols = np.array([0, 0, 1, 1, 1, 1]), np.array([0, 2, 0, 1, 1, 2])
+    vals = np.ones(rows.size)
+    shuffled = np.array([3, 1, 5, 0, 4, 2])   # the repeat of (1, 1) still at position 4
+    with mock.patch.object(np, "sort", wraps=np.sort) as sort:
+        # row-major keys increase, and a repeat sits next to what it repeats
+        assert first_offense(rows, cols, vals, 2, 3) == (4, "duplicate")
+        valid = [0, 1, 2, 3, 5]
+        assert first_offense(rows[valid], cols[valid], vals[valid], 2, 3) is None
+        build_matrix(Entries(rows[valid], cols[valid], vals[valid]), 2, 3)
+        assert not sort.called
+        assert first_offense(rows[shuffled], cols[shuffled], vals, 2, 3) == (4, "duplicate")
+        assert sort.called
+    # the stable order names the earliest repeat, not the first in sorted order
+    rows, cols = np.array([1, 0, 0, 1, 1]), np.array([1, 2, 0, 1, 0])
+    assert first_offense(rows, cols, np.ones(5), 2, 3) == (3, "duplicate")
+    rows = cols = np.array([1, 0, 0])
+    assert first_offense(rows, cols, np.ones(3), 2, 2) == (2, "duplicate")
+
+
 def test_constraint_loads_examples():
     ident = from_dense(np.eye(2))
     np.testing.assert_allclose(constraint_loads(ident, np.array([0.3, 0.7])), [0.3, 0.7])
@@ -201,7 +234,7 @@ def test_matrix_market_one_based_and_comments(tmp_path):
     path = tmp_path / "c.mtx"
     path.write_text(
         "%%MatrixMarket matrix coordinate real general\n"
-        "% a comment\n2 3 2\n1 3 5.0\n2 1 1.0\n"
+        "% a comment\n2 3 3\n1 3 5.0\n2 1 1.0\n2 2 4.0\n"
     )
     entries, m, n = read_matrix_market(path)
     assert (m, n) == (2, 3)
