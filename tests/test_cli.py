@@ -363,6 +363,20 @@ def test_bad_matrix_exits_2_with_reason(tmp_path, capsys, content, reason, flags
     assert out == ""
 
 
+@pytest.mark.parametrize("size_line, body", [
+    ("-1 2 0", ""), ("0 0 0", ""), ("2 -3 0", ""), ("0 3 1", "1 1 1.0\n"), ("2 2 -1", ""),
+])
+def test_non_positive_declared_shape_exits_2_naming_the_size_line(tmp_path, capsys, size_line,
+                                                                   body):
+    p = tmp_path / "bad.mtx"
+    p.write_text(f"%%MatrixMarket matrix coordinate real general\n{size_line}\n{body}")
+    code, out, err = run(["--mode", "pack", "--alpha", "1", "--epsilon", "0.1",
+                          "--input", str(p)], capsys)
+    assert code == 2 and out == ""
+    assert err == (f"error: size line {size_line!r} must declare at least 1x1 "
+                   "and a nonnegative entry count\n")
+
+
 @pytest.mark.parametrize("engine", ["monolithic", "rounds"])
 def test_dropped_trace_rows_are_counted(tmp_path, capsys, engine):
     # 5001 rows (iterations 0..5000) into a 4096-row buffer: the oldest 905 go

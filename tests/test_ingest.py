@@ -3,8 +3,10 @@
 import contextlib
 import dataclasses
 import io
+import json
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -191,6 +193,21 @@ def _raised(fn, *args):
     return None
 
 
+def _read_both_ways(path):
+    """read_matrix_market's error on ``path``, None if it reads: the same on
+    the bulk path and on the path that reads on from the open handle."""
+    outcomes = []
+    for bound in (0, 2**62):
+        with mock.patch.object(matrix, "BULK_READ_MIN_ENTRIES", bound):
+            try:
+                outcomes.append(read_matrix_market(path))
+            except FairpcError as exc:
+                outcomes.append((type(exc), str(exc)))
+    bulk, handle = outcomes
+    assert bulk == handle
+    return None if isinstance(bulk[0], matrix.Entries) else bulk
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=_offending_entries())
 def test_reader_build_and_standardize_name_the_same_first_offense(tmp_path_factory, case):
@@ -198,7 +215,7 @@ def test_reader_build_and_standardize_name_the_same_first_offense(tmp_path_facto
     path = tmp_path_factory.getbasetemp() / "offense.mtx"
     path.write_text("\n".join([MM_HEADER, f"{m} {n} {len(triples)}",
                                *(f"{i + 1} {j + 1} {v!r}" for i, j, v in triples)]) + "\n")
-    read, built = _raised(read_matrix_market, path), _raised(build_matrix, triples, m, n)
+    read, built = _read_both_ways(path), _raised(build_matrix, triples, m, n)
     offense = _reference_offense(triples, m, n)
     if offense is None:
         # no offense: the two agree on the first empty row or column, if any
@@ -268,3 +285,34 @@ def test_ingest_runs_inside_the_setup_spans(tmp_path, monkeypatch, flags, engine
     assert code == 0
     assert {name for name, _ in calls} == {"build_matrix", "first_offense"}
     assert all(inside for _, inside in calls), calls
+
+
+class _Reopened(Exception):
+    pass
+
+
+def test_small_files_are_read_without_numpys_file_opener(tmp_path, monkeypatch):
+    # numpy's opener imports gzip and probes for compressed variants on its
+    # first call in a process: a file below the bound never reaches it
+    def reopen(*args, **kwargs):
+        raise _Reopened(args)
+
+    monkeypatch.setattr(np.lib._datasource, "open", reopen)
+
+    def diagonal(k):
+        path = tmp_path / f"diag{k}.mtx"
+        path.write_text("\n".join([MM_HEADER, f"{k} {k} {k}",
+                                   *(f"{i} {i} 2.0" for i in range(1, k + 1))]) + "\n")
+        return path
+
+    # the entry counts of rounds-100 and cover-full-1k in the benchmark
+    small, large = diagonal(800), diagonal(12000)
+    entries, m, n = read_matrix_market(small)
+    assert (m, n) == (800, 800) and entries == [(i, i, 2.0) for i in range(800)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run_cli(["--mode", "pack", "--alpha", "1", "--epsilon", "0.1",
+                        "--max-iters", "3", "--input", str(small)])
+    assert code == 0 and json.loads(out.getvalue())["iterations"] == 3
+    with pytest.raises(_Reopened):
+        read_matrix_market(large)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairpc import build_matrix, column_loads, constraint_loads, from_dense
+from fairpc import build_matrix, column_loads, constraint_loads, from_dense, matrix
 from fairpc.errors import (
     DimensionMismatch,
     DuplicateEntry,
@@ -287,7 +287,10 @@ def test_matrix_market_names_first_offense(tmp_path, body, error, message):
     ],
 )
 @pytest.mark.parametrize("pipe", [False, True])
-def test_matrix_market_names_the_file_line(tmp_path, body, message, pipe_message, pipe):
+@pytest.mark.parametrize("bound", [0, 2**62])  # every file read in bulk / from the handle
+def test_matrix_market_names_the_file_line(tmp_path, monkeypatch, body, message, pipe_message,
+                                           pipe, bound):
+    monkeypatch.setattr(matrix, "BULK_READ_MIN_ENTRIES", bound)
     text = "%%MatrixMarket matrix coordinate real general\n" + body
     if pipe:
         r, w = os.pipe()
@@ -305,6 +308,27 @@ def test_matrix_market_names_the_file_line(tmp_path, body, message, pipe_message
             os.close(r)
     # a pipe cannot be read again to find the line: it names the entry
     assert str(info.value) == (pipe_message if pipe else message)
+
+
+@pytest.mark.parametrize("bound", [0, 2**62])
+@pytest.mark.parametrize("bad_line, message", [
+    (b"% \xff\n", "malformed entry line 1202: 'utf-8' codec can't decode byte 0xff in position 2"),
+    (b"1200 1200 \xff.0\n",
+     "malformed entry line 1202: 'utf-8' codec can't decode byte 0xff in position 10"),
+])
+def test_matrix_market_names_a_non_utf8_line_past_the_first_read(tmp_path, monkeypatch, bound,
+                                                                  bad_line, message):
+    # the byte lies beyond the decoder's first 8 KiB read, so it is met while
+    # the entries are read, on either path; its position is the line's own
+    monkeypatch.setattr(matrix, "BULK_READ_MIN_ENTRIES", bound)
+    lines = [f"{i} {i} 1.0\n".encode() for i in range(1, 1200)]
+    path = tmp_path / "bad.mtx"
+    path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n1200 1200 1200\n"
+                     + b"".join(lines) + bad_line)
+    assert len(b"".join(lines)) > 8192
+    with pytest.raises(MatrixMarketFormatError) as info:
+        read_matrix_market(path)
+    assert str(info.value) == message + ": invalid start byte"
 
 
 def test_matrix_market_reads_a_pipe():
