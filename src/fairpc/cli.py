@@ -21,7 +21,7 @@ import numpy as np
 from .errors import FairpcError, SolverAssertion
 from .covering import CoveringSolution, solve_covering
 from .matrix import read_matrix_market
-from .packing import PackingSolution, TraceRow, solve_packing
+from .packing import CHECK_EVERY, MULTIPLIER_START, PackingSolution, TraceRow, solve_packing
 from .problem import COVER, PACK, SolverConfig, standardize
 from .rounds import run_distributed
 
@@ -95,9 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--early-stop", action="store_true",
                    help="packing: start from the scaled feasible point, run epsilon stages "
                         "from the largest admissible down to --epsilon within one budget at "
-                        "8 times the paper's step, halved only where a step would overload "
-                        "a row, and stop once the dual bound, "
-                        "checked every 50 iterations and at traced rows, proves the "
+                        f"{MULTIPLIER_START:g} times the paper's step, halved only where a step "
+                        "would overload a row, and stop once the dual bound, "
+                        f"checked every {CHECK_EVERY} iterations and at traced rows, proves the "
                         "regime's guarantee at --epsilon (any alpha)")
     p.add_argument("--trace-stride", type=int,
                    help="trace every N-th iteration; a run that certifies its trace rows "

@@ -339,18 +339,8 @@ def _entry_block_error(exc: ValueError, fh, first_line: int) -> MatrixMarketForm
     loadtxt counts only the data rows of the entry block (the block starts
     after file line ``first_line`` of ``fh``): 0-based when a token fails to
     convert, 1-based when the token count is wrong. A pipe cannot be read
-    again (``fh`` is None): its error names the 1-based entry. A byte that
-    is not UTF-8 is named by its file line and its place in that line,
-    since the decoder counts bytes from wherever its read began, which
-    differs between the two read paths.
+    again (``fh`` is None): its error names the 1-based entry.
     """
-    if isinstance(exc, UnicodeDecodeError) and fh is not None:
-        fh.seek(0)
-        for line_no, line in enumerate(fh.buffer, 1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as bad:
-                return MatrixMarketFormatError(f"malformed entry line {line_no}: {bad}")
     reason = str(exc).split("; use `usecols`")[0].rstrip(".")
     found = _LOADTXT_ROW.search(reason)
     if found is None:
@@ -369,6 +359,21 @@ def _entry_block_error(exc: ValueError, fh, first_line: int) -> MatrixMarketForm
     return MatrixMarketFormatError(f"malformed entry line {line_no}{token}: {reason}")
 
 
+def _undecodable_error(exc: UnicodeDecodeError, fh) -> MatrixMarketFormatError:
+    """A byte that is not UTF-8, named by its 1-based file line and its place
+    in that line, since the decoder counts from wherever its read began. A
+    pipe cannot be read again (``fh`` is None): its error names the byte alone."""
+    if fh is not None:
+        fh.seek(0)
+        for line_no, line in enumerate(fh.buffer, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return MatrixMarketFormatError(f"malformed entry line {line_no}: {bad}")
+    return MatrixMarketFormatError(f"malformed entry line: {exc.encoding!r} codec can't decode "
+                                   f"byte 0x{exc.object[exc.start]:02x}: {exc.reason}")
+
+
 def read_matrix_market(path) -> tuple[Entries, int, int]:
     """Parse a MatrixMarket coordinate file into 0-based raw entries.
 
@@ -385,44 +390,47 @@ def read_matrix_market(path) -> tuple[Entries, int, int]:
     entries, errors and messages.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").rstrip("\r")
-        if header.strip().lower() != MM_HEADER.lower():
-            raise MatrixMarketFormatError(
-                f"unsupported MatrixMarket header {header!r}; expected {MM_HEADER!r}"
-            )
-        consumed = 1
-        for line in iter(fh.readline, ""):
-            consumed += 1
-            size_line = line.strip()
-            if size_line and not size_line.startswith("%"):
-                break
-        else:
-            raise MatrixMarketFormatError("missing size line")
-        try:
-            m, n, nnz = map(int, size_line.split())
-        except ValueError as exc:
-            raise MatrixMarketFormatError(f"malformed size line {size_line!r}") from exc
-        if m < 1 or n < 1 or nnz < 0:
-            raise MatrixMarketFormatError(
-                f"size line {size_line!r} must declare at least 1x1 and a nonnegative entry count"
-            )
-
-        # given a path, loadtxt reads in bulk, ~50% faster at 1M entries
-        # than from ``fh``, but through numpy's compressed-file opener, whose
-        # first call in a process imports gzip and probes for compressed
-        # variants (~1 ms); smaller files, and pipes, which can be read only
-        # once, are read on from ``fh``
         seekable = fh.seekable()
-        bulk = seekable and nnz >= BULK_READ_MIN_ENTRIES
-        source, skip = (path, consumed) if bulk else (fh, 0)
-        with warnings.catch_warnings():
-            # an empty entry block is not a format error; nnz decides below
-            warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+        try:
+            header = fh.readline().rstrip("\n").rstrip("\r")
+            if header.strip().lower() != MM_HEADER.lower():
+                raise MatrixMarketFormatError(
+                    f"unsupported MatrixMarket header {header!r}; expected {MM_HEADER!r}"
+                )
+            consumed = 1
+            for line in iter(fh.readline, ""):
+                consumed += 1
+                size_line = line.strip()
+                if size_line and not size_line.startswith("%"):
+                    break
+            else:
+                raise MatrixMarketFormatError("missing size line")
             try:
+                m, n, nnz = map(int, size_line.split())
+            except ValueError as exc:
+                raise MatrixMarketFormatError(f"malformed size line {size_line!r}") from exc
+            if m < 1 or n < 1 or nnz < 0:
+                raise MatrixMarketFormatError(
+                    f"size line {size_line!r} must declare at least 1x1 and a nonnegative "
+                    "entry count"
+                )
+
+            # given a path, loadtxt reads in bulk, ~50% faster at 1M entries
+            # than from ``fh``, but through numpy's compressed-file opener,
+            # whose first call in a process imports gzip and probes for
+            # compressed variants (~1 ms); smaller files, and pipes, which can
+            # be read only once, are read on from ``fh``
+            bulk = seekable and nnz >= BULK_READ_MIN_ENTRIES
+            source, skip = (path, consumed) if bulk else (fh, 0)
+            with warnings.catch_warnings():
+                # an empty entry block is not a format error; nnz decides below
+                warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
                 data = np.loadtxt(source, dtype=_MM_ENTRY, comments="%", ndmin=1,
                                   skiprows=skip, encoding="utf-8")
-            except ValueError as exc:
-                raise _entry_block_error(exc, fh if seekable else None, consumed) from exc
+        except UnicodeDecodeError as exc:
+            raise _undecodable_error(exc, fh if seekable else None) from exc
+        except ValueError as exc:  # loadtxt's alone: the size line's is converted above
+            raise _entry_block_error(exc, fh if seekable else None, consumed) from exc
 
     rows = data["i"] - 1
     cols = data["j"] - 1

@@ -404,15 +404,11 @@ def dual_bound(matrix, alpha: float, y: np.ndarray) -> float:
 def certify(kernel: GradientKernel, x_hat: np.ndarray, loads: np.ndarray) -> Certificate:
     """The certificate of iterate ``x_hat``, whose allocation has ``loads``.
 
-    Its barrier weights serve as Lagrange multipliers. The iterate's value
-    is sum(x_hat)/(1 - alpha), or sum(x_hat) at alpha = 1: the utility of
-    its allocation, up to rounding.
+    Its barrier weights serve as Lagrange multipliers, and its value is
+    ``kernel.value``.
     """
-    alpha = kernel.alpha
     y = barrier_weights(kernel.inv_beta, kernel.logC, np.log(loads))
-    total = float(np.add.reduce(x_hat))
-    value = total if alpha == 1.0 else total / (1.0 - alpha)
-    return Certificate(y, dual_bound(kernel.matrix, alpha, y), value)
+    return Certificate(y, dual_bound(kernel.matrix, kernel.alpha, y), kernel.value(x_hat))
 
 
 def stop_radius(alpha: float, epsilon: float, n: int, bound: float, value: float,

@@ -19,11 +19,11 @@ never materializing one above ``EXP_SAT``. The form, like the allocation
 map and the allocation term, is bound once per run, when the kernel is
 built.
 
-Every floating-point step here is shared verbatim between the monolithic
-solver and the column-block shards of the round engine (see ``rounds``):
-both compute each row's factor with ``ColumnForm.row_factors`` and run the
-columns through ``truncated_columns`` with the same form, which is what
-makes the two engines bit-identical.
+Both engines run the one ``GradientKernel.evaluate``: each row's factor
+comes from ``ColumnForm.row_factors`` and reaches ``truncated_columns``
+through ``GradientKernel.columns``, which the round engine (see ``rounds``)
+alone overrides, to message the factors to its column-block shards. That
+is what makes the two engines bit-identical.
 """
 
 from __future__ import annotations
@@ -357,30 +357,33 @@ class GradientKernel:
         """Constraint loads ``Au``: the body of ``matrix.constraint_loads``, unchecked."""
         return segment_sums(self._row_starts, self.matrix.row_col, self.matrix.row_val, u)
 
+    def columns(self, x_hat: np.ndarray, u: np.ndarray, factors: np.ndarray):
+        """``truncated_columns``' triple over every column, from the row ``factors``."""
+        return truncated_columns(self.form, self.entry_terms, self.matrix.col_row, self.entry_col,
+                                 self._col_starts, self.allocation_term(x_hat, u), factors)
+
     def evaluate(self, x_hat: np.ndarray, u: np.ndarray, loads: np.ndarray) -> GradientPair:
         """Truncated gradient at ``x_hat``, whose allocation ``u`` has the
         constraint loads ``loads``, with the barrier weights when formed."""
         factors = self.form.row_factors(loads)
-        _s, _saturated, truncated = truncated_columns(
-            self.form, self.entry_terms, self.matrix.col_row, self.entry_col, self._col_starts,
-            self.allocation_term(x_hat, u), factors,
-        )
+        truncated = self.columns(x_hat, u, factors)[2]
         return GradientPair(truncated, None if self.form.column_factor else factors)
+
+    def value(self, x_hat: np.ndarray) -> float:
+        """The iterate's value ``sum(x_hat)/(1 - alpha)``, or ``sum(x_hat)`` at
+        alpha = 1: the utility of its allocation, up to rounding."""
+        total = float(np.add.reduce(x_hat))
+        return total if self.alpha == 1.0 else total / (1.0 - self.alpha)
 
     def f_r(self, x_hat: np.ndarray, loads: np.ndarray | None = None) -> float:
         """Regularized objective value; may return POSITIVE_OVERFLOW."""
         if loads is None:
             loads = self.loads_of(self.allocation(x_hat))
-        lin = float(np.add.reduce(np.asarray(x_hat, dtype=np.float64)))
-        if self.alpha == 1.0:
-            lin = -lin
-        else:
-            lin = -lin / (1.0 - self.alpha)
         be = self.logC + self.barrier_ratio * np.log(loads)
         if float(be.max()) > EXP_SAT:
             return POSITIVE_OVERFLOW
         barrier = (self.beta / (1.0 + self.beta)) * float(np.add.reduce(np.exp(be)))
-        return lin + barrier
+        return barrier - self.value(x_hat)
 
 
 def _check_domain(x_hat, alpha: float) -> np.ndarray:
@@ -415,13 +418,10 @@ def grad_f_r(instance, params, x_hat, alpha: float) -> GradientPair:
     """
     x_hat = _check_domain(x_hat, alpha)
     kernel = GradientKernel(instance.matrix, alpha, params.beta, params.logC)
-    mat = instance.matrix
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         u = kernel.allocation(x_hat)
-        s, saturated, truncated = truncated_columns(
-            kernel.form, kernel.entry_terms, mat.col_row, kernel.entry_col, mat.col_ptr[:-1],
-            kernel.allocation_term(x_hat, u), kernel.form.row_factors(kernel.loads_of(u)),
-        )
+        factors = kernel.form.row_factors(kernel.loads_of(u))
+        s, saturated, truncated = kernel.columns(x_hat, u, factors)
         if alpha == 1.0:
             grad, sentinel = s, np.inf
         else:

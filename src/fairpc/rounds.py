@@ -1,30 +1,29 @@
 """Lockstep round-based execution over column-block shards, with a locality check.
 
-The round engine is the monolithic solver with one thing changed: its
-gradient evaluation. In the paper's distributed model agent j updates its
-own coordinate from its column of ``A`` and the loads of the rows that
-column touches, and the update is elementwise; so only the gradient can
-break locality, through its load messages.
+The round engine is the monolithic solver with one thing changed: how the
+row factors reach the columns. In the paper's distributed model agent j
+updates its own coordinate from its column of ``A`` and the loads of the
+rows that column touches, and the update is elementwise; so the only
+non-local step is getting each row's price to its columns.
 
 The columns are split into ``SHARD_COUNT`` contiguous blocks of the
 column-major arrays. ``build_shards`` lays out every shard's local data once
 per kernel (``Shards``): one message buffer that holds every shard's
 incident rows, shard after shard, and each entry's slot in it. A shard's
 entries are its columns' own range of the kernel's per-entry arrays, so the
-layout holds no gather. ``_Lockstep`` is a gradient kernel whose every
-evaluation is one round, of a fixed number of NumPy calls whatever the
-shard count: each row computes its factor from its load once, as the
-monolithic kernel does (``ColumnForm.row_factors``), so a constraint
-publishes its price; one ``take`` fills every shard's slice of the message
-buffer with its rows' factors (``shard_messages``), and one call of the
-monolithic kernel's own ``truncated_columns`` computes every block's
-truncated gradient (``local_update``). ``run_distributed`` passes its
-constructor to ``packing.solve_packing`` or ``covering.solve_covering``,
-which build one per stage and drive it with the same start, step,
-feasibility check, recorder and stop rule as the monolithic engine; a
-column's segment sum does not depend on its offset and every update
-expression is elementwise, so the two engines are bit-identical whatever
-the partition.
+layout holds no gather. ``_Lockstep`` is a gradient kernel that runs the
+monolithic ``evaluate``, which computes each row's factor from its load
+once (``ColumnForm.row_factors``), so a constraint publishes its price. It
+overrides only ``GradientKernel.columns``, as one round of a fixed number
+of NumPy calls whatever the shard count: one ``take`` fills every shard's
+slice of the message buffer with its rows' factors (``shard_messages``),
+and one call of ``truncated_columns`` computes every block's truncated
+gradient (``local_update``). ``run_distributed`` passes its constructor to
+``packing.solve_packing`` or ``covering.solve_covering``, which build one
+per stage and drive it with the same start, step, feasibility check,
+recorder and stop rule as the monolithic engine; a column's segment sum
+does not depend on its offset and every update expression is elementwise,
+so the two engines are bit-identical whatever the partition.
 
 Locality is structural: a shard reads its rows' factors only through slots
 inside its own message slice. ``check_layout`` checks once, when a kernel's shards
@@ -49,7 +48,7 @@ from .covering import solve_covering
 # not called here: perfbench's probes look these two names up in this module
 from .packing import finalize_packing  # noqa: F401
 from .covering import finalize_covering  # noqa: F401
-from .regularization import GradientKernel, GradientPair, truncated_columns
+from .regularization import GradientKernel, truncated_columns
 
 # column blocks per run, capped at the number of columns
 SHARD_COUNT = 4
@@ -162,15 +161,14 @@ def check_message(shards: Shards, msg: ShardMessages, audit: LocalityAudit) -> N
 
 
 def local_update(kernel: GradientKernel, shards: Shards, msg: ShardMessages,
-                 x_hat: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Every block's truncated gradient, each from its shard's own entries
-    of ``kernel`` (the kernel ``shards`` was built for), its message slice
-    and its block of ``x_hat``, ``u``."""
-    _s, _saturated, truncated = truncated_columns(
+                 x_hat: np.ndarray, u: np.ndarray):
+    """Every block's ``truncated_columns`` triple, each from its shard's own
+    entries of ``kernel`` (the kernel ``shards`` was built for), its message
+    slice and its block of ``x_hat``, ``u``."""
+    return truncated_columns(
         kernel.form, kernel.entry_terms, shards.row_pos, kernel.entry_col,
         kernel.matrix.col_ptr[:-1], kernel.allocation_term(x_hat, u), msg.factors,
     )
-    return truncated
 
 
 def run_distributed(instance, config: SolverConfig, mode: str | None = None,
@@ -200,9 +198,9 @@ def run_distributed(instance, config: SolverConfig, mode: str | None = None,
 
 
 class _Lockstep(GradientKernel):
-    """A gradient kernel whose every evaluation is one lockstep round of
-    its shards, checked into ``audit``; everything else is the monolithic
-    kernel's."""
+    """A gradient kernel whose row factors reach its columns as one
+    lockstep round of its shards, checked into ``audit``; everything else
+    is the monolithic kernel's."""
 
     def __init__(self, matrix, alpha: float, beta: float, logC: float, audit: LocalityAudit):
         super().__init__(matrix, alpha, beta, logC)
@@ -210,15 +208,11 @@ class _Lockstep(GradientKernel):
         check_layout(self.shards, matrix, audit)
         self.audit = audit
 
-    def evaluate(self, x_hat: np.ndarray, u: np.ndarray, loads: np.ndarray) -> GradientPair:
-        """Compute each row's factor from ``loads``, message every shard its
-        rows' factors, check the message, and compute every block; with
-        the barrier weights, which are the row factors, when the form
-        makes them."""
+    def columns(self, x_hat: np.ndarray, u: np.ndarray, factors: np.ndarray):
+        """Count the round, message every shard its rows' ``factors``, check
+        the message, and compute every block."""
         audit = self.audit
         k = audit.rounds = audit.rounds + 1
-        factors = self.form.row_factors(loads)
         msg = shard_messages(self.shards, factors, k)
         check_message(self.shards, msg, audit)
-        truncated = local_update(self, self.shards, msg, x_hat, u)
-        return GradientPair(truncated, None if self.form.column_factor else factors)
+        return local_update(self, self.shards, msg, x_hat, u)

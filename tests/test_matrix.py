@@ -1,6 +1,7 @@
 import math
 import os
 import warnings
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairpc import build_matrix, column_loads, constraint_loads, from_dense, matrix
+from fairpc.cli import run_cli
 from fairpc.errors import (
     DimensionMismatch,
     DuplicateEntry,
@@ -329,6 +331,50 @@ def test_matrix_market_names_a_non_utf8_line_past_the_first_read(tmp_path, monke
     with pytest.raises(MatrixMarketFormatError) as info:
         read_matrix_market(path)
     assert str(info.value) == message + ": invalid start byte"
+
+
+@contextmanager
+def _mm_source(tmp_path, data: bytes, pipe: bool):
+    """A path that reads ``data``: a file, or a pipe already holding it."""
+    if not pipe:
+        path = tmp_path / "bad.mtx"
+        path.write_bytes(data)
+        yield str(path)
+        return
+    r, w = os.pipe()
+    os.write(w, data)
+    os.close(w)
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+
+
+@pytest.mark.parametrize("pipe", [False, True])
+@pytest.mark.parametrize("where, line_no, position", [
+    ("comment", 2, 2),   # before the size line, in the header read
+    ("entry", 4, 4),     # the first entry, within the decoder's first 8 KiB read
+    ("past", 1203, 10),  # the last entry, past the first 8 KiB
+])
+def test_matrix_market_names_a_non_utf8_byte_anywhere(tmp_path, capsys, where, line_no,
+                                                      position, pipe):
+    lines = [b"%%MatrixMarket matrix coordinate real general\n", b"% c\n", b"1200 1200 1200\n"]
+    lines += [f"{i} {i} 1.0\n".encode() for i in range(1, 1201)]
+    lines[line_no - 1] = {"comment": b"% \xff\n", "entry": b"1 1 \xff.0\n",
+                          "past": b"1200 1200 \xff.0\n"}[where]
+    data = b"".join(lines)
+    assert (data.index(b"\xff") > 8192) == (where == "past")
+    # a pipe cannot be read again to find the line: it names the byte alone
+    message = ("malformed entry line: 'utf-8' codec can't decode byte 0xff" if pipe else
+               f"malformed entry line {line_no}: 'utf-8' codec can't decode byte 0xff in "
+               f"position {position}") + ": invalid start byte"
+    with _mm_source(tmp_path, data, pipe) as path, pytest.raises(MatrixMarketFormatError) as info:
+        read_matrix_market(path)
+    assert str(info.value) == message
+    with _mm_source(tmp_path, data, pipe) as path:
+        code = run_cli(["--mode", "pack", "--alpha", "1", "--epsilon", "0.1", "--input", path])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_matrix_market_reads_a_pipe():

@@ -31,6 +31,23 @@ def test_every_probe_target_exists(probes):
         assert attr in vars(owner), f"probe {name}: {owner!r} has no {attr}"
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_no_subclass_redefines_a_probed_attribute(probes):
+    # a probe on a class attribute sees only the calls that reach it: a
+    # subclass that redefines the attribute runs unprobed
+    for owner, attr, name, _hook in probes.targets(True):
+        if not isinstance(owner, type):
+            continue
+        for sub in _subclasses(owner):
+            if sub.__module__.startswith("fairpc"):
+                assert attr not in vars(sub), f"probe {name}: {sub.__qualname__} redefines {attr}"
+
+
 def test_probes_count_every_step_and_trace_row(probes, tmp_path):
     mtx = tmp_path / "id2.mtx"
     mtx.write_text(ID2)
@@ -45,5 +62,7 @@ def test_probes_count_every_step_and_trace_row(probes, tmp_path):
     assert spans["packing.step"].calls == 100
     # each lockstep round computes every shard's block in one local_update call
     assert spans["rounds.local_update"].calls == 100
+    # both engines evaluate the gradient through the one probed method
+    assert spans["regularization.evaluate"].calls == 200
     # 11 trace rows (iterations 0, 10, ..., 100) per run, both through the one recorder
     assert spans["packing.record"].calls == 22

@@ -53,7 +53,7 @@ def test_local_update_reproduces_monolithic_step():
     kernel, shard = one_shard(inst, params)
     loads = state.u.copy()   # the identity's loads are the allocation
     msg = ShardMessages(round_index=1, rows=np.array([0]), factors=kernel.form.row_factors(loads))
-    block = local_update(kernel, shard, msg, state.x_hat, state.u)
+    _s, _saturated, block = local_update(kernel, shard, msg, state.x_hat, state.u)
     whole = kernel.evaluate(state.x_hat, state.u, loads)
     assert block.tobytes() == whole.truncated.tobytes()
 
@@ -70,7 +70,7 @@ def test_local_update_zero_gradient_is_noop():
     x_hat = np.array([-params.logC * params.beta / (1.0 + params.beta)])
     factors = kernel.form.row_factors(np.exp(x_hat))
     msg = ShardMessages(round_index=4, rows=np.array([0]), factors=factors)
-    block = local_update(kernel, shard, msg, x_hat, np.exp(x_hat))
+    _s, _saturated, block = local_update(kernel, shard, msg, x_hat, np.exp(x_hat))
     assert block[0] == pytest.approx(0.0, abs=1e-12)
 
 
