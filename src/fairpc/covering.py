@@ -191,11 +191,13 @@ def solve_covering(instance: CoveringInstance, config: SolverConfig,
 
     ``kernel(matrix, 0, beta, 0)`` builds the run's gradient kernel:
     ``GradientKernel`` for the monolithic engine. A config of another mode
-    raises ``ValueError``.
+    raises ``ValueError``, an instance of another kind ``TypeError``.
     """
     if config.mode != COVER:
         raise ValueError(f"solve_covering runs mode {COVER!r}, but the config's mode is "
                          f"{config.mode!r}")
+    if not isinstance(instance, CoveringInstance):
+        raise TypeError("cover mode needs a CoveringInstance")
     params = derive_covering_params(instance.m, instance.n, instance.rho, config.beta,
                                     config.epsilon)
     if scaling is None:

@@ -590,11 +590,14 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
     the iterate, its checked loads and the multiplier and binds its own
     constants to the state (``enter_stage``). The budget, the trace stride
     and the reported constants are the target's, counted on one iteration
-    counter. A config of another mode raises ``ValueError``.
+    counter. A config of another mode raises ``ValueError``, an instance
+    of another kind ``TypeError``.
     """
     if config.mode != PACK:
         raise ValueError(f"solve_packing runs mode {PACK!r}, but the config's mode is "
                          f"{config.mode!r}")
+    if not isinstance(instance, PackingInstance):
+        raise TypeError("pack mode needs a PackingInstance")
     alpha = config.alpha
     m, n, rho = instance.m, instance.n, instance.rho
     if scaling is None:

@@ -7,11 +7,12 @@ rows that column touches, and the update is elementwise; so the only
 non-local step is getting each row's price to its columns.
 
 The columns are split into ``SHARD_COUNT`` contiguous blocks of the
-column-major arrays. ``build_shards`` lays out every shard's local data once
-per kernel (``Shards``): one message buffer that holds every shard's
-incident rows, shard after shard, and each entry's slot in it. A shard's
-entries are its columns' own range of the kernel's per-entry arrays, so the
-layout holds no gather. ``_Lockstep`` is a gradient kernel that runs the
+column-major arrays. Which rows a shard hears from is fixed by ``A``, so
+``build_shards`` lays out every shard's local data once per run
+(``Shards``): one message buffer that holds every shard's incident rows,
+shard after shard, and each entry's slot in it. A shard's entries are its
+columns' own range of the matrix's column-major arrays, so the layout
+holds no gather. ``_Lockstep`` is a gradient kernel that runs the
 monolithic ``evaluate``, which computes each row's factor from its load
 once (``ColumnForm.row_factors``), so a constraint publishes its price. It
 overrides only ``GradientKernel.columns``, as one round of a fixed number
@@ -26,11 +27,12 @@ does not depend on its offset and every update expression is elementwise,
 so the two engines are bit-identical whatever the partition.
 
 Locality is structural: a shard reads its rows' factors only through slots
-inside its own message slice. ``check_layout`` checks once, when a kernel's shards
-are built, that every entry's slot lies in its shard's slice and carries
-the entry's own row; the layout's arrays are read-only, so what was checked
-stays true. Every round ``check_message`` checks only that the message
-buffer is the layout's, and so carries exactly each shard's incident rows.
+inside its own message slice. ``check_layout`` checks once per run, when
+the layout is built, that every entry's slot lies in its shard's slice and
+carries the entry's own row; the layout's arrays are read-only, so what was
+checked stays true for every stage. Every round ``check_message`` checks
+only that the message buffer is the layout's, and so carries exactly each
+shard's incident rows.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LocalityViolation
-from .problem import PACK, CoveringInstance, PackingInstance, ScalingRecord, SolverConfig
+from .problem import PACK, ScalingRecord, SolverConfig
 from .matrix import SparseNonnegMatrix, _frozen, segment_index
 from .packing import solve_packing
 from .covering import solve_covering
@@ -60,7 +62,7 @@ class Shards:
     read-only, so a layout that ``check_layout`` passed stays valid.
 
     Shard s owns columns ``[bounds[s], bounds[s+1])``, so their entries'
-    range of the kernel's column-major arrays, and slots
+    range of the matrix's column-major arrays, and slots
     ``[slots[s], slots[s+1])`` of the message buffer, whose rows ``rows``
     lists. Entry e reads the load in slot ``row_pos[e]``.
     """
@@ -96,9 +98,8 @@ class LocalityAudit:
         return not self.out_of_column and not self.message_key_mismatches
 
 
-def build_shards(kernel: GradientKernel, count: int) -> Shards:
+def build_shards(matrix: SparseNonnegMatrix, count: int) -> Shards:
     """Lay out ``count`` (at most n) contiguous column blocks of near-equal width."""
-    matrix = kernel.matrix
     n, m = matrix.n, matrix.m
     count = min(count, n)
     bounds = n * np.arange(count + 1) // count
@@ -163,7 +164,7 @@ def check_message(shards: Shards, msg: ShardMessages, audit: LocalityAudit) -> N
 def local_update(kernel: GradientKernel, shards: Shards, msg: ShardMessages,
                  x_hat: np.ndarray, u: np.ndarray):
     """Every block's ``truncated_columns`` triple, each from its shard's own
-    entries of ``kernel`` (the kernel ``shards`` was built for), its message
+    entries of ``kernel`` (of the matrix ``shards`` lays out), its message
     slice and its block of ``x_hat``, ``u``."""
     return truncated_columns(
         kernel.form, kernel.entry_terms, shards.row_pos, kernel.entry_col,
@@ -171,41 +172,34 @@ def local_update(kernel: GradientKernel, shards: Shards, msg: ShardMessages,
     )
 
 
-def run_distributed(instance, config: SolverConfig, mode: str | None = None,
-                    scaling: ScalingRecord | None = None):
+def run_distributed(instance, config: SolverConfig, scaling: ScalingRecord | None = None,
+                    *, mode: str | None = None):
     """Execute the solve of ``config.mode`` as lockstep rounds; returns
     (solution, audit).
 
-    The monolithic solve runs with ``_Lockstep`` as its kernel constructor,
-    so the solution is bit-identical to its own. Every stage's kernel
-    checks its shard layout when built and each round's message, and
-    shares the one audit. ``mode``, when given, must be ``config.mode``.
+    The run's layout is built and checked once, into the one audit, and
+    the monolithic solve, which checks the instance and the config, runs
+    with ``_Lockstep`` over it as its kernel constructor, so the solution is
+    bit-identical to its own. ``mode``, kept for callers that name it,
+    picks the solve as ``config.mode`` does; that solve rejects a mismatch.
     """
-    if mode is not None and mode != config.mode:
-        raise ValueError(f"run_distributed was given mode {mode!r}, but the config's mode "
-                         f"is {config.mode!r}")
-    if config.mode == PACK:
-        if not isinstance(instance, PackingInstance):
-            raise TypeError("pack mode needs a PackingInstance")
-        solve = solve_packing
-    else:
-        if not isinstance(instance, CoveringInstance):
-            raise TypeError("cover mode needs a CoveringInstance")
-        solve = solve_covering
+    solve = solve_packing if (mode or config.mode) == PACK else solve_covering
     audit = LocalityAudit()
-    solution = solve(instance, config, scaling, lambda *args: _Lockstep(*args, audit))
+    shards = build_shards(instance.matrix, SHARD_COUNT)
+    check_layout(shards, instance.matrix, audit)
+    solution = solve(instance, config, scaling, lambda *args: _Lockstep(*args, audit, shards))
     return solution, audit
 
 
 class _Lockstep(GradientKernel):
     """A gradient kernel whose row factors reach its columns as one
-    lockstep round of its shards, checked into ``audit``; everything else
-    is the monolithic kernel's."""
+    lockstep round of ``shards``, a checked layout of ``matrix``, each
+    message checked into ``audit``; everything else is the monolithic kernel's."""
 
-    def __init__(self, matrix, alpha: float, beta: float, logC: float, audit: LocalityAudit):
+    def __init__(self, matrix, alpha: float, beta: float, logC: float, audit: LocalityAudit,
+                 shards: Shards):
         super().__init__(matrix, alpha, beta, logC)
-        self.shards = build_shards(self, SHARD_COUNT)
-        check_layout(self.shards, matrix, audit)
+        self.shards = shards
         self.audit = audit
 
     def columns(self, x_hat: np.ndarray, u: np.ndarray, factors: np.ndarray):

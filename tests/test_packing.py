@@ -33,7 +33,7 @@ from fairpc.packing import (
 )
 from fairpc.problem import epsilon_upper_bound
 from fairpc.regularization import GradientKernel
-from fairpc.rounds import LocalityAudit, _Lockstep
+from fairpc.rounds import SHARD_COUNT, LocalityAudit, _Lockstep, build_shards, check_layout
 
 from conftest import identity_instance, random_sparse_entries, single_row_instance
 
@@ -301,14 +301,17 @@ def test_epsilon_schedule_halves_down_to_the_target():
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
 def test_stage_change_keeps_the_iterate(alpha, rounds):
     # x_hat, u and the checked loads stay bit for bit; the kernel, the rule
-    # and (below 1) the mirror state are rebuilt for the new epsilon
+    # and (below 1) the mirror state are rebuilt for the new epsilon, and
+    # under rounds the new kernel keeps the run's one shard layout and audit
     inst, _ = instance_from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
     first, target = epsilon_schedule(alpha, min(0.1, epsilon_upper_bound(alpha)) / 2)[:2]
     config = SolverConfig(fairness=alpha, epsilon=target, early_stop=True)
     params = derive_packing_params(2, 3, 3.0, alpha, first)
     new = derive_packing_params(2, 3, 3.0, alpha, target)
     audit = LocalityAudit()
-    make = (lambda *a: _Lockstep(*a, audit)) if rounds else GradientKernel
+    shards = build_shards(inst.matrix, SHARD_COUNT)
+    check_layout(shards, inst.matrix, audit)
+    make = (lambda *a: _Lockstep(*a, audit, shards)) if rounds else GradientKernel
     state = init_packing(inst, config, params, make)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         for _ in range(50):
@@ -325,7 +328,7 @@ def test_stage_change_keeps_the_iterate(alpha, rounds):
     assert (kernel.beta, kernel.logC) == (new.beta, new.logC)
     assert state.rule[0] != old_rule[0]
     if rounds:
-        assert kernel.audit is old_kernel.audit and kernel.shards is not old_kernel.shards
+        assert kernel.audit is old_kernel.audit and kernel.shards is old_kernel.shards
     if alpha < 1.0:
         np.testing.assert_array_equal(state.z, mirror_state(x_hat, new.beta_prime))
 
@@ -475,10 +478,23 @@ def test_entry_points_reject_a_config_of_the_other_mode():
     with pytest.raises(ValueError, match="solve_covering runs mode 'cover', but the "
                                          "config's mode is 'pack'"):
         solve_covering(covering, pack)
-    # the rounds engine runs the config's mode; a mode argument that differs raises
-    with pytest.raises(ValueError, match="run_distributed was given mode 'cover', but the "
+    # the rounds engine runs the solve of the config's mode, so a mode
+    # argument that differs meets the other solve's config check
+    with pytest.raises(ValueError, match="solve_covering runs mode 'cover', but the "
                                          "config's mode is 'pack'"):
         run_distributed(covering, pack, mode=COVER)
+
+
+@pytest.mark.parametrize("engine", ["monolithic", "rounds"])
+@pytest.mark.parametrize("mode,kind", [(PACK, "PackingInstance"), (COVER, "CoveringInstance")])
+def test_both_engines_reject_an_instance_of_the_other_kind(engine, mode, kind):
+    # the solve of the config's mode checks the instance's kind, for both engines
+    other = identity_instance(2, mode=COVER if mode == PACK else PACK)
+    config = SolverConfig(fairness=1.0, epsilon=0.1, mode=mode, max_iters=5)
+    monolithic = solve_packing if mode == PACK else solve_covering
+    solve = monolithic if engine == "monolithic" else run_distributed
+    with pytest.raises(TypeError, match=rf"^{mode} mode needs a {kind}$"):
+        solve(other, config)
 
 
 @pytest.mark.parametrize("engine", ["monolithic", "rounds"])
@@ -487,10 +503,11 @@ def test_entry_points_reject_a_config_of_the_other_mode():
     (PACK, 2.0, 0.05, False), (COVER, 1.0, 0.1, False),
 ])
 def test_one_kernel_per_stage(monkeypatch, engine, mode, fairness, eps, early_stop):
-    # each stage entered builds one kernel, and under rounds one shard set;
-    # none is built for the target only to be replaced by the first stage's
-    built = {"kernels": 0, "shards": 0}
-    init, shard = GradientKernel.__init__, rounds.build_shards
+    # each stage entered builds one kernel, and none is built for the target
+    # only to be replaced by the first stage's; under rounds the run builds
+    # and checks one shard layout, whatever its number of stages
+    built = {"kernels": 0, "shards": 0, "checks": 0}
+    init, shard, check = GradientKernel.__init__, rounds.build_shards, rounds.check_layout
 
     def counted_init(self, *args):
         built["kernels"] += 1
@@ -500,8 +517,13 @@ def test_one_kernel_per_stage(monkeypatch, engine, mode, fairness, eps, early_st
         built["shards"] += 1
         return shard(*args)
 
+    def counted_check(*args):
+        built["checks"] += 1
+        return check(*args)
+
     monkeypatch.setattr(GradientKernel, "__init__", counted_init)
     monkeypatch.setattr(rounds, "build_shards", counted_shards)
+    monkeypatch.setattr(rounds, "check_layout", counted_check)
     inst, _ = instance_from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]), mode=mode)
     config = SolverConfig(fairness=fairness, epsilon=eps, mode=mode, early_stop=early_stop,
                           max_iters=20_000 if early_stop else 50)
@@ -514,7 +536,7 @@ def test_one_kernel_per_stage(monkeypatch, engine, mode, fairness, eps, early_st
         stages = len(sol.stages)
         assert stages >= 2
     assert built["kernels"] == stages
-    assert built["shards"] == (stages if engine == "rounds" else 0)
+    assert built["shards"] == built["checks"] == (1 if engine == "rounds" else 0)
 
 
 # ---- solve-level behavior ----

@@ -1,5 +1,4 @@
 import dataclasses
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,9 +39,18 @@ from conftest import identity_instance, single_row_instance
 
 def one_shard(instance, params):
     kernel = GradientKernel(instance.matrix, 1.0, params.beta, params.logC)
-    shards = build_shards(kernel, count=1)
+    shards = build_shards(instance.matrix, count=1)
     assert shards.bounds.tolist() == [0, instance.n]
     return kernel, shards
+
+
+def checked_lockstep(matrix, alpha, beta, logC, count):
+    """A round kernel over a ``count``-shard layout of ``matrix`` that
+    ``check_layout`` passed, as ``run_distributed`` builds one per stage."""
+    audit = rounds.LocalityAudit()
+    shards = build_shards(matrix, count)
+    check_layout(shards, matrix, audit)
+    return rounds._Lockstep(matrix, alpha, beta, logC, audit, shards)
 
 
 def test_local_update_reproduces_monolithic_step():
@@ -127,7 +135,7 @@ def test_bit_identical_covering():
     inst = identity_instance(2, mode=COVER)
     config = SolverConfig(fairness=1.0, epsilon=0.1, mode=COVER, max_iters=200)
     mono = solve_covering(inst, config)
-    dist, audit = run_distributed(inst, config, mode=COVER)
+    dist, audit = run_distributed(inst, config)
     assert mono.y.tobytes() == dist.y.tobytes()
     assert mono.cost == dist.cost
     assert mono.prescale_residual == dist.prescale_residual
@@ -201,8 +209,7 @@ def test_fallback_evaluate_bit_identical_over_partitions(monkeypatch, count):
     q = -(params.logC + alpha * np.log(u).mean()) - 4.0 + rng.uniform(-2.0, 2.0, inst.m)
     x_hat, loads = transform_inverse(u, alpha), np.exp(params.beta * q)
     whole = kernel.evaluate(x_hat, u, loads).truncated
-    lockstep = rounds._Lockstep(inst.matrix, alpha, params.beta, params.logC,
-                                rounds.LocalityAudit())
+    lockstep = checked_lockstep(inst.matrix, alpha, params.beta, params.logC, rounds.SHARD_COUNT)
     sharded = lockstep.evaluate(x_hat, u, loads).truncated
     assert kernel.form.product is False
     assert np.unique(whole[whole < 1.0]).size > 3
@@ -221,7 +228,7 @@ def test_covering_bit_identical_over_partitions(monkeypatch, count):
     monkeypatch.setattr(rounds, "SHARD_COUNT", inst.n if count is None else count)
     config = SolverConfig(fairness=1.0, epsilon=0.1, mode=COVER, max_iters=200)
     mono = solve_covering(inst, config)
-    dist, audit = run_distributed(inst, config, mode=COVER)
+    dist, audit = run_distributed(inst, config)
     assert mono.y.tobytes() == dist.y.tobytes()
     assert mono.cost == dist.cost
     assert audit.ok
@@ -229,9 +236,7 @@ def test_covering_bit_identical_over_partitions(monkeypatch, count):
 
 def test_shards_partition_the_columns():
     inst = partition_instance()
-    params = derive_packing_params(inst.m, inst.n, inst.rho, 1.0, 0.1)
-    kernel = GradientKernel(inst.matrix, 1.0, params.beta, params.logC)
-    shards = build_shards(kernel, count=4)
+    shards = build_shards(inst.matrix, count=4)
     col_ptr, col_row = inst.matrix.col_ptr, inst.matrix.col_row
     assert shards.bounds.tolist() == [0, 2, 4, 6, 9]
     for s, (c0, c1) in enumerate(zip(shards.bounds[:-1], shards.bounds[1:])):
@@ -246,7 +251,7 @@ def test_shards_partition_the_columns():
 
 def test_shards_are_read_only():
     inst = partition_instance()
-    shards = build_shards(GradientKernel(inst.matrix, 0.0, 0.01, 0.0), count=4)
+    shards = build_shards(inst.matrix, count=4)
     for name in ("bounds", "row_pos", "rows", "slots"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(shards, name)[0] = 0
@@ -257,8 +262,7 @@ def test_out_of_slice_slot_raises(shard, slot):
     # one row over three one-column shards: every slot carries row 0, so a
     # slot in another shard's slice still carries the entry's own row
     inst = single_row_instance([1.0, 2.0, 3.0])
-    kernel = GradientKernel(inst.matrix, 1.0, 0.01, 0.0)
-    good = build_shards(kernel, count=3)
+    good = build_shards(inst.matrix, count=3)
     audit = rounds.LocalityAudit()
     check_layout(good, inst.matrix, audit)
     assert audit.ok
@@ -277,8 +281,7 @@ def test_slot_carrying_another_row_raises():
     # two entries of one shard swap slots: both stay inside the shard's
     # message slice, but each reads the other's row load
     inst = partition_instance()
-    kernel = GradientKernel(inst.matrix, 0.0, 0.01, 0.0)
-    good = build_shards(kernel, count=4)
+    good = build_shards(inst.matrix, count=4)
     col_row = inst.matrix.col_row
     lo, hi = inst.matrix.col_ptr[good.bounds[1]], inst.matrix.col_ptr[good.bounds[2]]
     first = int(lo)
@@ -296,8 +299,7 @@ def test_slot_carrying_another_row_raises():
 
 def test_message_check_records_breaches():
     inst = identity_instance(3)
-    kernel = GradientKernel(inst.matrix, 1.0, 0.01, 0.0)
-    shards = build_shards(kernel, count=3)
+    shards = build_shards(inst.matrix, count=3)
     audit = rounds.LocalityAudit()
     check_message(shards, shard_messages(shards, np.ones(3), 4), audit)
     assert audit.ok
@@ -317,8 +319,7 @@ def test_message_check_records_breaches():
 
 def test_audit_charges_a_short_or_long_buffer():
     inst = partition_instance()
-    kernel = GradientKernel(inst.matrix, 0.0, 0.01, 0.0)
-    shards = build_shards(kernel, count=4)
+    shards = build_shards(inst.matrix, count=4)
     full = shard_messages(shards, np.ones(inst.m), 1)
     # a buffer cut inside shard 2's slice fails shards 2 and 3; one with a slot
     # past the last is charged to the last shard
@@ -357,11 +358,11 @@ def test_out_of_column_read_exits_3(tmp_path, monkeypatch, capsys, breach, fault
     write_matrix_market(path, identity_instance(3).matrix)
     honest = rounds.build_shards
 
-    def broken(kernel, count):
+    def broken(matrix, count):
         # one column per shard: either shard 0's entry reads slot 1, in shard
         # 1's message slice, or the buffer lists the rows in reverse, so each
         # slot stays in its shard's slice but carries another row
-        shards = honest(kernel, count)
+        shards = honest(matrix, count)
         if breach == "stray slot":
             row_pos = shards.row_pos.copy()
             row_pos[0] = shards.slots[1]
@@ -433,8 +434,7 @@ def test_round_evaluates_bitwise_as_the_kernel(data, seed, m, n, form, top):
     x_hat = u if mode == COVER else transform_inverse(u, alpha)
     loads = kernel.loads_of(u)
     count = data.draw(st.integers(1, n), label="shards")
-    with mock.patch.object(rounds, "SHARD_COUNT", count):
-        lockstep = rounds._Lockstep(inst.matrix, alpha, beta, logC, rounds.LocalityAudit())
+    lockstep = checked_lockstep(inst.matrix, alpha, beta, logC, count)
     assert lockstep.shards.bounds.size == count + 1
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         whole = kernel.evaluate(x_hat, u, loads)
