@@ -48,12 +48,7 @@ from .problem import (
     PACK, PackingInstance, ScalingRecord, SolverConfig, epsilon_upper_bound, f_alpha_value,
     transform_inverse,
 )
-from .regularization import (
-    GradientKernel,
-    PackingRegParams,
-    barrier_weights,
-    derive_packing_params,
-)
+from .regularization import GradientKernel, PackingRegParams, derive_packing_params
 
 TRACE_CAPACITY = 4096
 
@@ -404,10 +399,10 @@ def dual_bound(matrix, alpha: float, y: np.ndarray) -> float:
 def certify(kernel: GradientKernel, x_hat: np.ndarray, loads: np.ndarray) -> Certificate:
     """The certificate of iterate ``x_hat``, whose allocation has ``loads``.
 
-    Its barrier weights serve as Lagrange multipliers, and its value is
-    ``kernel.value``.
+    Its barrier weights, ``kernel.weights``, serve as Lagrange multipliers,
+    and its value is ``kernel.value``.
     """
-    y = barrier_weights(kernel.inv_beta, kernel.logC, np.log(loads))
+    y = kernel.weights(loads)
     return Certificate(y, dual_bound(kernel.matrix, kernel.alpha, y), kernel.value(x_hat))
 
 

@@ -19,11 +19,15 @@ never materializing one above ``EXP_SAT``. The form, like the allocation
 map and the allocation term, is bound once per run, when the kernel is
 built.
 
-Both engines run the one ``GradientKernel.evaluate``: each row's factor
-comes from ``ColumnForm.row_factors`` and reaches ``truncated_columns``
+The kernel owns the column routine, and both engines run the one
+``GradientKernel.evaluate``: each row's factor comes from
+``GradientKernel.row_factors`` and reaches ``GradientKernel.truncated_columns``
 through ``GradientKernel.columns``, which the round engine (see ``rounds``)
-alone overrides, to message the factors to its column-block shards. That
-is what makes the two engines bit-identical.
+alone overrides, to message the factors to its column-block shards and
+pass each entry's message slot in place of its row. That is what makes the
+two engines bit-identical. The barrier weights have one formula,
+``GradientKernel.weights``: the row factors at alpha = 0, and the packing
+certificate's multipliers.
 """
 
 from __future__ import annotations
@@ -195,31 +199,6 @@ class GradientPair(NamedTuple):
     grad: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class ColumnForm:
-    """The run constants of the column routine, held by the kernel; the
-    round engine's ``local_update`` reads the kernel's."""
-
-    inv_beta: float
-    logC: float
-    product: bool        # product form; False selects the log-domain fallback
-    column_factor: bool  # False at alpha = 0, where the allocation term is 0.0
-
-    def row_factors(self, loads: np.ndarray) -> np.ndarray:
-        """Each row's factor in its columns' sums, from its load, once per row.
-
-        Product form: ``load**(1/beta)``, or without a column factor the
-        barrier weight ``C * load**(1/beta)``, which the kernel also
-        returns. Log-domain fallback: the exponent ``ln(load)/beta``.
-        """
-        log_loads = np.log(loads)
-        if not self.product:
-            return self.inv_beta * log_loads
-        if self.column_factor:
-            return np.exp(self.inv_beta * log_loads)
-        return barrier_weights(self.inv_beta, self.logC, log_loads)
-
-
 def product_form_bound(matrix: SparseNonnegMatrix, alpha: float, logC: float) -> float:
     """The largest exponent the product form can meet on a feasible packing iterate.
 
@@ -231,62 +210,6 @@ def product_form_bound(matrix: SparseNonnegMatrix, alpha: float, logC: float) ->
     """
     lo, hi = math.log(matrix.min_entry), math.log(matrix.max_entry)
     return logC + max((1.0 - alpha) * hi, (1.0 - alpha) * lo, -alpha * lo)
-
-
-def barrier_weights(inv_beta: float, logC: float, log_loads: np.ndarray) -> np.ndarray:
-    """``C * load**(1/beta)`` per row; rows with zero load give 0."""
-    return np.exp(logC + inv_beta * log_loads)
-
-
-def truncated_columns(form: ColumnForm, terms, entry_row, entry_col, col_starts, t, factors):
-    """Scaled gradient ``s`` of a run of whole columns, its saturation mask
-    and its truncation.
-
-    ``terms`` are the run's column-major entries (``A_ij`` in product form,
-    ``ln A_ij + logC`` in the fallback); ``entry_row`` indexes each entry's
-    row factor (``form.row_factors``) in ``factors`` and ``entry_col`` its
-    column in ``t`` (read by the fallback alone); ``col_starts`` opens each
-    column's segment. ``t`` is the run's ``allocation_term``: one value per
-    column, or 0.0 when ``form`` has no column factor (alpha = 0).
-
-    Product form: ``s = exp(logC + t) * (A^T load**(1/beta)) - 1``. ``C`` sits
-    in the column factor, so on a feasible iterate the row factors lie in
-    [0, 1] and ``product_form_bound`` bounds the column factor's exponent.
-    Without a column factor the row factors are the barrier weights
-    themselves; one that overflows makes ``s`` +inf, which truncates to 1.
-    A saturated column is one whose ``s`` is +inf, and ``saturated`` is None.
-
-    Log-domain fallback: each entry's exponent ``(terms + t) + q`` is
-    exponentiated; exponents above EXP_SAT are never materialized: their
-    column is saturated (``s`` is meaningless there) and truncates to
-    exactly 1.0. ``saturated`` marks those columns, or is None when
-    nothing saturates.
-
-    Both engines run every column through this one function with the same
-    form, so each column's arithmetic agrees bitwise.
-    """
-    saturated = None
-    if form.product:
-        s = segment_sums(col_starts, entry_row, terms, factors)
-        if form.column_factor:
-            s *= np.exp(form.logC + t)
-        s -= 1.0
-    else:
-        t_entry = t.take(entry_col) if form.column_factor else t
-        e = (terms + t_entry) + factors.take(entry_row)
-        if float(np.maximum.reduce(e)) > EXP_SAT:
-            saturated = np.maximum.reduceat(e, col_starts) > EXP_SAT
-            e = np.where(e > EXP_SAT, -np.inf, e)
-        s = np.add.reduceat(np.exp(e), col_starts) - 1.0
-    smin = float(np.minimum.reduce(s))
-    if not smin >= -1.0:  # also catches NaN
-        raise TruncationDomainViolation(
-            f"scaled gradient fell below -1 (min {smin}); solver state is corrupted"
-        )
-    truncated = np.minimum(s, 1.0)
-    if saturated is not None:
-        truncated[saturated] = 1.0
-    return s, saturated, truncated
 
 
 def _identity(x_hat):
@@ -344,12 +267,14 @@ class GradientKernel:
         self.barrier_ratio = (1.0 + beta) / beta
         self.allocation = allocation_map(alpha)
         self.allocation_term = allocation_term(alpha)
-        product_form = alpha == 0.0 or product_form_bound(matrix, alpha, logC) <= EXP_SAT
-        self.form = ColumnForm(self.inv_beta, logC, product_form, alpha != 0.0)
+        # the column routine's form, and its column factor (none at alpha = 0,
+        # where the allocation term is 0.0)
+        self.product = alpha == 0.0 or product_form_bound(matrix, alpha, logC) <= EXP_SAT
+        self.column_factor = alpha != 0.0
         # per-entry terms of the column routine (ln A_ij + logC in the fallback)
         # and, for the fallback's allocation term alone, each entry's column
-        self.entry_terms = matrix.col_val if product_form else np.log(matrix.col_val) + logC
-        self.entry_col = None if product_form else segment_index(matrix.col_ptr)
+        self.entry_terms = matrix.col_val if self.product else np.log(matrix.col_val) + logC
+        self.entry_col = None if self.product else segment_index(matrix.col_ptr)
         self._col_starts = matrix.col_ptr[:-1]
         self._row_starts = matrix.row_ptr[:-1]
 
@@ -357,17 +282,83 @@ class GradientKernel:
         """Constraint loads ``Au``: the body of ``matrix.constraint_loads``, unchecked."""
         return segment_sums(self._row_starts, self.matrix.row_col, self.matrix.row_val, u)
 
+    def weights(self, loads: np.ndarray) -> np.ndarray:
+        """The barrier weights ``C * load**(1/beta)`` per row; rows with zero load give 0."""
+        return np.exp(self.logC + self.inv_beta * np.log(loads))
+
+    def row_factors(self, loads: np.ndarray) -> np.ndarray:
+        """Each row's factor in its columns' sums, from its load, once per row.
+
+        Product form: ``load**(1/beta)``, or without a column factor the
+        barrier weights, which ``evaluate`` also returns. Log-domain
+        fallback: the exponent ``ln(load)/beta``.
+        """
+        if not self.product:
+            return self.inv_beta * np.log(loads)
+        if self.column_factor:
+            return np.exp(self.inv_beta * np.log(loads))
+        return self.weights(loads)
+
+    def truncated_columns(self, entry_row: np.ndarray, x_hat: np.ndarray, u: np.ndarray,
+                          factors: np.ndarray):
+        """Scaled gradient ``s`` of every column, its saturation mask and its
+        truncation, at ``x_hat`` with allocation ``u``.
+
+        ``entry_row`` indexes each column-major entry's row factor
+        (``row_factors``) in ``factors``: ``matrix.col_row`` when ``factors``
+        holds one per row, a message slot when it holds a message buffer.
+
+        Product form: ``s = exp(logC + t) * (A^T load**(1/beta)) - 1``, with
+        ``t`` the ``allocation_term``. ``C`` sits in the column factor, so on
+        a feasible iterate the row factors lie in [0, 1] and
+        ``product_form_bound`` bounds the column factor's exponent. Without
+        a column factor the row factors are the barrier weights themselves;
+        one that overflows makes ``s`` +inf, which truncates to 1. A
+        saturated column is one whose ``s`` is +inf, and ``saturated`` is None.
+
+        Log-domain fallback: each entry's exponent ``(ln A_ij + logC + t) + q``
+        is exponentiated; exponents above EXP_SAT are never materialized:
+        their column is saturated (``s`` is meaningless there) and truncates
+        to exactly 1.0. ``saturated`` marks those columns, or is None when
+        nothing saturates.
+
+        Both engines run every column through this one method, so each
+        column's arithmetic agrees bitwise.
+        """
+        t = self.allocation_term(x_hat, u)
+        saturated = None
+        if self.product:
+            s = segment_sums(self._col_starts, entry_row, self.entry_terms, factors)
+            if self.column_factor:
+                s *= np.exp(self.logC + t)
+            s -= 1.0
+        else:
+            t_entry = t.take(self.entry_col) if self.column_factor else t
+            e = (self.entry_terms + t_entry) + factors.take(entry_row)
+            if float(np.maximum.reduce(e)) > EXP_SAT:
+                saturated = np.maximum.reduceat(e, self._col_starts) > EXP_SAT
+                e = np.where(e > EXP_SAT, -np.inf, e)
+            s = np.add.reduceat(np.exp(e), self._col_starts) - 1.0
+        smin = float(np.minimum.reduce(s))
+        if not smin >= -1.0:  # also catches NaN
+            raise TruncationDomainViolation(
+                f"scaled gradient fell below -1 (min {smin}); solver state is corrupted"
+            )
+        truncated = np.minimum(s, 1.0)
+        if saturated is not None:
+            truncated[saturated] = 1.0
+        return s, saturated, truncated
+
     def columns(self, x_hat: np.ndarray, u: np.ndarray, factors: np.ndarray):
-        """``truncated_columns``' triple over every column, from the row ``factors``."""
-        return truncated_columns(self.form, self.entry_terms, self.matrix.col_row, self.entry_col,
-                                 self._col_starts, self.allocation_term(x_hat, u), factors)
+        """``truncated_columns`` over every column, from one factor per row."""
+        return self.truncated_columns(self.matrix.col_row, x_hat, u, factors)
 
     def evaluate(self, x_hat: np.ndarray, u: np.ndarray, loads: np.ndarray) -> GradientPair:
         """Truncated gradient at ``x_hat``, whose allocation ``u`` has the
         constraint loads ``loads``, with the barrier weights when formed."""
-        factors = self.form.row_factors(loads)
+        factors = self.row_factors(loads)
         truncated = self.columns(x_hat, u, factors)[2]
-        return GradientPair(truncated, None if self.form.column_factor else factors)
+        return GradientPair(truncated, None if self.column_factor else factors)
 
     def value(self, x_hat: np.ndarray) -> float:
         """The iterate's value ``sum(x_hat)/(1 - alpha)``, or ``sum(x_hat)`` at
@@ -420,7 +411,7 @@ def grad_f_r(instance, params, x_hat, alpha: float) -> GradientPair:
     kernel = GradientKernel(instance.matrix, alpha, params.beta, params.logC)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         u = kernel.allocation(x_hat)
-        factors = kernel.form.row_factors(kernel.loads_of(u))
+        factors = kernel.row_factors(kernel.loads_of(u))
         s, saturated, truncated = kernel.columns(x_hat, u, factors)
         if alpha == 1.0:
             grad, sentinel = s, np.inf

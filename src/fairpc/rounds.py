@@ -14,12 +14,13 @@ shard after shard, and each entry's slot in it. A shard's entries are its
 columns' own range of the matrix's column-major arrays, so the layout
 holds no gather. ``_Lockstep`` is a gradient kernel that runs the
 monolithic ``evaluate``, which computes each row's factor from its load
-once (``ColumnForm.row_factors``), so a constraint publishes its price. It
-overrides only ``GradientKernel.columns``, as one round of a fixed number
-of NumPy calls whatever the shard count: one ``take`` fills every shard's
-slice of the message buffer with its rows' factors (``shard_messages``),
-and one call of ``truncated_columns`` computes every block's truncated
-gradient (``local_update``). ``run_distributed`` passes its constructor to
+once (``GradientKernel.row_factors``), so a constraint publishes its price.
+It overrides only ``GradientKernel.columns``, as one round of a fixed
+number of NumPy calls whatever the shard count: one ``take`` fills every
+shard's slice of the message buffer with its rows' factors
+(``shard_messages``), and one call of the kernel's own
+``truncated_columns``, given each entry's message slot and the message,
+computes every block's truncated gradient (``local_update``). ``run_distributed`` passes its constructor to
 ``packing.solve_packing`` or ``covering.solve_covering``, which build one
 per stage and drive it with the same start, step, feasibility check,
 recorder and stop rule as the monolithic engine; a column's segment sum
@@ -50,7 +51,7 @@ from .covering import solve_covering
 # not called here: perfbench's probes look these two names up in this module
 from .packing import finalize_packing  # noqa: F401
 from .covering import finalize_covering  # noqa: F401
-from .regularization import GradientKernel, truncated_columns
+from .regularization import GradientKernel
 
 # column blocks per run, capped at the number of columns
 SHARD_COUNT = 4
@@ -79,7 +80,7 @@ class Shards:
 
 class ShardMessages(NamedTuple):
     """Every shard's message of one round, in one buffer: slot i carries the
-    factor (``ColumnForm.row_factors``) of row ``rows[i]``, and shard s
+    factor (``GradientKernel.row_factors``) of row ``rows[i]``, and shard s
     reads slots ``[slots[s], slots[s+1])``."""
 
     round_index: int
@@ -163,13 +164,11 @@ def check_message(shards: Shards, msg: ShardMessages, audit: LocalityAudit) -> N
 
 def local_update(kernel: GradientKernel, shards: Shards, msg: ShardMessages,
                  x_hat: np.ndarray, u: np.ndarray):
-    """Every block's ``truncated_columns`` triple, each from its shard's own
-    entries of ``kernel`` (of the matrix ``shards`` lays out), its message
-    slice and its block of ``x_hat``, ``u``."""
-    return truncated_columns(
-        kernel.form, kernel.entry_terms, shards.row_pos, kernel.entry_col,
-        kernel.matrix.col_ptr[:-1], kernel.allocation_term(x_hat, u), msg.factors,
-    )
+    """Every block's ``GradientKernel.truncated_columns`` triple, each from
+    its shard's own entries of ``kernel`` (of the matrix ``shards`` lays
+    out), read through their message slots, its message slice and its block
+    of ``x_hat``, ``u``."""
+    return kernel.truncated_columns(shards.row_pos, x_hat, u, msg.factors)
 
 
 def run_distributed(instance, config: SolverConfig, scaling: ScalingRecord | None = None,

@@ -13,12 +13,10 @@ from fairpc import COVER, PACK, instance_from_dense
 from fairpc.cli import run_cli
 from fairpc.regularization import (
     EXP_SAT,
-    ColumnForm,
     GradientKernel,
     allocation_term,
     derive_covering_params,
     derive_packing_params,
-    truncated_columns,
 )
 
 LN_MAX = math.log(np.finfo(np.float64).max)
@@ -71,15 +69,15 @@ def _entry_cols(mat):
 
 
 def _columns(inst, alpha, beta, logC, u, product):
-    """``truncated_columns`` over every column in the given form."""
+    """The kernel's ``truncated_columns`` over every column in the given form."""
     mat = inst.matrix
-    terms = mat.col_val if product else np.log(mat.col_val) + logC
-    form = ColumnForm(1.0 / beta, logC, product, alpha != 0.0)
+    k = GradientKernel(mat, alpha, beta, logC)
+    k.product = product
+    k.entry_terms = mat.col_val if product else np.log(mat.col_val) + logC
+    k.entry_col = _entry_cols(mat)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        return truncated_columns(
-            form, terms, mat.col_row, _entry_cols(mat), mat.col_ptr[:-1],
-            allocation_term(alpha)(_x_hat(u, alpha), u), form.row_factors(mat.to_dense() @ u),
-        )
+        return k.truncated_columns(mat.col_row, _x_hat(u, alpha), u,
+                                   k.row_factors(mat.to_dense() @ u))
 
 
 @settings(max_examples=150, deadline=None)
@@ -132,13 +130,13 @@ def test_form_is_chosen_from_the_run_constants():
 
     for alpha, eps in ((0.5, 0.1), (1.0, 0.1), (2.0, 0.1)):
         k, logC = kernel(alpha, eps)
-        assert k.form.product and logC + max(0.0, 1.0 - alpha) * math.log(2.0) <= EXP_SAT
+        assert k.product and logC + max(0.0, 1.0 - alpha) * math.log(2.0) <= EXP_SAT
         assert k.entry_terms is inst.matrix.col_val   # no per-entry log array is built
     k, logC = kernel(50.0, 0.002)
-    assert logC > EXP_SAT and not k.form.product
+    assert logC > EXP_SAT and not k.product
     np.testing.assert_array_equal(k.entry_terms, np.log(inst.matrix.col_val) + logC)
     # alpha = 0 always runs in product form, however large logC is
-    assert GradientKernel(inst.matrix, 0.0, 1e-3, 2.0 * EXP_SAT).form.product
+    assert GradientKernel(inst.matrix, 0.0, 1e-3, 2.0 * EXP_SAT).product
 
 
 def test_log_domain_fallback_engines_agree_byte_for_byte(tmp_path, capsys):

@@ -14,7 +14,8 @@ from fairpc import (
     is_positive_overflow,
 )
 from fairpc.errors import DerivedConstantOverflow, EpsilonOutOfRange, TruncationDomainViolation
-from fairpc.regularization import ColumnForm, SubThresholdBetaWarning, truncated_columns
+from fairpc.matrix import from_dense
+from fairpc.regularization import GradientKernel, SubThresholdBetaWarning
 
 from conftest import identity_instance
 
@@ -174,13 +175,14 @@ def test_truncated_equals_scaled_gradient_in_range():
 
 
 def truncate(s):
-    """The truncation of scaled gradients ``s``, as ``truncated_columns``
-    forms it: one single-entry column each, with ``A_ij = s + 1`` and a
-    barrier weight of 1, so the column's scaled gradient is ``(s + 1) - 1``."""
+    """The truncation of scaled gradients ``s``, as the kernel's
+    ``truncated_columns`` forms it: an alpha = 0 kernel over the identity,
+    so one single-entry column each with ``A_ij = 1``, and row factors
+    ``s + 1``, so the column's scaled gradient is ``(s + 1) - 1``."""
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    cols = np.arange(s.size)
-    form = ColumnForm(inv_beta=1.0, logC=0.0, product=True, column_factor=False)
-    return truncated_columns(form, s + 1.0, cols, None, cols, 0.0, np.ones(s.size))[2]
+    mat = from_dense(np.eye(s.size))
+    kernel = GradientKernel(mat, 0.0, 1.0, 0.0)
+    return kernel.truncated_columns(mat.col_row, None, None, s + 1.0)[2]  # reads no iterate
 
 
 def test_truncate_scalar():

@@ -22,7 +22,7 @@ from fairpc import rounds
 from fairpc.cli import run_cli
 from fairpc.errors import LocalityViolation
 from fairpc.matrix import write_matrix_market
-from fairpc.packing import CHECK_EVERY
+from fairpc.packing import CHECK_EVERY, certify
 from fairpc.regularization import GradientKernel
 from fairpc.rounds import (
     ShardMessages,
@@ -60,7 +60,7 @@ def test_local_update_reproduces_monolithic_step():
     state = init_packing(inst, config, params)
     kernel, shard = one_shard(inst, params)
     loads = state.u.copy()   # the identity's loads are the allocation
-    msg = ShardMessages(round_index=1, rows=np.array([0]), factors=kernel.form.row_factors(loads))
+    msg = ShardMessages(round_index=1, rows=np.array([0]), factors=kernel.row_factors(loads))
     _s, _saturated, block = local_update(kernel, shard, msg, state.x_hat, state.u)
     whole = kernel.evaluate(state.x_hat, state.u, loads)
     assert block.tobytes() == whole.truncated.tobytes()
@@ -76,7 +76,7 @@ def test_local_update_zero_gradient_is_noop():
     kernel, shard = one_shard(inst, params)
     # at load exp(-logC * beta) the weighted sum is exactly 1 -> gradient 0
     x_hat = np.array([-params.logC * params.beta / (1.0 + params.beta)])
-    factors = kernel.form.row_factors(np.exp(x_hat))
+    factors = kernel.row_factors(np.exp(x_hat))
     msg = ShardMessages(round_index=4, rows=np.array([0]), factors=factors)
     _s, _saturated, block = local_update(kernel, shard, msg, x_hat, np.exp(x_hat))
     assert block[0] == pytest.approx(0.0, abs=1e-12)
@@ -184,7 +184,7 @@ def test_bit_identical_over_partitions(monkeypatch, alpha, eps, count):
     monkeypatch.setattr(rounds, "SHARD_COUNT", inst.n if count is None else count)
     if (alpha, eps) == FALLBACK:
         params = derive_packing_params(inst.m, inst.n, inst.rho, alpha, eps)
-        assert GradientKernel(inst.matrix, alpha, params.beta, params.logC).form.product is False
+        assert GradientKernel(inst.matrix, alpha, params.beta, params.logC).product is False
     config = SolverConfig(fairness=alpha, epsilon=eps, max_iters=150, trace_stride=7)
     mono = solve_packing(inst, config)
     dist, audit = run_distributed(inst, config)
@@ -211,9 +211,39 @@ def test_fallback_evaluate_bit_identical_over_partitions(monkeypatch, count):
     whole = kernel.evaluate(x_hat, u, loads).truncated
     lockstep = checked_lockstep(inst.matrix, alpha, params.beta, params.logC, rounds.SHARD_COUNT)
     sharded = lockstep.evaluate(x_hat, u, loads).truncated
-    assert kernel.form.product is False
+    assert kernel.product is False
     assert np.unique(whole[whole < 1.0]).size > 3
     assert sharded.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("mode,fairness", [(PACK, 0.0), (COVER, 1.0)])
+@pytest.mark.parametrize("count", [1, 4, None])
+def test_one_barrier_weight_formula(mode, fairness, count):
+    # at packing alpha = 0 and in covering the row factors are the barrier
+    # weights, so the certificate's multipliers, the weights the gradient
+    # returns and the kernel's own are one formula's bytes, in both engines
+    rng = np.random.default_rng(11)
+    dense = np.where(rng.random((7, 9)) < 0.35, rng.uniform(1.0, 50.0, (7, 9)), 0.0)
+    dense[np.arange(9) % 7, np.arange(9)] += 1.0  # no empty row or column
+    inst, _ = instance_from_dense(dense, mode=mode)
+    if mode == PACK:
+        params = derive_packing_params(inst.m, inst.n, inst.rho, fairness, 0.1)
+        beta, logC = params.beta, params.logC
+    else:
+        beta, logC = derive_covering_params(inst.m, inst.n, inst.rho, fairness, 0.1).beta, 0.0
+    kernel = GradientKernel(inst.matrix, 0.0, beta, logC)
+    lockstep = checked_lockstep(inst.matrix, 0.0, beta, logC, inst.n if count is None else count)
+    for top in (0.5, 1.0, 1.01):
+        u = np.exp(rng.uniform(np.log(1e-3), 0.0, inst.n))
+        u *= top / kernel.loads_of(u).max()
+        loads = kernel.loads_of(u)
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            weights = kernel.weights(loads)
+            for k in (kernel, lockstep):
+                assert k.weights(loads).tobytes() == weights.tobytes()
+                assert k.evaluate(u, u, loads).weights.tobytes() == weights.tobytes()
+                assert certify(k, u, loads).dual.tobytes() == weights.tobytes()
+        assert ((weights > 0.0) & np.isfinite(weights)).any()
 
 
 @pytest.mark.parametrize("count", [1, 2, 4, None])
@@ -427,7 +457,7 @@ def test_round_evaluates_bitwise_as_the_kernel(data, seed, m, n, form, top):
         alpha, beta, logC = 0.0, derive_covering_params(m, n, inst.rho, fairness, eps).beta, 0.0
     kernel = GradientKernel(inst.matrix, alpha, beta, logC)
     # the fallback needs m n rho above about 711 at these constants
-    assume(kernel.form.product is (form != "fallback"))
+    assume(kernel.product is (form != "fallback"))
     # an allocation spread over six decades, scaled so its fullest row has load ``top``
     u = np.exp(rng.uniform(np.log(1e-6), 0.0, n))
     u *= top / kernel.loads_of(u).max()
