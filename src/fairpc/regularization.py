@@ -175,7 +175,9 @@ def derive_covering_params(m: int, n: int, rho: float, beta: float, epsilon: flo
         "beta_prime", (epsilon / 4.0) / ((1.0 + beta) * math.log(m * n * rho / epsilon))
     )
     h = finite("h", beta * beta_prime / (16.0 * epsilon))
-    K = 1 + math.ceil(finite("K", 2.0 / (h * epsilon)))
+    # a subnormal beta can leave h * epsilon at 0.0, where the budget is inf
+    h_eps = h * epsilon
+    K = 1 + math.ceil(finite("K", 2.0 / h_eps if h_eps else math.inf))
     return CoveringRegParams(
         epsilon=epsilon, beta=beta, beta_prime=beta_prime, h=h, K=K,
         was_reset=was_reset, below_guarantee_floor=below,

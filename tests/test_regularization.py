@@ -85,10 +85,12 @@ def test_packing_params_overflow_is_named(alpha):
 def test_covering_params_overflow_is_named(beta):
     with pytest.raises(DerivedConstantOverflow, match="derived constant beta floor = 0.0"):
         derive_covering_params(1, 2, 1e308, beta, 0.1)
-    # a finite floor with a positive beta so small that the budget overflows
-    with pytest.raises(DerivedConstantOverflow, match="derived constant K = inf"):
-        with pytest.warns(SubThresholdBetaWarning):
-            derive_covering_params(1, 1, 1.0, 1e-320, 0.1)
+    # a finite floor with a positive beta so small that the budget overflows;
+    # at epsilon = 0.0625 the product h * epsilon underflows to 0 instead
+    for epsilon in (0.1, 0.0625):
+        with pytest.raises(DerivedConstantOverflow, match="derived constant K = inf"):
+            with pytest.warns(SubThresholdBetaWarning):
+                derive_covering_params(1, 1, 1.0, 1e-320, epsilon)
     assert derive_covering_params(1, 2, 1e300, beta, 0.1).K > 0
 
 
