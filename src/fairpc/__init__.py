@@ -49,7 +49,6 @@ from .packing import (
 )
 from .covering import (
     CoveringSolution,
-    CoveringState,
     covering_residual,
     init_covering,
     solve_covering,

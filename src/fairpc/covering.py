@@ -5,19 +5,20 @@ fairness-0 regularized packing objective with C = 1 and the covering
 fairness exponent as the barrier exponent. The same mirror machinery as the
 packing solver drives the dual iterate; covering variables are recovered as
 the running average of the barrier weights and finally inflated by (1+eps)
-to make them strictly feasible. Each iterate's loads are computed once and
-carried with the state for the trace row and the finalization; the barrier
-weights are the ones the gradient kernel forms. ``solve_covering`` is the
-one solve of both engines, which differ only in the kernel constructor it
-is given (see ``rounds``). Its loop and its trace rows are packing's
-(``packing.run_budget`` and ``PackingRunRecorder``, at the kernel's
-fairness 0); the rows carry no certificate, and the run always spends its
-whole budget.
+to make them strictly feasible. The state is packing's (``PackingState``,
+bound by ``enter_stage``), with the average in its ``y_avg``. Each
+iterate's loads are computed once and carried with the state for the trace
+row and the finalization; the barrier weights are the ones the gradient
+kernel forms. ``solve_covering`` is the one solve of both engines, which
+differ only in the kernel constructor it is given (see ``rounds``). Its
+loop and its trace rows are packing's (``packing.run_budget`` and
+``PackingRunRecorder``, at the kernel's fairness 0); the rows carry no
+certificate, and the run always spends its whole budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,28 +27,14 @@ from .matrix import column_loads
 from .problem import COVER, CoveringInstance, ScalingRecord, SolverConfig, g_beta_value
 from .packing import (
     PackingRunRecorder,
-    TraceBuffer,
+    PackingState,
     TraceRow,
+    enter_stage,
     mirror_iterate,
-    mirror_state,
     plan_iterations,
     run_budget,
-    update_rule,
 )
 from .regularization import CoveringRegParams, GradientKernel, derive_covering_params
-
-
-@dataclass(eq=False)
-class CoveringState:
-    x: np.ndarray
-    z: np.ndarray
-    y_avg: np.ndarray
-    k: int
-    params: CoveringRegParams
-    kernel: GradientKernel
-    rule: tuple   # (step scale, update expression): the fairness-0 mirror rule
-    loads: np.ndarray   # loads of ``x``
-    trace: TraceBuffer = field(default_factory=TraceBuffer)
 
 
 @dataclass(eq=False)
@@ -82,10 +69,11 @@ def running_average(y_avg, y_new, k: int):
 
 def init_covering(instance: CoveringInstance, config: SolverConfig,
                   params: CoveringRegParams | None = None,
-                  kernel=GradientKernel) -> CoveringState:
+                  kernel=GradientKernel) -> PackingState:
     """Start the dual iterate small enough that every barrier weight is < 1,
-    bound to the constants of ``params`` and the kernel that ``kernel(matrix,
-    0, beta, 0)`` builds for them.
+    as a ``PackingState`` at fairness 0 whose ``x_hat`` and ``u`` are that
+    start, bound by ``packing.enter_stage`` to the constants of ``params``
+    and the kernel that ``kernel(matrix, 0, beta, 0)`` builds for them.
 
     A beta so large that the start point, or the first mirror iterate
     recomputed from it, underflows to 0 is rejected: from 0 the dual
@@ -96,20 +84,20 @@ def init_covering(instance: CoveringInstance, config: SolverConfig,
             instance.m, instance.n, instance.rho, config.beta, config.epsilon
         )
     n, m, rho = instance.n, instance.m, instance.rho
+    kernel = kernel(instance.matrix, 0.0, params.beta, 0.0)
     x0 = np.full(n, (1.0 / (n * rho)) * (1.0 / (m * rho)) ** params.beta)
+    state = PackingState(x_hat=x0, u=x0, loads=kernel.loads_of(x0), y_avg=np.zeros(m))
     with np.errstate(divide="ignore"):   # a start point of 0 gives z = inf, caught below
-        z = mirror_state(x0, params.beta_prime)
-    if not mirror_iterate(z[:1], params.beta_prime)[0] > 0.0:
+        enter_stage(state, params, kernel)
+    if not mirror_iterate(state.z[:1], params.beta_prime)[0] > 0.0:
         raise InvalidBeta(
             f"covering beta={params.beta:g} is too large for m={m}, n={n}, rho={rho:g}: "
             "the start point (1/(n rho)) * (1/(m rho))**beta underflows to 0"
         )
-    kernel = kernel(instance.matrix, 0.0, params.beta, 0.0)
-    return CoveringState(x=x0, z=z, y_avg=np.zeros(m), k=0, params=params, kernel=kernel,
-                         rule=update_rule(params, 0.0), loads=kernel.loads_of(x0))
+    return state
 
 
-def step_covering(state: CoveringState) -> CoveringState:
+def step_covering(state: PackingState) -> PackingState:
     """One mirror step of the dual iterate plus the covering average update."""
     kernel = state.kernel
     scale, update = state.rule
@@ -117,7 +105,7 @@ def step_covering(state: CoveringState) -> CoveringState:
     loads = kernel.loads_of(x)
     pair = kernel.evaluate(x, x, loads)
     state.z = update(state.z, pair.truncated, scale)
-    state.x = x
+    state.x_hat = state.u = x
     state.loads = loads
     k = state.k + 1
     running_average(state.y_avg, pair.weights, k)
@@ -135,7 +123,7 @@ def covering_residual(instance: CoveringInstance, y) -> CoveringResidualReport:
     return CoveringResidualReport(min_load=float(loads.min()), violated_cols=violated)
 
 
-def finalize_covering(state: CoveringState, instance: CoveringInstance,
+def finalize_covering(state: PackingState, instance: CoveringInstance,
                       config: SolverConfig, scaling: ScalingRecord) -> CoveringSolution:
     """Check the pre-scale certificate, inflate, and assemble the report.
 
@@ -161,7 +149,7 @@ def finalize_covering(state: CoveringState, instance: CoveringInstance,
         cost = g_beta_value(y, params.beta)
         cost_prescale = g_beta_value(y_avg_orig, params.beta)
         final_loads = column_loads(instance.matrix, y_std)
-        f_r_final = kernel.f_r(state.x, loads=state.loads)
+        f_r_final = kernel.f_r(state.x_hat, loads=state.loads)
         gap = None
         if np.isfinite(f_r_final):
             # weak duality of the dual engine: cost(y) + f_r(x) >= 0, small near optimality
@@ -176,7 +164,7 @@ def finalize_covering(state: CoveringState, instance: CoveringInstance,
         is_feasible=bool(final_loads.min() >= 1.0),
         iterations_run=state.k,
         gap_estimate=gap,
-        dual_certificate=state.x.copy(),
+        dual_certificate=state.x_hat.copy(),
         trace=state.trace.rows(),
         params=params,
         trace_dropped=state.trace.dropped,
@@ -201,13 +189,13 @@ def solve_covering(instance: CoveringInstance, config: SolverConfig,
     params = derive_covering_params(instance.m, instance.n, instance.rho, config.beta,
                                     config.epsilon)
     if scaling is None:
-        scaling = ScalingRecord(c=1.0, alpha_used=-params.beta)
+        scaling = ScalingRecord(c=1.0, alpha_used=config.fairness)
     state = init_covering(instance, config, params, kernel)
     planned, stride = plan_iterations(config, params)
     recorder = PackingRunRecorder(config)
 
     def visit(k: int, traced: bool) -> bool:
-        recorder.record(state.kernel, state.x, state.x, k, state.trace, state.loads)
+        recorder.record(state, k)
         return False
 
     run_budget(state, step_covering, visit, planned, stride)

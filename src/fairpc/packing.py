@@ -16,10 +16,10 @@ parameters, its kernel and the update rule ``update_rule`` picks, once at
 the start and at each step of an early-stop run's epsilon schedule (see
 ``epsilon_schedule``).
 
-``run_budget`` is the one solve loop, and ``PackingRunRecorder`` the one
-trace recorder, of both modes: ``covering.solve_covering`` drives its dual
-engine, the fairness-0 mirror rule, through them too, with trace rows that
-carry no certificate.
+``PackingState``, ``run_budget`` and ``PackingRunRecorder`` are the one
+solver state, solve loop and trace recorder of both modes:
+``covering.solve_covering`` drives its dual engine, the fairness-0 mirror
+rule, through them too, with trace rows that carry no certificate.
 
 Under early stop the certificate, not the step analysis, proves the stop,
 so the step only has to keep iterates feasible: its scale is the paper's
@@ -68,12 +68,12 @@ class TraceRow:
 
 
 class TraceBuffer:
-    """Bounded trace storage: the latest ``capacity`` rows. Every row is
-    counted, kept or not (a run that keeps no trace appends None), so
+    """Bounded trace storage: the latest ``TRACE_CAPACITY`` rows. Every row
+    is counted, kept or not (a run that keeps no trace appends None), so
     ``dropped`` is the number of oldest rows a kept trace evicts."""
 
-    def __init__(self, capacity: int = TRACE_CAPACITY):
-        self._rows = deque(maxlen=capacity)
+    def __init__(self):
+        self._rows = deque(maxlen=TRACE_CAPACITY)
         self.count = 0
 
     def append(self, row: TraceRow | None) -> None:
@@ -91,6 +91,9 @@ class TraceBuffer:
 
 @dataclass(eq=False)
 class PackingState:
+    """The solver state of both modes; covering's, at fairness 0 with
+    ``CoveringRegParams``, has ``u`` equal to ``x_hat`` and alone a ``y_avg``."""
+
     x_hat: np.ndarray
     u: np.ndarray
     k: int = 0
@@ -103,6 +106,7 @@ class PackingState:
     mu: float = 1.0   # the step multiplier; above 1 under early stop only
     retry: tuple | None = None   # (base, truncated, mu) of a step taken at mu > 1, until
                                  # ``iterate_loads`` accepts its iterate
+    y_avg: np.ndarray | None = None   # covering's running average of the barrier weights
 
 
 class Stage(NamedTuple):
@@ -426,7 +430,7 @@ def stop_radius(alpha: float, epsilon: float, n: int, bound: float, value: float
 class PackingRunRecorder:
     """Per-run bookkeeping shared by both modes and both engines: trace
     rows, certificates and the early-stop policy. It keeps only the run's
-    facts; each call is given the stage's kernel, or its epsilon and ``n``.
+    facts; each call is given the solver state, or the stage's epsilon and ``n``.
 
     ``check``, the one call that certifies, is made by ``solve_packing``'s
     visit of each iterate when the run ``certifies``. ``record`` builds the
@@ -443,27 +447,29 @@ class PackingRunRecorder:
         self.last: Certificate | None = None   # the latest certified iterate's
         self.best: Certificate | None = None   # the least finite bound's
 
-    def check(self, kernel: GradientKernel, x_hat: np.ndarray, loads: np.ndarray) -> None:
-        """Certify the iterate ``x_hat``, whose allocation has ``loads``."""
-        cert = self.last = certify(kernel, x_hat, loads)
+    def check(self, state: PackingState) -> None:
+        """Certify the state's iterate, at its checked loads."""
+        cert = self.last = certify(state.kernel, state.x_hat, state.loads)
         if math.isfinite(cert.bound) and (self.best is None or cert.bound < self.best.bound):
             self.best = cert
 
-    def record(self, kernel: GradientKernel, x_hat: np.ndarray, u: np.ndarray, k: int,
-               trace: TraceBuffer, loads: np.ndarray) -> TraceRow | None:
-        """Trace row of iteration ``k``, or None where the config keeps no
-        trace; ``loads`` are those of ``u``, as ``iterate_loads`` checked
-        them. A certifying run's row carries the gap ``reported`` gives after
-        this iterate's ``check``: under early stop the least bound seen minus
+    def record(self, state: PackingState, k: int) -> TraceRow | None:
+        """Trace row of iteration ``k``, the state's iterate, appended to the
+        state's trace, or None where the config keeps no trace; the row reads
+        the loads the state carries, as ``iterate_loads`` checked them. A
+        certifying run's row carries the gap ``reported`` gives after this
+        iterate's ``check``: under early stop the least bound seen minus
         this row's value, so the stop row's gap is the one the run reports."""
         if not self.config.keep_trace:
-            trace.append(None)
+            state.trace.append(None)
             return None
         cert = self.reported() if self.certifies else None
         gap = cert.gap if cert is not None and math.isfinite(cert.bound) else None
-        row = TraceRow(k=k, utility=f_alpha_value(u, kernel.alpha), max_load=float(loads.max()),
-                       f_r=kernel.f_r(x_hat, loads=loads), gap=gap)
-        trace.append(row)
+        kernel, loads = state.kernel, state.loads
+        row = TraceRow(k=k, utility=f_alpha_value(state.u, kernel.alpha),
+                       max_load=float(loads.max()), f_r=kernel.f_r(state.x_hat, loads=loads),
+                       gap=gap)
+        state.trace.append(row)
         return row
 
     def reported(self) -> Certificate | None:
@@ -596,7 +602,7 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
     alpha = config.alpha
     m, n, rho = instance.m, instance.n, instance.rho
     if scaling is None:
-        scaling = ScalingRecord(c=1.0, alpha_used=alpha)
+        scaling = ScalingRecord(c=1.0, alpha_used=config.fairness)
     params = derive_packing_params(m, n, rho, alpha, config.epsilon)
     schedule = epsilon_schedule(alpha, config.epsilon) if config.early_stop else [config.epsilon]
 
@@ -610,12 +616,12 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
     stages: list[Stage] = []   # the stages ended so far
 
     def visit(k: int, traced: bool) -> bool:
-        loads = iterate_loads(state, k)
+        iterate_loads(state, k)
         if recorder.certifies:
-            recorder.check(state.kernel, state.x_hat, loads)
+            recorder.check(state)
         proven = recorder.should_stop(state.params.epsilon, n)
         if traced or proven:   # on the kernel of the stage the check ends
-            recorder.record(state.kernel, state.x_hat, state.u, k, state.trace, loads)
+            recorder.record(state, k)
         while proven:
             stages.append(Stage(state.params.epsilon, k, state.mu))
             if len(stages) == len(schedule):

@@ -37,9 +37,10 @@ class ScalingRecord:
 
     ``c`` is the original minimum nonzero entry. Dividing a standardized
     solution by ``c`` recovers an original-space solution with identical
-    constraint loads. ``alpha_used`` records the fairness parameter so
-    objective values can be rescaled: for alpha != 1 the utility picks up a
-    factor ``c**(alpha-1)``, for alpha = 1 an additive shift ``n*ln(1/c)``.
+    constraint loads. ``alpha_used`` is the fairness as given (alpha for
+    packing, beta for covering), so objective values can be rescaled: a
+    packing utility picks up a factor ``c**(alpha-1)`` (at alpha = 1 an
+    additive shift ``n*ln(1/c)``), a covering cost a factor ``c**(-(1+beta))``.
     """
 
     c: float

@@ -171,18 +171,16 @@ def local_update(kernel: GradientKernel, shards: Shards, msg: ShardMessages,
     return kernel.truncated_columns(shards.row_pos, x_hat, u, msg.factors)
 
 
-def run_distributed(instance, config: SolverConfig, scaling: ScalingRecord | None = None,
-                    *, mode: str | None = None):
+def run_distributed(instance, config: SolverConfig, scaling: ScalingRecord | None = None):
     """Execute the solve of ``config.mode`` as lockstep rounds; returns
     (solution, audit).
 
     The run's layout is built and checked once, into the one audit, and
-    the monolithic solve, which checks the instance and the config, runs
-    with ``_Lockstep`` over it as its kernel constructor, so the solution is
-    bit-identical to its own. ``mode``, kept for callers that name it,
-    picks the solve as ``config.mode`` does; that solve rejects a mismatch.
+    the monolithic solve, which checks the instance, runs with
+    ``_Lockstep`` over it as its kernel constructor, so the solution is
+    bit-identical to its own.
     """
-    solve = solve_packing if (mode or config.mode) == PACK else solve_covering
+    solve = solve_packing if config.mode == PACK else solve_covering
     audit = LocalityAudit()
     shards = build_shards(instance.matrix, SHARD_COUNT)
     check_layout(shards, instance.matrix, audit)

@@ -325,7 +325,7 @@ def test_criterion_9_distributed_equivalence():
     ]:
         config = SolverConfig(fairness=beta, epsilon=0.1, mode=COVER, max_iters=150)
         mono = solve_covering(inst, config)
-        dist, audit = run_distributed(inst, config, mode=COVER)
+        dist, audit = run_distributed(inst, config)
         if not (mono.y.tobytes() == dist.y.tobytes() and audit.ok):
             ok = False
             mism += 1

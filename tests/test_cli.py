@@ -103,12 +103,24 @@ def test_epsilon_bound_named_in_error(id3_path, capsys):
     assert "0.1" in err and "alpha=2" in err  # names the 1/(10(alpha-1)) bound
 
 
-def test_missing_fairness_flag(id3_path, capsys):
-    code, _, err = run(
-        ["--mode", "pack", "--epsilon", "0.1", "--input", str(id3_path)], capsys
+@pytest.mark.parametrize("mode, flag", [("pack", "--alpha"), ("cover", "--beta")])
+def test_missing_fairness_flag(id3_path, capsys, mode, flag):
+    code, out, err = run(
+        ["--mode", mode, "--epsilon", "0.1", "--input", str(id3_path)], capsys
     )
-    assert code == 2
-    assert "--alpha" in err
+    assert code == 2 and out == ""
+    assert err == f"error: --mode {mode} requires {flag}\n"
+
+
+@pytest.mark.parametrize("flag, reason", [("--trace-stride", "trace_stride must be >= 1"),
+                                          ("--max-iters", "max_iters override must be >= 1")])
+@pytest.mark.parametrize("fairness", [["--mode", "pack", "--alpha", "1"],
+                                      ["--mode", "cover", "--beta", "1"]])
+def test_zero_count_flag_exits_2(id3_path, capsys, flag, reason, fairness):
+    code, out, err = run(fairness + ["--epsilon", "0.1", "--input", str(id3_path), flag, "0"],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {reason}\n"
 
 
 def test_malformed_input_exits_2(tmp_path, capsys):
@@ -338,6 +350,7 @@ def test_cover_beta_with_subnormal_start_still_solves(id3_path, capsys):
         ("2 2 2\n1 1 1.0\n2 2 nan\n", "non-finite value nan at (2, 2)"),
         ("1 2 2\n1 1 1e-300\n1 2 1e300\n", "width 1e+300/1e-300"),
         ("2 2 0\n", "no entries given"),
+        ("% a header and comments, no size line\n%\n", "missing size line"),
         ("1000000000000000 1 1\n1 1 1.0\n", "row 2 has no entries"),
         # every coordinate is the file's, 1-based
         ("2 3 1\n2 3 -4.0\n", "entry (2, 3) is negative: -4.0"),

@@ -29,7 +29,7 @@ def cover_config(beta, eps=0.1, **kw):
 def test_init_1x1_unit():
     inst = identity_instance(1, mode=COVER)
     state = init_covering(inst, cover_config(1.0))
-    assert state.x[0] == 1.0
+    assert state.x_hat[0] == 1.0
     assert state.z[0] == 0.0  # 1**(-b') - 1
     np.testing.assert_array_equal(state.y_avg, [0.0])
     assert state.k == 0
@@ -38,7 +38,7 @@ def test_init_1x1_unit():
 def test_init_2x2():
     inst = identity_instance(2, mode=COVER)
     state = init_covering(inst, cover_config(1.0))
-    np.testing.assert_allclose(state.x, [0.25, 0.25], rtol=1e-15)
+    np.testing.assert_allclose(state.x_hat, [0.25, 0.25], rtol=1e-15)
 
 
 # ---- stepping ----
@@ -48,7 +48,7 @@ def test_step_fixed_point_at_optimum():
     params = derive_covering_params(1, 1, 1.0, 1.0, 0.1)
     state = init_covering(inst, cover_config(1.0), params)
     step_covering(state)
-    assert state.x[0] == 1.0
+    assert state.x_hat[0] == 1.0
     assert state.z[0] == 0.0  # gradient -1 + (1)^1 = 0
     assert state.y_avg[0] == pytest.approx(1.0, rel=1e-15)
 
@@ -67,7 +67,7 @@ def test_y_avg_matches_definition():
     per_step = []
     for _ in range(25):
         step_covering(state)
-        loads = state.kernel.loads_of(state.x)
+        loads = state.kernel.loads_of(state.x_hat)
         per_step.append(loads ** (1.0 / params.beta))
     np.testing.assert_allclose(state.y_avg, np.mean(per_step, axis=0), rtol=1e-9)
 

@@ -28,7 +28,7 @@ from fairpc import (
 from fairpc import packing, rounds
 from fairpc.errors import NegativeCoordinate
 from fairpc.packing import (
-    MULTIPLIER_START, PackingRunRecorder, TraceBuffer, enter_stage, epsilon_schedule,
+    MULTIPLIER_START, PackingRunRecorder, enter_stage, epsilon_schedule,
     iterate_loads, mirror_state, update_rule,
 )
 from fairpc.problem import epsilon_upper_bound
@@ -249,9 +249,9 @@ def test_zero_dual_mass_never_stops(alpha):
     u = np.array([1e-3, 0.9])
     x_hat = np.log(u) if alpha == 1.0 else u ** (1.0 - alpha)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        loads = state.kernel.loads_of(u)
-        recorder.check(state.kernel, x_hat, loads)
-        row = recorder.record(state.kernel, x_hat, u, 0, TraceBuffer(), loads)
+        state.x_hat, state.u, state.loads = x_hat, u, state.kernel.loads_of(u)
+        recorder.check(state)
+        row = recorder.record(state, 0)
     if alpha <= 1.0:
         assert recorder.last.dual[0] == 0.0 and recorder.last.bound == math.inf
         assert row.gap is None and recorder.best is None
@@ -478,11 +478,6 @@ def test_entry_points_reject_a_config_of_the_other_mode():
     with pytest.raises(ValueError, match="solve_covering runs mode 'cover', but the "
                                          "config's mode is 'pack'"):
         solve_covering(covering, pack)
-    # the rounds engine runs the solve of the config's mode, so a mode
-    # argument that differs meets the other solve's config check
-    with pytest.raises(ValueError, match="solve_covering runs mode 'cover', but the "
-                                         "config's mode is 'pack'"):
-        run_distributed(covering, pack, mode=COVER)
 
 
 @pytest.mark.parametrize("engine", ["monolithic", "rounds"])

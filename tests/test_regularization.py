@@ -13,7 +13,9 @@ from fairpc import (
     grad_f_r,
     is_positive_overflow,
 )
-from fairpc.errors import DerivedConstantOverflow, EpsilonOutOfRange, TruncationDomainViolation
+from fairpc.errors import (
+    DerivedConstantOverflow, DomainError, EpsilonOutOfRange, TruncationDomainViolation,
+)
 from fairpc.matrix import from_dense
 from fairpc.regularization import GradientKernel, SubThresholdBetaWarning
 
@@ -142,12 +144,31 @@ def test_grad_examples_1x1():
     assert pair.grad[0] > 2.0
 
 
-def test_grad_saturation_sentinel():
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+def test_grad_saturation_sentinel(alpha):
+    # logC = 800 > EXP_SAT: above 0 the kernel takes the log-domain fallback,
+    # which saturates the column and writes the sentinel; at 0 it keeps the
+    # product form, whose overflowing barrier weight gives s = +inf
     inst = identity_instance(1)
-    p = PackingRegParams(alpha=0.0, epsilon=0.1, beta=1e-4, logC=0.0, K=1)
-    pair = grad_f_r(inst, p, np.array([1.2]), 0.0)  # exponent ~ ln(1.2)/1e-4 > 700
+    p = PackingRegParams(alpha=alpha, epsilon=0.1, beta=0.5, logC=800.0, K=1)
+    assert GradientKernel(inst.matrix, alpha, p.beta, p.logC).product == (alpha == 0.0)
+    pair = grad_f_r(inst, p, np.array([1.0]), alpha)
     assert pair.truncated[0] == 1.0
-    assert np.isinf(pair.grad[0])
+    assert pair.grad[0] == (math.inf if alpha < 1.0 else -math.inf)
+
+
+@pytest.mark.parametrize("fn", [f_r_value, grad_f_r])
+@pytest.mark.parametrize("alpha, x_hat, reason", [
+    (0.5, [1.0, 0.0], "iterate must be strictly positive for alpha=0.5"),
+    (2.0, [-1.0, 1.0], "iterate must be strictly positive for alpha=2.0"),
+    (0.5, [1.0, math.nan], "iterate contains NaN"),
+    (1.0, [-1.0, math.nan], "iterate contains NaN"),   # any sign is in alpha = 1's domain
+])
+def test_domain_errors_name_the_bad_iterate(fn, alpha, x_hat, reason):
+    inst = identity_instance(2)
+    p = PackingRegParams(alpha=alpha, epsilon=0.1, beta=0.5, logC=0.0, K=1)
+    with pytest.raises(DomainError, match=f"^{reason}$"):
+        fn(inst, p, np.array(x_hat), alpha)
 
 
 def test_truncated_always_in_range():
