@@ -68,8 +68,7 @@ def running_average(y_avg, y_new, k: int):
 
 
 def init_covering(instance: CoveringInstance, config: SolverConfig,
-                  params: CoveringRegParams | None = None,
-                  kernel=GradientKernel) -> PackingState:
+                  params: CoveringRegParams, kernel=GradientKernel) -> PackingState:
     """Start the dual iterate small enough that every barrier weight is < 1,
     as a ``PackingState`` at fairness 0 whose ``x_hat`` and ``u`` are that
     start, bound by ``packing.enter_stage`` to the constants of ``params``
@@ -79,10 +78,6 @@ def init_covering(instance: CoveringInstance, config: SolverConfig,
     recomputed from it, underflows to 0 is rejected: from 0 the dual
     iterate never moves and no covering is certified.
     """
-    if params is None:
-        params = derive_covering_params(
-            instance.m, instance.n, instance.rho, config.beta, config.epsilon
-        )
     n, m, rho = instance.n, instance.m, instance.rho
     kernel = kernel(instance.matrix, 0.0, params.beta, 0.0)
     x0 = np.full(n, (1.0 / (n * rho)) * (1.0 / (m * rho)) ** params.beta)
@@ -136,8 +131,7 @@ def finalize_covering(state: PackingState, instance: CoveringInstance,
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         prescale_loads = column_loads(instance.matrix, state.y_avg)
         prescale_residual = float(prescale_loads.min())
-        ran_full_budget = config.max_iters is None or config.max_iters >= params.K
-        if ran_full_budget and prescale_residual < 1.0 - eps / 2.0:
+        if state.k >= params.K and prescale_residual < 1.0 - eps / 2.0:
             raise CertificateShortfall(
                 f"pre-scale certificate {prescale_residual} fell below "
                 f"{1.0 - eps / 2.0} after the full budget; this indicates a bug"

@@ -3,9 +3,11 @@
 Three update regimes share one loop: a mirror step driven by an
 accumulated dual state for fairness below 1, an additive step at exactly 1,
 and a multiplicative step above 1. Feasibility of every iterate is a hard
-invariant, checked (with no tolerance) when an iterate's loads are
-computed; that happens once per iterate, and the step, the trace record and
-the finalization all read the one copy the state carries.
+invariant, checked (with no tolerance) where the iterate is formed: the
+start computes and checks its loads, and so does every step for the iterate
+it forms (``iterate_loads``). So after the start and after every step the
+state carries the current iterate's checked loads, and the next step, the
+certificate, the trace record and the finalization only read them.
 
 ``solve_packing`` is the one solve, and ``step`` the one update, of both
 engines: they differ only in the kernel constructor ``solve_packing`` is
@@ -102,7 +104,7 @@ class PackingState:
     rule: tuple | None = None   # (step scale, update expression), from ``update_rule``
     z: np.ndarray | None = None   # the mirror state; fairness below 1 only
     trace: TraceBuffer = field(default_factory=TraceBuffer)
-    loads: np.ndarray | None = None   # loads of ``u``, once computed (see iterate_loads)
+    loads: np.ndarray | None = None   # loads of ``u``; packing's checked by ``iterate_loads``
     mu: float = 1.0   # the step multiplier; above 1 under early stop only
     retry: tuple | None = None   # (base, truncated, mu) of a step taken at mu > 1, until
                                  # ``iterate_loads`` accepts its iterate
@@ -202,11 +204,10 @@ def epsilon_schedule(alpha: float, epsilon: float) -> list[float]:
 
 
 def init_packing(instance: PackingInstance, config: SolverConfig,
-                 params: PackingRegParams | None = None,
-                 kernel=GradientKernel) -> PackingState:
-    """Initial state of the stage ``params`` (by default the target
-    epsilon's), with its kernel built by ``kernel(matrix, alpha, beta,
-    logC)``: the same allocation on every coordinate.
+                 params: PackingRegParams, kernel=GradientKernel) -> PackingState:
+    """Initial state of the stage ``params``, with its kernel built by
+    ``kernel(matrix, alpha, beta, logC)``: the same allocation on every
+    coordinate, with its checked loads (``iterate_loads``, iteration 0).
 
     That is the paper's (1 - eps)/(n rho), which its budget ``K`` assumes.
     Under ``config.early_stop``, where the certificate and not ``K`` ends
@@ -217,8 +218,6 @@ def init_packing(instance: PackingInstance, config: SolverConfig,
     overflows is rejected.
     """
     alpha = config.alpha
-    if params is None:
-        params = derive_packing_params(instance.m, instance.n, instance.rho, alpha, config.epsilon)
     n, rho = instance.n, instance.rho
     kernel = kernel(instance.matrix, alpha, params.beta, params.logC)
     if config.early_stop:
@@ -236,6 +235,7 @@ def init_packing(instance: PackingInstance, config: SolverConfig,
     state = PackingState(x_hat=x_hat, u=kernel.allocation(x_hat),
                          mu=MULTIPLIER_START if config.early_stop else 1.0)
     enter_stage(state, params, kernel)
+    iterate_loads(state, 0)
     return state
 
 
@@ -265,36 +265,31 @@ def enter_stage(state: PackingState, params: PackingRegParams, kernel: GradientK
         state.z = mirror_state(state.x_hat, params.beta_prime)
 
 
-def require_feasible(top: float, k: int) -> None:
-    """Raise unless ``top``, the largest load of iteration ``k``'s iterate, is at most 1."""
+def iterate_loads(state: PackingState, k: int) -> np.ndarray:
+    """Compute the loads of the state's allocation, the iterate a step or
+    the start has just formed; check them for feasibility, labelled
+    iteration ``k``; and keep them on the state, where every reader takes
+    them from.
+
+    An iterate a step took at a multiplier above 1 whose loads exceed 1 (or
+    are not numbers) is never accepted: it is redone at half the multiplier
+    (see ``redo``) until it fits or the multiplier is 1, where an overloaded
+    row raises ``FeasibilityViolation``.
+    """
+    loads = state.kernel.loads_of(state.u)
+    top = float(np.maximum.reduce(loads))
+    while not top <= 1.0 and state.retry is not None:
+        redo(state)
+        loads = state.kernel.loads_of(state.u)
+        top = float(np.maximum.reduce(loads))
     if top > 1.0:
         raise FeasibilityViolation(
             f"constraint load {top} exceeded 1 at iteration {k}; "
             "this indicates an implementation bug"
         )
-
-
-def iterate_loads(state: PackingState, k: int) -> np.ndarray:
-    """The loads of the state's allocation: computed (and checked for
-    feasibility, labelled iteration ``k``) the first time they are needed,
-    then read from the state until the iterate moves.
-
-    An iterate a step took at a multiplier above 1 whose loads exceed 1 (or
-    are not numbers) is never accepted: it is redone at half the multiplier
-    (see ``redo``) until it fits or the multiplier is 1, where the check
-    raises.
-    """
-    if state.loads is None:
-        loads = state.kernel.loads_of(state.u)
-        top = float(np.maximum.reduce(loads))
-        while not top <= 1.0 and state.retry is not None:
-            redo(state)
-            loads = state.kernel.loads_of(state.u)
-            top = float(np.maximum.reduce(loads))
-        require_feasible(top, k)
-        state.loads = loads
-        state.retry = None
-    return state.loads
+    state.loads = loads
+    state.retry = None
+    return loads
 
 
 def redo(state: PackingState) -> None:
@@ -317,32 +312,33 @@ def redo(state: PackingState) -> None:
 
 def step(state: PackingState) -> PackingState:
     """Advance one iteration of the state's update rule, in place, at the
-    rule's step scale times the state's multiplier ``mu``.
+    rule's step scale times the state's multiplier ``mu``, and leave the
+    state's iterate with its checked loads (``iterate_loads``).
 
-    The mirror branch evaluates a fresh iterate and leaves it, with its
-    loads, in the state; the other branches evaluate the state's iterate
-    and replace it, leaving its loads to be computed when next needed. Above
-    a multiplier of 1 the step keeps its base and gradient in ``retry``
-    until ``iterate_loads`` accepts the iterate it leads to.
+    The mirror branch forms its iterate from the mirror state first, checks
+    it and evaluates it, then moves the mirror state; the other branches
+    evaluate the state's iterate, replace it and check the new one. Above a
+    multiplier of 1 the step keeps its base and gradient in ``retry`` until
+    ``iterate_loads`` accepts the iterate it leads to: at the end of this
+    step, or for the mirror branch at the start of the next.
     """
     kernel = state.kernel
     scale, update = state.rule
     if kernel.alpha < 1.0:
         state.x_hat = mirror_iterate(state.z, state.params.beta_prime)
         state.u = kernel.allocation(state.x_hat)
-        state.loads = None
         loads = iterate_loads(state, state.k + 1)
         truncated = kernel.evaluate(state.x_hat, state.u, loads).truncated
         base, mu = state.z, state.mu
         state.z = update(base, truncated, scale * mu)
+        state.retry = (base, truncated, mu) if mu > 1.0 else None
     else:
-        loads = iterate_loads(state, state.k)
-        truncated = kernel.evaluate(state.x_hat, state.u, loads).truncated
+        truncated = kernel.evaluate(state.x_hat, state.u, state.loads).truncated
         base, mu = state.x_hat, state.mu
         state.x_hat = update(base, truncated, scale * mu)
         state.u = kernel.allocation(state.x_hat)
-        state.loads = None
-    state.retry = (base, truncated, mu) if mu > 1.0 else None
+        state.retry = (base, truncated, mu) if mu > 1.0 else None
+        iterate_loads(state, state.k + 1)
     state.k += 1
     return state
 
@@ -430,7 +426,7 @@ def stop_radius(alpha: float, epsilon: float, n: int, bound: float, value: float
 class PackingRunRecorder:
     """Per-run bookkeeping shared by both modes and both engines: trace
     rows, certificates and the early-stop policy. It keeps only the run's
-    facts; each call is given the solver state, or the stage's epsilon and ``n``.
+    facts; each call is given the solver state and only reads it.
 
     ``check``, the one call that certifies, is made by ``solve_packing``'s
     visit of each iterate when the run ``certifies``. ``record`` builds the
@@ -438,7 +434,7 @@ class PackingRunRecorder:
     would report there, or only counts it where the config keeps no trace.
     The least finite dual bound seen is kept, since each bounds OPT
     whatever stage it came from; ``should_stop`` says whether it proves the
-    last certified iterate within ``stop_radius``.
+    last certified iterate within ``stop_radius`` of the state's stage.
     """
 
     def __init__(self, config: SolverConfig):
@@ -456,10 +452,11 @@ class PackingRunRecorder:
     def record(self, state: PackingState, k: int) -> TraceRow | None:
         """Trace row of iteration ``k``, the state's iterate, appended to the
         state's trace, or None where the config keeps no trace; the row reads
-        the loads the state carries, as ``iterate_loads`` checked them. A
-        certifying run's row carries the gap ``reported`` gives after this
-        iterate's ``check``: under early stop the least bound seen minus
-        this row's value, so the stop row's gap is the one the run reports."""
+        the loads the state carries, as the step that formed the iterate
+        computed them. A certifying run's row carries the gap ``reported``
+        gives after this iterate's ``check``: under early stop the least
+        bound seen minus this row's value, so the stop row's gap is the one
+        the run reports."""
         if not self.config.keep_trace:
             state.trace.append(None)
             return None
@@ -479,11 +476,12 @@ class PackingRunRecorder:
             return self.best._replace(value=self.last.value)
         return self.last
 
-    def should_stop(self, epsilon: float, n: int) -> bool:
+    def should_stop(self, state: PackingState) -> bool:
         if not self.config.early_stop or self.best is None:
             return False
         bound, value = self.best.bound, self.last.value
-        radius, _ = stop_radius(self.config.alpha, epsilon, n, bound, value)
+        radius, _ = stop_radius(self.config.alpha, state.params.epsilon, state.x_hat.size,
+                                bound, value)
         return bound - value <= radius
 
 
@@ -523,14 +521,15 @@ def finalize_packing(state: PackingState, instance: PackingInstance,
 
     ``certificate`` is the recorder's report for the last traced row, which
     is the final iterate, and ``stages`` the epsilon schedule that ran
-    (early stop only). Without early stop the guarantee is the paper's
-    a-priori one; under it, the certified gap, scaled as the utility is.
-    A run that spent its budget first claims no more: the a-priori bound
-    assumes the paper's start, not the scaled one.
+    (early stop only). The reported load and feasibility read the checked
+    loads the state carries. Without early stop the guarantee is the
+    paper's a-priori one; under it, the certified gap, scaled as the
+    utility is. A run that spent its budget first claims no more: the
+    a-priori bound assumes the paper's start, not the scaled one.
     """
     alpha = config.alpha
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        final_loads = iterate_loads(state, state.k)
+        final_loads = state.loads
         x = scaling.original_solution(state.u)
         utility = f_alpha_value(x, alpha)
         dual = gap = None
@@ -616,10 +615,9 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
     stages: list[Stage] = []   # the stages ended so far
 
     def visit(k: int, traced: bool) -> bool:
-        iterate_loads(state, k)
         if recorder.certifies:
             recorder.check(state)
-        proven = recorder.should_stop(state.params.epsilon, n)
+        proven = recorder.should_stop(state)
         if traced or proven:   # on the kernel of the stage the check ends
             recorder.record(state, k)
         while proven:
@@ -628,7 +626,7 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
                 return True
             new = stage_params(schedule[len(stages)])
             enter_stage(state, new, kernel(instance.matrix, alpha, new.beta, new.logC))
-            proven = recorder.should_stop(new.epsilon, n)
+            proven = recorder.should_stop(state)
         return False
 
     stopped_early = run_budget(state, step, visit, planned, stride, config.early_stop)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -10,10 +11,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fairpc import derive_packing_params, packing, single_constraint_packing_optimum
+from fairpc import (
+    covering, derive_packing_params, packing, single_constraint_packing_optimum,
+)
 from fairpc.cli import emit_json, emit_trace, run_cli
 from fairpc.matrix import from_dense, write_matrix_market
 from fairpc.packing import TraceRow
+from fairpc.regularization import SubThresholdBetaWarning
 
 ID3 = "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 1 1.0\n2 2 1.0\n3 3 1.0\n"
 ID2 = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 1.0\n"
@@ -198,6 +202,39 @@ def test_every_solver_assertion_exits_3(id3_path, capsys, monkeypatch, error):
     assert code == 3
     assert err == "solver assertion failed: synthetic\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("engine", ["monolithic", "rounds"])
+def test_an_overloaded_packing_iterate_exits_3(id3_path, capsys, monkeypatch, engine):
+    # the real feasibility check: an additive step 10**4 times the paper's
+    # overloads every row at the first step, and the run names it
+    rule = packing.update_rule
+
+    def oversized(params, alpha):
+        scale, update = rule(params, alpha)
+        return (scale * 1e4 if alpha == 1.0 else scale), update
+
+    monkeypatch.setattr(packing, "update_rule", oversized)
+    code, out, err = run(["--mode", "pack", "--alpha", "1", "--epsilon", "0.1", "--input",
+                          str(id3_path), "--engine", engine], capsys)
+    assert code == 3 and out == ""
+    assert err == ("solver assertion failed: constraint load 59.972784361723875 exceeded 1 "
+                   "at iteration 1; this indicates an implementation bug\n")
+
+
+@pytest.mark.parametrize("engine", ["monolithic", "rounds"])
+def test_a_covering_certificate_shortfall_exits_3(id3_path, capsys, monkeypatch, engine):
+    # the real certificate check: with no averaging the pre-scale covering
+    # is 0, which fails only a run that spent the full budget
+    monkeypatch.setattr(covering, "running_average", lambda y_avg, y_new, k: y_avg)
+    argv = ["--mode", "cover", "--beta", "1", "--epsilon", "0.1", "--input", str(id3_path),
+            "--engine", engine]
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == ""
+    assert err == ("solver assertion failed: pre-scale certificate 0.0 fell below 0.95 after "
+                   "the full budget; this indicates a bug\n")
+    code, out, _ = run(argv + ["--max-iters", "100"], capsys)
+    assert code == 0 and json.loads(out)["feasibility"]["is_feasible"] is False
 
 
 def test_golden_byte_stability(id3_path, tmp_path, capsys):
@@ -510,12 +547,18 @@ def test_parameter_values_exit_contract(id3_path, mode, fairness, epsilon, max_i
     if early_stop:
         argv.append("--early-stop")
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run_cli(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+    # a positive beta below the floor warns; no other warning escapes
+    assert all(issubclass(w.category, SubThresholdBetaWarning) for w in caught), caught
     if code == 0:
-        assert json.loads(out.getvalue())["iterations"] <= 50
+        doc = json.loads(out.getvalue())
+        assert doc["iterations"] <= 50
+        assert bool(caught) == doc["params"].get("below_guarantee_floor", False)
 
 
 ROW3_WIDE = "%%MatrixMarket matrix coordinate real general\n1 3 3\n1 1 1\n1 2 1000\n1 3 1000\n"

@@ -28,7 +28,7 @@ def cover_config(beta, eps=0.1, **kw):
 
 def test_init_1x1_unit():
     inst = identity_instance(1, mode=COVER)
-    state = init_covering(inst, cover_config(1.0))
+    state = init_covering(inst, cover_config(1.0), derive_covering_params(1, 1, 1.0, 1.0, 0.1))
     assert state.x_hat[0] == 1.0
     assert state.z[0] == 0.0  # 1**(-b') - 1
     np.testing.assert_array_equal(state.y_avg, [0.0])
@@ -37,7 +37,7 @@ def test_init_1x1_unit():
 
 def test_init_2x2():
     inst = identity_instance(2, mode=COVER)
-    state = init_covering(inst, cover_config(1.0))
+    state = init_covering(inst, cover_config(1.0), derive_covering_params(2, 2, 1.0, 1.0, 0.1))
     np.testing.assert_allclose(state.x_hat, [0.25, 0.25], rtol=1e-15)
 
 

@@ -25,8 +25,8 @@ from fairpc import (
     standardize,
     step,
 )
-from fairpc import packing, rounds
-from fairpc.errors import NegativeCoordinate
+from fairpc import covering, packing, rounds
+from fairpc.errors import FeasibilityViolation, NegativeCoordinate
 from fairpc.packing import (
     MULTIPLIER_START, PackingRunRecorder, enter_stage, epsilon_schedule,
     iterate_loads, mirror_state, update_rule,
@@ -42,7 +42,8 @@ from conftest import identity_instance, random_sparse_entries, single_row_instan
 
 def test_init_alpha0():
     inst = identity_instance(2)
-    state = init_packing(inst, SolverConfig(fairness=0.0, epsilon=0.1))
+    params = derive_packing_params(2, 2, 1.0, 0.0, 0.1)
+    state = init_packing(inst, SolverConfig(fairness=0.0, epsilon=0.1), params)
     np.testing.assert_allclose(state.x_hat, [0.45, 0.45], rtol=1e-15)
     # mirror state equals exp(eps/4) - 1 here
     assert state.z[0] == pytest.approx(0.025315120524428858, rel=1e-12)
@@ -51,14 +52,16 @@ def test_init_alpha0():
 
 def test_init_alpha1():
     inst = identity_instance(1)
-    state = init_packing(inst, SolverConfig(fairness=1.0, epsilon=0.1))
+    params = derive_packing_params(1, 1, 1.0, 1.0, 0.1)
+    state = init_packing(inst, SolverConfig(fairness=1.0, epsilon=0.1), params)
     assert state.x_hat[0] == pytest.approx(math.log(0.9), rel=1e-15)
     assert state.z is None
 
 
 def test_init_alpha2():
     inst = identity_instance(1)
-    state = init_packing(inst, SolverConfig(fairness=2.0, epsilon=0.05))
+    params = derive_packing_params(1, 1, 1.0, 2.0, 0.05)
+    state = init_packing(inst, SolverConfig(fairness=2.0, epsilon=0.05), params)
     assert state.x_hat[0] == pytest.approx(1.0526315789473684, rel=1e-15)
 
 
@@ -66,7 +69,8 @@ def test_init_allocation_cache_consistent():
     inst = identity_instance(3)
     for alpha in (0.0, 0.5, 1.0, 2.0):
         eps = 0.1 if alpha <= 1.0 else 0.05
-        state = init_packing(inst, SolverConfig(fairness=alpha, epsilon=eps))
+        params = derive_packing_params(3, 3, 1.0, alpha, eps)
+        state = init_packing(inst, SolverConfig(fairness=alpha, epsilon=eps), params)
         if alpha == 1.0:
             np.testing.assert_allclose(state.u, np.exp(state.x_hat), rtol=1e-12)
         else:
@@ -123,6 +127,7 @@ def test_step_zero_gradient_fixed_point():
     )  # solves 2 ln x + logC + ln(x)/beta = 0
     state.x_hat = np.array([target ** (1.0 - 2.0)])
     state.u = np.array([target])
+    state.loads = state.kernel.loads_of(state.u)
     k0 = state.k
     step(state)
     assert state.k == k0 + 1
@@ -263,7 +268,7 @@ def test_zero_dual_mass_never_stops(alpha):
                                            rel=1e-12)
         assert cert.bound >= diagonal_packing_optimum([1.0, 1.0], alpha).objective
         assert row.gap == cert.gap > 0.0 and recorder.best is cert
-    assert not recorder.should_stop(eps, inst.n)
+    assert not recorder.should_stop(state)
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,7 +287,7 @@ def test_dual_bound_never_below_the_oracle(seed, alpha, scaled):
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         for k in range(0, 601):
             if k % 100 == 0:
-                cert = certify(state.kernel, state.x_hat, iterate_loads(state, k))
+                cert = certify(state.kernel, state.x_hat, state.loads)
                 if math.isfinite(cert.bound):
                     assert cert.bound >= opt - tol, (k, cert.bound, opt)
             step(state)
@@ -316,7 +321,7 @@ def test_stage_change_keeps_the_iterate(alpha, rounds):
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         for _ in range(50):
             step(state)
-        loads = iterate_loads(state, state.k)
+        loads = state.loads
         x_hat, u = state.x_hat, state.u
         before = (x_hat.tobytes(), u.tobytes(), loads.tobytes())
         old_kernel, old_rule = state.kernel, state.rule
@@ -398,7 +403,7 @@ def test_overshooting_multiplier_is_rejected_and_halved(monkeypatch, alpha, eps)
     inst, _ = instance_from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
     config = SolverConfig(fairness=alpha, epsilon=eps, early_stop=True, trace_stride=25,
                           max_iters=20_000)
-    redo, require_feasible = packing.redo, packing.require_feasible
+    redo, check = packing.redo, packing.iterate_loads
     logs = []
 
     def run(solve):
@@ -410,12 +415,13 @@ def test_overshooting_multiplier_is_rejected_and_halved(monkeypatch, alpha, eps)
             redo(state)
             halved.append((before, state.mu))
 
-        def logged_require(top, k):
-            accepted.append((k, top))
-            require_feasible(top, k)
+        def logged_loads(state, k):
+            loads = check(state, k)
+            accepted.append((k, float(loads.max())))
+            return loads
 
         monkeypatch.setattr(packing, "redo", logged_redo)
-        monkeypatch.setattr(packing, "require_feasible", logged_require)
+        monkeypatch.setattr(packing, "iterate_loads", logged_loads)
         sol = solve()
         logs.append((rejected, halved, accepted))
         return sol
@@ -434,9 +440,68 @@ def test_overshooting_multiplier_is_rejected_and_halved(monkeypatch, alpha, eps)
     assert audit.rounds == dist.iterations_run == mono.iterations_run
 
 
+def test_an_overloaded_iterate_at_multiplier_one_raises():
+    # at mu = 1 there is no retry to redo: the check itself raises, naming
+    # the iteration it was given and the load it saw
+    inst, _ = instance_from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
+    params = derive_packing_params(2, 3, inst.rho, 2.0, 0.05)
+    state = init_packing(inst, SolverConfig(fairness=2.0, epsilon=0.05), params)
+    assert state.mu == 1.0 and state.retry is None
+    state.u = np.array([0.5, 0.5, 0.0])
+    with pytest.raises(FeasibilityViolation,
+                       match=r"^constraint load 1\.5 exceeded 1 at iteration 7; "):
+        iterate_loads(state, 7)
+
+
+_LOADS_CASES = [(PACK, alpha, early_stop) for alpha in (0.0, 0.5, 1.0, 2.0, 3.0)
+                for early_stop in (False, True)] + [(COVER, 1.0, False)]
+
+
+@pytest.mark.parametrize("engine", ["monolithic", "rounds"])
+@pytest.mark.parametrize("mode,fairness,early_stop", _LOADS_CASES)
+def test_every_state_carries_its_iterates_loads(mode, fairness, early_stop, engine):
+    # after the start and after every step, through redos and stage changes,
+    # the state holds the loads of its allocation, bit for bit; a multiplier
+    # start of 1024 makes overloaded trial iterates, and so redos, happen
+    module, init, advance = ((packing, "init_packing", "step") if mode == PACK
+                             else (covering, "init_covering", "step_covering"))
+    states = []
+
+    def carries_its_loads(original):
+        def checked(*args):
+            state = original(*args)
+            assert state.loads.tobytes() == state.kernel.loads_of(state.u).tobytes()
+            states.append(state.k)
+            return state
+        return checked
+
+    instances = [instance_from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]),
+                                     mode=mode, fairness=fairness)[0]]
+    for seed in (1, 2):
+        entries, m, n = random_sparse_entries(np.random.default_rng(seed), max_dim=5,
+                                              max_rho=10.0)
+        instances.append(standardize(entries, m, n, mode=mode, fairness=fairness)[0])
+    eps = min(0.1, epsilon_upper_bound(fairness)) / 2.0 if mode == PACK else 0.2
+    config = SolverConfig(fairness=fairness, epsilon=eps, mode=mode, early_stop=early_stop,
+                          max_iters=300, trace_stride=25)
+    with mock.patch.object(packing, "MULTIPLIER_START", 1024.0), \
+            mock.patch.object(packing, "redo", side_effect=packing.redo) as redo, \
+            mock.patch.object(module, init, carries_its_loads(getattr(module, init))), \
+            mock.patch.object(module, advance, carries_its_loads(getattr(module, advance))):
+        for inst in instances:
+            states.clear()
+            if engine == "monolithic":
+                (solve_packing if mode == PACK else solve_covering)(inst, config)
+            else:
+                run_distributed(inst, config)
+            assert states == list(range(len(states))) and len(states) > 1
+    assert redo.called == early_stop
+
+
 def test_without_early_stop_the_multiplier_stays_one():
     inst, _ = instance_from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
-    state = init_packing(inst, SolverConfig(fairness=2.0, epsilon=0.05))
+    params = derive_packing_params(2, 3, inst.rho, 2.0, 0.05)
+    state = init_packing(inst, SolverConfig(fairness=2.0, epsilon=0.05), params)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         for _ in range(20):
             step(state)
