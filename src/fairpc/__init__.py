@@ -37,19 +37,16 @@ from .regularization import (
 )
 from .packing import (
     Certificate,
-    FeasibilityReport,
     PackingSolution,
     PackingState,
     TraceRow,
     certify,
-    feasibility_report,
     init_packing,
     solve_packing,
     step,
 )
 from .covering import (
     CoveringSolution,
-    covering_residual,
     init_covering,
     solve_covering,
     step_covering,

@@ -8,12 +8,13 @@ the running average of the barrier weights and finally inflated by (1+eps)
 to make them strictly feasible. The state is packing's (``PackingState``,
 bound by ``enter_stage``), with the average in its ``y_avg``. Each
 iterate's loads are computed once and carried with the state for the trace
-row and the finalization; the barrier weights are the ones the gradient
-kernel forms. ``solve_covering`` is the one solve of both engines, which
-differ only in the kernel constructor it is given (see ``rounds``). Its
-loop and its trace rows are packing's (``packing.run_budget`` and
-``PackingRunRecorder``, at the kernel's fairness 0); the rows carry no
-certificate, and the run always spends its whole budget.
+row and the finalization, which takes the stage's constants and the matrix
+from the state too; the barrier weights are the ones the gradient kernel
+forms. ``solve_covering`` is the one solve of both engines, which differ
+only in the kernel constructor it is given (see ``rounds``). Its loop and
+its trace rows are packing's (``packing.run_budget`` and
+``PackingRunRecorder``, at the kernel's fairness 0); the run never checks a
+certificate, so its rows carry none, and it always spends its whole budget.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateShortfall, InvalidBeta, NegativeCoordinate
+from .errors import CertificateShortfall, InvalidBeta
 from .matrix import column_loads
 from .problem import COVER, CoveringInstance, ScalingRecord, SolverConfig, g_beta_value
 from .packing import (
@@ -53,12 +54,6 @@ class CoveringSolution:
     trace_dropped: int = 0   # oldest trace rows evicted past the buffer's capacity
 
 
-@dataclass(frozen=True)
-class CoveringResidualReport:
-    min_load: float
-    violated_cols: list[int]
-
-
 def running_average(y_avg, y_new, k: int):
     """Numerically stable running mean after the k-th sample, updated in
     ``y_avg`` and returned."""
@@ -67,8 +62,8 @@ def running_average(y_avg, y_new, k: int):
     return y_avg
 
 
-def init_covering(instance: CoveringInstance, config: SolverConfig,
-                  params: CoveringRegParams, kernel=GradientKernel) -> PackingState:
+def init_covering(instance: CoveringInstance, params: CoveringRegParams,
+                  kernel=GradientKernel) -> PackingState:
     """Start the dual iterate small enough that every barrier weight is < 1,
     as a ``PackingState`` at fairness 0 whose ``x_hat`` and ``u`` are that
     start, bound by ``packing.enter_stage`` to the constants of ``params``
@@ -108,28 +103,19 @@ def step_covering(state: PackingState) -> PackingState:
     return state
 
 
-def covering_residual(instance: CoveringInstance, y) -> CoveringResidualReport:
-    """Minimum column load of a covering vector and the columns below 1."""
-    y = np.asarray(y, dtype=np.float64)
-    if (y < 0.0).any():
-        raise NegativeCoordinate("covering vector must be nonnegative")
-    loads = column_loads(instance.matrix, y)
-    violated = [int(j) for j in np.flatnonzero(loads < 1.0)]
-    return CoveringResidualReport(min_load=float(loads.min()), violated_cols=violated)
-
-
-def finalize_covering(state: PackingState, instance: CoveringInstance,
-                      config: SolverConfig, scaling: ScalingRecord) -> CoveringSolution:
-    """Check the pre-scale certificate, inflate, and assemble the report.
+def finalize_covering(state: PackingState, scaling: ScalingRecord) -> CoveringSolution:
+    """Check the pre-scale certificate, inflate, and assemble the report,
+    with epsilon and beta from the state's constants and the matrix from
+    its kernel.
 
     The certificate is only enforced when the full derived budget ran; a
     shortfall there means the solver is broken and raises
     CertificateShortfall.
     """
-    eps = config.epsilon
     kernel, params = state.kernel, state.params
+    eps = params.epsilon
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        prescale_loads = column_loads(instance.matrix, state.y_avg)
+        prescale_loads = column_loads(kernel.matrix, state.y_avg)
         prescale_residual = float(prescale_loads.min())
         if state.k >= params.K and prescale_residual < 1.0 - eps / 2.0:
             raise CertificateShortfall(
@@ -142,8 +128,8 @@ def finalize_covering(state: PackingState, instance: CoveringInstance,
         y_avg_orig = scaling.original_solution(state.y_avg)
         cost = g_beta_value(y, params.beta)
         cost_prescale = g_beta_value(y_avg_orig, params.beta)
-        final_loads = column_loads(instance.matrix, y_std)
-        f_r_final = kernel.f_r(state.x_hat, loads=state.loads)
+        final_loads = column_loads(kernel.matrix, y_std)
+        f_r_final = kernel.f_r(state.x_hat, state.loads)
         gap = None
         if np.isfinite(f_r_final):
             # weak duality of the dual engine: cost(y) + f_r(x) >= 0, small near optimality
@@ -184,13 +170,13 @@ def solve_covering(instance: CoveringInstance, config: SolverConfig,
                                     config.epsilon)
     if scaling is None:
         scaling = ScalingRecord(c=1.0, alpha_used=config.fairness)
-    state = init_covering(instance, config, params, kernel)
+    state = init_covering(instance, params, kernel)
     planned, stride = plan_iterations(config, params)
     recorder = PackingRunRecorder(config)
 
-    def visit(k: int, traced: bool) -> bool:
-        recorder.record(state, k)
+    def visit(traced: bool) -> bool:
+        recorder.record(state)
         return False
 
     run_budget(state, step_covering, visit, planned, stride)
-    return finalize_covering(state, instance, config, scaling)
+    return finalize_covering(state, scaling)

@@ -6,8 +6,10 @@ and a multiplicative step above 1. Feasibility of every iterate is a hard
 invariant, checked (with no tolerance) where the iterate is formed: the
 start computes and checks its loads, and so does every step for the iterate
 it forms (``iterate_loads``). So after the start and after every step the
-state carries the current iterate's checked loads, and the next step, the
-certificate, the trace record and the finalization only read them.
+state carries the current iterate, its iteration ``k`` and its checked
+loads, with the stage's constants and kernel (which holds the matrix and
+the fairness); the next step, the certificate, the trace record, the stop
+rule and the finalization only read them there.
 
 ``solve_packing`` is the one solve, and ``step`` the one update, of both
 engines: they differ only in the kernel constructor ``solve_packing`` is
@@ -44,8 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FeasibilityViolation, InvalidAlpha, NegativeCoordinate
-from .matrix import column_loads, constraint_loads
+from .errors import FeasibilityViolation, InvalidAlpha
+from .matrix import column_loads
 from .problem import (
     PACK, PackingInstance, ScalingRecord, SolverConfig, epsilon_upper_bound, f_alpha_value,
     transform_inverse,
@@ -140,13 +142,6 @@ class PackingSolution:
     stages: list[Stage] | None = None   # the epsilon schedule that ran; early stop only
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    max_load: float
-    violated_rows: list[int]
-    is_feasible: bool
-
-
 # ---- branch update expressions and their step scales ----
 
 def mirror_iterate(z, beta_prime: float):
@@ -235,7 +230,7 @@ def init_packing(instance: PackingInstance, config: SolverConfig,
     state = PackingState(x_hat=x_hat, u=kernel.allocation(x_hat),
                          mu=MULTIPLIER_START if config.early_stop else 1.0)
     enter_stage(state, params, kernel)
-    iterate_loads(state, 0)
+    iterate_loads(state)
     return state
 
 
@@ -265,11 +260,11 @@ def enter_stage(state: PackingState, params: PackingRegParams, kernel: GradientK
         state.z = mirror_state(state.x_hat, params.beta_prime)
 
 
-def iterate_loads(state: PackingState, k: int) -> np.ndarray:
+def iterate_loads(state: PackingState) -> np.ndarray:
     """Compute the loads of the state's allocation, the iterate a step or
-    the start has just formed; check them for feasibility, labelled
-    iteration ``k``; and keep them on the state, where every reader takes
-    them from.
+    the start has just formed; check them for feasibility, labelled with
+    the state's iteration ``k``; and keep them on the state, where every
+    reader takes them from.
 
     An iterate a step took at a multiplier above 1 whose loads exceed 1 (or
     are not numbers) is never accepted: it is redone at half the multiplier
@@ -284,7 +279,7 @@ def iterate_loads(state: PackingState, k: int) -> np.ndarray:
         top = float(np.maximum.reduce(loads))
     if top > 1.0:
         raise FeasibilityViolation(
-            f"constraint load {top} exceeded 1 at iteration {k}; "
+            f"constraint load {top} exceeded 1 at iteration {state.k}; "
             "this indicates an implementation bug"
         )
     state.loads = loads
@@ -313,7 +308,9 @@ def redo(state: PackingState) -> None:
 def step(state: PackingState) -> PackingState:
     """Advance one iteration of the state's update rule, in place, at the
     rule's step scale times the state's multiplier ``mu``, and leave the
-    state's iterate with its checked loads (``iterate_loads``).
+    state's iterate with its checked loads (``iterate_loads``). The
+    iteration count ``k`` moves first, so a check made in the step is
+    labelled with the iteration the step completes.
 
     The mirror branch forms its iterate from the mirror state first, checks
     it and evaluates it, then moves the mirror state; the other branches
@@ -324,10 +321,11 @@ def step(state: PackingState) -> PackingState:
     """
     kernel = state.kernel
     scale, update = state.rule
+    state.k += 1
     if kernel.alpha < 1.0:
         state.x_hat = mirror_iterate(state.z, state.params.beta_prime)
         state.u = kernel.allocation(state.x_hat)
-        loads = iterate_loads(state, state.k + 1)
+        loads = iterate_loads(state)
         truncated = kernel.evaluate(state.x_hat, state.u, loads).truncated
         base, mu = state.z, state.mu
         state.z = update(base, truncated, scale * mu)
@@ -338,21 +336,8 @@ def step(state: PackingState) -> PackingState:
         state.x_hat = update(base, truncated, scale * mu)
         state.u = kernel.allocation(state.x_hat)
         state.retry = (base, truncated, mu) if mu > 1.0 else None
-        iterate_loads(state, state.k + 1)
-    state.k += 1
+        iterate_loads(state)
     return state
-
-
-def feasibility_report(instance: PackingInstance, x) -> FeasibilityReport:
-    """Exact loads of an allocation; feasibility means max load <= 1, no slack."""
-    x = np.asarray(x, dtype=np.float64)
-    if (x < 0.0).any():
-        raise NegativeCoordinate("allocation must be nonnegative")
-    loads = constraint_loads(instance.matrix, x)
-    violated = [int(i) for i in np.flatnonzero(loads > 1.0)]
-    return FeasibilityReport(
-        max_load=float(loads.max()), violated_rows=violated, is_feasible=not violated
-    )
 
 
 class Certificate(NamedTuple):
@@ -429,17 +414,18 @@ class PackingRunRecorder:
     facts; each call is given the solver state and only reads it.
 
     ``check``, the one call that certifies, is made by ``solve_packing``'s
-    visit of each iterate when the run ``certifies``. ``record`` builds the
-    row at the kernel's fairness (0 for covering), with the gap the run
-    would report there, or only counts it where the config keeps no trace.
-    The least finite dual bound seen is kept, since each bounds OPT
-    whatever stage it came from; ``should_stop`` says whether it proves the
-    last certified iterate within ``stop_radius`` of the state's stage.
+    visit of each iterate when its run certifies (under early stop, or
+    above fairness 1); a run that never checks has no certificate. ``record``
+    builds the row of the state's iteration at the kernel's fairness (0 for
+    covering), with the gap the run would report there, or only counts it
+    where the config keeps no trace. The least finite dual bound seen is
+    kept, since each bounds OPT whatever stage it came from;
+    ``should_stop`` says whether it proves the last certified iterate
+    within ``stop_radius`` of the state's stage.
     """
 
     def __init__(self, config: SolverConfig):
         self.config = config
-        self.certifies = config.mode == PACK and (config.early_stop or config.alpha > 1.0)
         self.last: Certificate | None = None   # the latest certified iterate's
         self.best: Certificate | None = None   # the least finite bound's
 
@@ -449,29 +435,30 @@ class PackingRunRecorder:
         if math.isfinite(cert.bound) and (self.best is None or cert.bound < self.best.bound):
             self.best = cert
 
-    def record(self, state: PackingState, k: int) -> TraceRow | None:
-        """Trace row of iteration ``k``, the state's iterate, appended to the
-        state's trace, or None where the config keeps no trace; the row reads
-        the loads the state carries, as the step that formed the iterate
-        computed them. A certifying run's row carries the gap ``reported``
-        gives after this iterate's ``check``: under early stop the least
+    def record(self, state: PackingState) -> TraceRow | None:
+        """Trace row of the state's iterate, at its iteration ``k``, appended
+        to the state's trace, or None where the config keeps no trace; the
+        row reads the loads the state carries, as the step that formed the
+        iterate computed them. It carries the gap ``reported`` gives, if
+        any: after this iterate's ``check``, under early stop the least
         bound seen minus this row's value, so the stop row's gap is the one
         the run reports."""
         if not self.config.keep_trace:
             state.trace.append(None)
             return None
-        cert = self.reported() if self.certifies else None
+        cert = self.reported()
         gap = cert.gap if cert is not None and math.isfinite(cert.bound) else None
         kernel, loads = state.kernel, state.loads
-        row = TraceRow(k=k, utility=f_alpha_value(state.u, kernel.alpha),
-                       max_load=float(loads.max()), f_r=kernel.f_r(state.x_hat, loads=loads),
+        row = TraceRow(k=state.k, utility=f_alpha_value(state.u, kernel.alpha),
+                       max_load=float(loads.max()), f_r=kernel.f_r(state.x_hat, loads),
                        gap=gap)
         state.trace.append(row)
         return row
 
     def reported(self) -> Certificate | None:
         """The certificate the run reports for its last row: under early
-        stop the least bound seen, with that row's value; else the row's own."""
+        stop the least bound seen, with that row's value; else the row's
+        own; None for a run that never checks."""
         if self.config.early_stop and self.best is not None:
             return self.best._replace(value=self.last.value)
         return self.last
@@ -480,7 +467,7 @@ class PackingRunRecorder:
         if not self.config.early_stop or self.best is None:
             return False
         bound, value = self.best.bound, self.last.value
-        radius, _ = stop_radius(self.config.alpha, state.params.epsilon, state.x_hat.size,
+        radius, _ = stop_radius(state.kernel.alpha, state.params.epsilon, state.x_hat.size,
                                 bound, value)
         return bound - value <= radius
 
@@ -489,17 +476,18 @@ def run_budget(state, advance, visit, planned: int, stride: int, checks: bool = 
     """The one solve loop of both modes: visit iteration 0, then advance
     ``state`` (whose ``k`` counts the steps taken) up to ``planned`` times,
     visiting every ``stride``-th iteration and the last as traced and, when
-    ``checks``, every other ``CHECK_EVERY``-th one as untraced. Returns True
-    at the first ``visit(k, traced)`` that does, which ends the run early.
+    ``checks``, every other ``CHECK_EVERY``-th one as untraced. A visit
+    reads the iteration from the state. Returns True at the first
+    ``visit(traced)`` that does, which ends the run early.
     """
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        if visit(0, True):
+        if visit(True):
             return True
         while state.k < planned:
             advance(state)
             k = state.k
             traced = k % stride == 0 or k == planned
-            if (traced or checks and k % CHECK_EVERY == 0) and visit(k, traced):
+            if (traced or checks and k % CHECK_EVERY == 0) and visit(traced):
                 return True
     return False
 
@@ -512,22 +500,22 @@ def plan_iterations(config: SolverConfig, params) -> tuple[int, int]:
     return planned, config.trace_stride if config.trace_stride is not None else stride
 
 
-def finalize_packing(state: PackingState, instance: PackingInstance,
-                     params: PackingRegParams, config: SolverConfig,
+def finalize_packing(state: PackingState, params: PackingRegParams, config: SolverConfig,
                      scaling: ScalingRecord, stopped_early: bool,
                      certificate: Certificate | None,
                      stages: list[Stage] | None = None) -> PackingSolution:
     """Map the final iterate to original space and assemble the report.
 
-    ``certificate`` is the recorder's report for the last traced row, which
-    is the final iterate, and ``stages`` the epsilon schedule that ran
-    (early stop only). The reported load and feasibility read the checked
-    loads the state carries. Without early stop the guarantee is the
-    paper's a-priori one; under it, the certified gap, scaled as the
+    ``params`` are the target stage's, ``certificate`` is the recorder's
+    report for the last traced row, which is the final iterate, and
+    ``stages`` the epsilon schedule that ran (early stop only). The
+    reported load and feasibility read the checked loads the state carries,
+    and the radius its iterate's size n. Without early stop the guarantee
+    is the paper's a-priori one; under it, the certified gap, scaled as the
     utility is. A run that spent its budget first claims no more: the
     a-priori bound assumes the paper's start, not the scaled one.
     """
-    alpha = config.alpha
+    alpha, n = config.alpha, state.x_hat.size
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         final_loads = state.loads
         x = scaling.original_solution(state.u)
@@ -538,7 +526,7 @@ def finalize_packing(state: PackingState, instance: PackingInstance,
             if math.isfinite(certificate.bound):
                 gap = certificate.gap
         if not config.early_stop:
-            eps_f, form = stop_radius(alpha, config.epsilon, instance.n, utility, utility,
+            eps_f, form = stop_radius(alpha, config.epsilon, n, utility, utility,
                                       ("utility", "utility"))
             basis = "returned utility stands in for the unknown optimum"
         else:
@@ -546,8 +534,8 @@ def finalize_packing(state: PackingState, instance: PackingInstance,
             eps_f = None if gap is None else gap * scale
             form = "g-f: least dual bound g >= optimum, minus utility f"
             if stopped_early:
-                _, rule = stop_radius(alpha, config.epsilon, instance.n,
-                                      certificate.bound, certificate.value)
+                _, rule = stop_radius(alpha, config.epsilon, n, certificate.bound,
+                                      certificate.value)
                 basis = f"certified: the run stopped once g-f <= {rule}"
             else:
                 basis = ("budget spent before the stop rule held; the a-priori bound "
@@ -612,16 +600,17 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
     state = init_packing(instance, config, stage_params(schedule[0]), kernel)
     planned, stride = plan_iterations(config, params)
     recorder = PackingRunRecorder(config)
+    certifies = config.early_stop or alpha > 1.0
     stages: list[Stage] = []   # the stages ended so far
 
-    def visit(k: int, traced: bool) -> bool:
-        if recorder.certifies:
+    def visit(traced: bool) -> bool:
+        if certifies:
             recorder.check(state)
         proven = recorder.should_stop(state)
         if traced or proven:   # on the kernel of the stage the check ends
-            recorder.record(state, k)
+            recorder.record(state)
         while proven:
-            stages.append(Stage(state.params.epsilon, k, state.mu))
+            stages.append(Stage(state.params.epsilon, state.k, state.mu))
             if len(stages) == len(schedule):
                 return True
             new = stage_params(schedule[len(stages)])
@@ -633,5 +622,5 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
     if config.early_stop and not stopped_early:
         stages.append(Stage(state.params.epsilon, state.k, state.mu))
 
-    return finalize_packing(state, instance, params, config, scaling, stopped_early,
+    return finalize_packing(state, params, config, scaling, stopped_early,
                             recorder.reported(), stages if config.early_stop else None)

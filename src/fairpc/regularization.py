@@ -368,10 +368,9 @@ class GradientKernel:
         total = float(np.add.reduce(x_hat))
         return total if self.alpha == 1.0 else total / (1.0 - self.alpha)
 
-    def f_r(self, x_hat: np.ndarray, loads: np.ndarray | None = None) -> float:
-        """Regularized objective value; may return POSITIVE_OVERFLOW."""
-        if loads is None:
-            loads = self.loads_of(self.allocation(x_hat))
+    def f_r(self, x_hat: np.ndarray, loads: np.ndarray) -> float:
+        """Regularized objective value at ``x_hat``, whose allocation has the
+        constraint loads ``loads``; may return POSITIVE_OVERFLOW."""
         be = self.logC + self.barrier_ratio * np.log(loads)
         if float(be.max()) > EXP_SAT:
             return POSITIVE_OVERFLOW
@@ -398,7 +397,7 @@ def f_r_value(instance, params, x_hat, alpha: float) -> float:
     x_hat = _check_domain(x_hat, alpha)
     kernel = GradientKernel(instance.matrix, alpha, params.beta, params.logC)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        return kernel.f_r(x_hat)
+        return kernel.f_r(x_hat, kernel.loads_of(kernel.allocation(x_hat)))
 
 
 def grad_f_r(instance, params, x_hat, alpha: float) -> GradientPair:

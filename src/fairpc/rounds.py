@@ -20,12 +20,13 @@ number of NumPy calls whatever the shard count: one ``take`` fills every
 shard's slice of the message buffer with its rows' factors
 (``shard_messages``), and one call of the kernel's own
 ``truncated_columns``, given each entry's message slot and the message,
-computes every block's truncated gradient (``local_update``). ``run_distributed`` passes its constructor to
-``packing.solve_packing`` or ``covering.solve_covering``, which build one
-per stage and drive it with the same start, step, feasibility check,
-recorder and stop rule as the monolithic engine; a column's segment sum
-does not depend on its offset and every update expression is elementwise,
-so the two engines are bit-identical whatever the partition.
+computes every block's truncated gradient (``local_update``).
+``run_distributed`` passes its constructor to ``packing.solve_packing`` or
+``covering.solve_covering``, which build one per stage and drive it with
+the same start, step, feasibility check, recorder and stop rule as the
+monolithic engine; a column's segment sum does not depend on its offset
+and every update expression is elementwise, so the two engines are
+bit-identical whatever the partition.
 
 Locality is structural: a shard reads its rows' factors only through slots
 inside its own message slice. ``check_layout`` checks once per run, when

@@ -5,7 +5,6 @@ from fairpc import (
     COVER,
     SolverConfig,
     covering_closed_form_optimum,
-    covering_residual,
     derive_covering_params,
     g_beta_value,
     init_covering,
@@ -13,7 +12,6 @@ from fairpc import (
     step_covering,
 )
 from fairpc.covering import running_average
-from fairpc.errors import NegativeCoordinate
 from fairpc.regularization import SubThresholdBetaWarning
 from fairpc.rounds import run_distributed
 
@@ -28,7 +26,7 @@ def cover_config(beta, eps=0.1, **kw):
 
 def test_init_1x1_unit():
     inst = identity_instance(1, mode=COVER)
-    state = init_covering(inst, cover_config(1.0), derive_covering_params(1, 1, 1.0, 1.0, 0.1))
+    state = init_covering(inst, derive_covering_params(1, 1, 1.0, 1.0, 0.1))
     assert state.x_hat[0] == 1.0
     assert state.z[0] == 0.0  # 1**(-b') - 1
     np.testing.assert_array_equal(state.y_avg, [0.0])
@@ -37,7 +35,7 @@ def test_init_1x1_unit():
 
 def test_init_2x2():
     inst = identity_instance(2, mode=COVER)
-    state = init_covering(inst, cover_config(1.0), derive_covering_params(2, 2, 1.0, 1.0, 0.1))
+    state = init_covering(inst, derive_covering_params(2, 2, 1.0, 1.0, 0.1))
     np.testing.assert_allclose(state.x_hat, [0.25, 0.25], rtol=1e-15)
 
 
@@ -46,7 +44,7 @@ def test_init_2x2():
 def test_step_fixed_point_at_optimum():
     inst = identity_instance(1, mode=COVER)
     params = derive_covering_params(1, 1, 1.0, 1.0, 0.1)
-    state = init_covering(inst, cover_config(1.0), params)
+    state = init_covering(inst, params)
     step_covering(state)
     assert state.x_hat[0] == 1.0
     assert state.z[0] == 0.0  # gradient -1 + (1)^1 = 0
@@ -63,27 +61,13 @@ def test_running_average_identity():
 def test_y_avg_matches_definition():
     inst = identity_instance(2, mode=COVER)
     params = derive_covering_params(2, 2, 1.0, 1.0, 0.1)
-    state = init_covering(inst, cover_config(1.0), params)
+    state = init_covering(inst, params)
     per_step = []
     for _ in range(25):
         step_covering(state)
         loads = state.kernel.loads_of(state.x_hat)
         per_step.append(loads ** (1.0 / params.beta))
     np.testing.assert_allclose(state.y_avg, np.mean(per_step, axis=0), rtol=1e-9)
-
-
-# ---- residual reports ----
-
-def test_covering_residual_examples():
-    inst = identity_instance(2, mode=COVER)
-    rep = covering_residual(inst, np.array([1.0, 1.0]))
-    assert rep.min_load == 1.0 and rep.violated_cols == []
-    rep = covering_residual(inst, np.array([1.0, 0.5]))
-    assert rep.min_load == 0.5 and rep.violated_cols == [1]
-    rep = covering_residual(inst, np.zeros(2))
-    assert rep.min_load == 0.0 and rep.violated_cols == [0, 1]
-    with pytest.raises(NegativeCoordinate):
-        covering_residual(inst, np.array([-1.0, 1.0]))
 
 
 # ---- full solves ----

@@ -14,7 +14,6 @@ from fairpc import (
     certify,
     derive_packing_params,
     diagonal_packing_optimum,
-    feasibility_report,
     init_packing,
     instance_from_dense,
     run_distributed,
@@ -26,7 +25,7 @@ from fairpc import (
     step,
 )
 from fairpc import covering, packing, rounds
-from fairpc.errors import FeasibilityViolation, NegativeCoordinate
+from fairpc.errors import FeasibilityViolation
 from fairpc.packing import (
     MULTIPLIER_START, PackingRunRecorder, enter_stage, epsilon_schedule,
     iterate_loads, mirror_state, update_rule,
@@ -132,20 +131,6 @@ def test_step_zero_gradient_fixed_point():
     step(state)
     assert state.k == k0 + 1
     assert state.x_hat[0] == pytest.approx(target ** -1.0, rel=1e-9)
-
-
-# ---- feasibility report ----
-
-def test_feasibility_report_examples():
-    inst = identity_instance(2)
-    rep = feasibility_report(inst, np.zeros(2))
-    assert rep.max_load == 0.0 and rep.is_feasible
-    rep = feasibility_report(inst, np.ones(2))
-    assert rep.max_load == 1.0 and rep.is_feasible  # boundary counts as feasible
-    rep = feasibility_report(inst, np.array([1.2, 0.0]))
-    assert not rep.is_feasible and rep.violated_rows == [0]
-    with pytest.raises(NegativeCoordinate):
-        feasibility_report(inst, np.array([-0.1, 0.0]))
 
 
 # ---- certificate: the Lagrangian dual bound at the barrier weights ----
@@ -256,7 +241,7 @@ def test_zero_dual_mass_never_stops(alpha):
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         state.x_hat, state.u, state.loads = x_hat, u, state.kernel.loads_of(u)
         recorder.check(state)
-        row = recorder.record(state, 0)
+        row = recorder.record(state)
     if alpha <= 1.0:
         assert recorder.last.dual[0] == 0.0 and recorder.last.bound == math.inf
         assert row.gap is None and recorder.best is None
@@ -415,9 +400,9 @@ def test_overshooting_multiplier_is_rejected_and_halved(monkeypatch, alpha, eps)
             redo(state)
             halved.append((before, state.mu))
 
-        def logged_loads(state, k):
-            loads = check(state, k)
-            accepted.append((k, float(loads.max())))
+        def logged_loads(state):
+            loads = check(state)
+            accepted.append((state.k, float(loads.max())))
             return loads
 
         monkeypatch.setattr(packing, "redo", logged_redo)
@@ -442,15 +427,15 @@ def test_overshooting_multiplier_is_rejected_and_halved(monkeypatch, alpha, eps)
 
 def test_an_overloaded_iterate_at_multiplier_one_raises():
     # at mu = 1 there is no retry to redo: the check itself raises, naming
-    # the iteration it was given and the load it saw
+    # the state's iteration and the load it saw
     inst, _ = instance_from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
     params = derive_packing_params(2, 3, inst.rho, 2.0, 0.05)
     state = init_packing(inst, SolverConfig(fairness=2.0, epsilon=0.05), params)
     assert state.mu == 1.0 and state.retry is None
-    state.u = np.array([0.5, 0.5, 0.0])
+    state.k, state.u = 7, np.array([0.5, 0.5, 0.0])
     with pytest.raises(FeasibilityViolation,
                        match=r"^constraint load 1\.5 exceeded 1 at iteration 7; "):
-        iterate_loads(state, 7)
+        iterate_loads(state)
 
 
 _LOADS_CASES = [(PACK, alpha, early_stop) for alpha in (0.0, 0.5, 1.0, 2.0, 3.0)
