@@ -21,7 +21,7 @@ import numpy as np
 from .errors import FairpcError, SolverAssertion
 from .covering import CoveringSolution, solve_covering
 from .matrix import read_matrix_market
-from .packing import CHECK_EVERY, MULTIPLIER_START, PackingSolution, TraceRow, solve_packing
+from .packing import CHECK_EVERY, MOMENTUM, MULTIPLIER_START, PackingSolution, TraceRow, solve_packing
 from .problem import COVER, PACK, SolverConfig, standardize
 from .rounds import run_distributed
 
@@ -95,8 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--early-stop", action="store_true",
                    help="packing: start from the scaled feasible point, run epsilon stages "
                         "from the largest admissible down to --epsilon within one budget at "
-                        f"{MULTIPLIER_START:g} times the paper's step, halved only where a step "
-                        "would overload a row, and stop once the dual bound, "
+                        f"{MULTIPLIER_START:g} times the paper's step plus a heavy-ball term of "
+                        f"weight {MOMENTUM:g} (restarted at each stage; a step that would "
+                        "overload a row is redone first without the term, then at half the "
+                        "multiplier), and stop once the dual bound, "
                         f"checked every {CHECK_EVERY} iterations and at traced rows, proves the "
                         "regime's guarantee at --epsilon (any alpha)")
     p.add_argument("--trace-stride", type=int,
@@ -113,8 +115,8 @@ def _packing_result(args, instance, record, solution: PackingSolution, wall: flo
         "basis": solution.eps_f_basis,
     }
     if solution.stages is not None:
-        guarantee["stages"] = [{"epsilon": s.epsilon, "until": s.until, "multiplier": s.multiplier}
-                               for s in solution.stages]
+        guarantee["stages"] = [{"epsilon": s.epsilon, "until": s.until, "multiplier": s.multiplier,
+                                "momentum_drops": s.momentum_drops} for s in solution.stages]
     return {
         "mode": PACK,
         "engine": args.engine,

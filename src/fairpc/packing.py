@@ -28,13 +28,16 @@ rule, through them too, with trace rows that carry no certificate.
 Under early stop the certificate, not the step analysis, proves the stop,
 so the step only has to keep iterates feasible: its scale is the paper's
 times a multiplier ``mu`` that starts at ``MULTIPLIER_START`` and carries
-across stages. The run is certified at every traced row and every
-``CHECK_EVERY``-th iteration. ``mu`` changes only where a step would leave
-its rule: a step taken at ``mu`` above 1 whose iterate overloads a row is
-redone from the kept iterate with the same gradient at half the multiplier
-(``iterate_loads``), and entering a stage halves it until the step stays in
-the rule's domain (``enter_stage``); never below 1, the paper's step.
-Without early stop ``mu`` is 1 and the run is the paper's.
+across stages, and it carries a heavy-ball term (Polyak) of weight
+``MOMENTUM`` on its rule's own coordinate (``heavy_ball``), whose history
+every stage starts without. The run is certified at every traced row and
+every ``CHECK_EVERY``-th iteration. A step whose iterate overloads a row is
+redone from the kept iterate with the same gradient (``iterate_loads``),
+first without the heavy-ball term at the same ``mu``, then at half the
+multiplier. That, and entering a stage, which halves ``mu`` until the step
+stays in the rule's domain (``enter_stage``), are the only changes to
+``mu``; never below 1, the paper's step. Without early stop ``mu`` is 1,
+no history is kept and the run is the paper's.
 """
 
 from __future__ import annotations
@@ -56,9 +59,11 @@ from .regularization import GradientKernel, PackingRegParams, derive_packing_par
 
 TRACE_CAPACITY = 4096
 
-# under early stop: the step multiplier's start, and the iterations between
-# certificate checks of the untraced iterates
+# under early stop: the step multiplier's start, the heavy-ball weight of
+# the previous step's move, and the iterations between certificate checks of
+# the untraced iterates
 MULTIPLIER_START = 8.0
+MOMENTUM = 0.8
 CHECK_EVERY = 50
 
 
@@ -96,7 +101,14 @@ class TraceBuffer:
 @dataclass(eq=False)
 class PackingState:
     """The solver state of both modes; covering's, at fairness 0 with
-    ``CoveringRegParams``, has ``u`` equal to ``x_hat`` and alone a ``y_avg``."""
+    ``CoveringRegParams``, has ``u`` equal to ``x_hat`` and alone a ``y_avg``.
+
+    Under early stop a packing state also keeps the heavy-ball history: its
+    weight ``gamma`` and ``velocity``, the previous step's move in its
+    rule's own coordinate (see ``velocity``), which ``enter_stage`` drops;
+    ``drops`` counts the stage's steps whose term was dropped (see
+    ``heavy_ball`` and ``redo``).
+    """
 
     x_hat: np.ndarray
     u: np.ndarray
@@ -108,19 +120,25 @@ class PackingState:
     trace: TraceBuffer = field(default_factory=TraceBuffer)
     loads: np.ndarray | None = None   # loads of ``u``; packing's checked by ``iterate_loads``
     mu: float = 1.0   # the step multiplier; above 1 under early stop only
-    retry: tuple | None = None   # (base, truncated, mu) of a step taken at mu > 1, until
-                                 # ``iterate_loads`` accepts its iterate
+    gamma: float = 0.0   # the heavy-ball weight: ``MOMENTUM`` under early stop, else 0
+    velocity: np.ndarray | None = None   # the previous step's move; None at a stage's start
+    drops: int = 0   # the stage's steps whose heavy-ball term was dropped
+    retry: tuple | None = None   # (base, truncated, mu, heavy) of a step taken at mu > 1
+                                 # or with the heavy-ball term, until ``iterate_loads``
+                                 # accepts its iterate
     y_avg: np.ndarray | None = None   # covering's running average of the barrier weights
 
 
 class Stage(NamedTuple):
     """One stage of an early-stop run: its epsilon, the iteration at which
-    the certificate proved its radius or the budget ran out, and the step
-    multiplier it ended with."""
+    the certificate proved its radius or the budget ran out, the step
+    multiplier it ended with, and how many of its steps dropped their
+    heavy-ball term (see ``heavy_ball`` and ``redo``)."""
 
     epsilon: float
     until: int
     multiplier: float
+    momentum_drops: int
 
 
 @dataclass(eq=False)
@@ -228,7 +246,8 @@ def init_packing(instance: PackingInstance, config: SolverConfig,
             f"transform {u0[0]:g}**(1 - alpha) overflows"
         )
     state = PackingState(x_hat=x_hat, u=kernel.allocation(x_hat),
-                         mu=MULTIPLIER_START if config.early_stop else 1.0)
+                         mu=MULTIPLIER_START if config.early_stop else 1.0,
+                         gamma=MOMENTUM if config.early_stop else 0.0)
     enter_stage(state, params, kernel)
     iterate_loads(state)
     return state
@@ -247,7 +266,9 @@ def enter_stage(state: PackingState, params: PackingRegParams, kernel: GradientK
     domain: the multiplicative factor ``1 - mu c t`` and the mirror's
     ``1 + z`` stay positive, for any truncated gradient t in [-1, 1] and
     z >= 0, as at any feasible iterate. A pending retry is dropped with the
-    mirror state it would redo.
+    mirror state it would redo, and so is the heavy-ball history: every
+    stage's first step has no momentum term, and its count of dropped terms
+    starts at 0.
     """
     alpha = kernel.alpha
     state.params = params
@@ -255,7 +276,8 @@ def enter_stage(state: PackingState, params: PackingRegParams, kernel: GradientK
     state.rule = update_rule(params, alpha)
     while state.mu > 1.0 and state.mu * abs(state.rule[0]) >= 1.0:
         state.mu = max(1.0, state.mu / 2.0)
-    state.retry = None
+    state.retry = state.velocity = None
+    state.drops = 0
     if alpha < 1.0:
         state.z = mirror_state(state.x_hat, params.beta_prime)
 
@@ -266,10 +288,11 @@ def iterate_loads(state: PackingState) -> np.ndarray:
     the state's iteration ``k``; and keep them on the state, where every
     reader takes them from.
 
-    An iterate a step took at a multiplier above 1 whose loads exceed 1 (or
-    are not numbers) is never accepted: it is redone at half the multiplier
-    (see ``redo``) until it fits or the multiplier is 1, where an overloaded
-    row raises ``FeasibilityViolation``.
+    An iterate a step took at a multiplier above 1, or with the heavy-ball
+    term, whose loads exceed 1 (or are not numbers) is never accepted: it is
+    redone (see ``redo``), first without the term, then at half the
+    multiplier, until it fits or the multiplier is 1 without the term, where
+    an overloaded row raises ``FeasibilityViolation``.
     """
     loads = state.kernel.loads_of(state.u)
     top = float(np.maximum.reduce(loads))
@@ -289,12 +312,20 @@ def iterate_loads(state: PackingState) -> np.ndarray:
 
 def redo(state: PackingState) -> None:
     """Retake the pending step from its kept base, the previous iterate (or
-    mirror state), with the same truncated gradient at half the multiplier,
-    which becomes the state's; no gradient is evaluated."""
-    base, truncated, mu = state.retry
-    mu /= 2.0
+    mirror state), with the same truncated gradient and without the
+    heavy-ball term: at the same multiplier if the step carried the term
+    (which counts as a drop), else at half the multiplier, which becomes the
+    state's; no gradient is evaluated. Under early stop the redone move
+    becomes the state's velocity."""
+    base, truncated, mu, heavy = state.retry
+    if heavy:
+        state.drops += 1
+    else:
+        mu /= 2.0
     scale, update = state.rule
     moved = update(base, truncated, scale * mu)
+    if state.gamma:
+        state.velocity = velocity(state.kernel.alpha, moved, base)
     if state.kernel.alpha < 1.0:
         state.z = moved
         state.x_hat = mirror_iterate(moved, state.params.beta_prime)
@@ -302,40 +333,89 @@ def redo(state: PackingState) -> None:
         state.x_hat = moved
     state.u = state.kernel.allocation(state.x_hat)
     state.mu = mu
-    state.retry = (base, truncated, mu) if mu > 1.0 else None
+    state.retry = (base, truncated, mu, False) if mu > 1.0 else None
+
+
+def velocity(alpha: float, moved: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """A step's move from ``base`` to ``moved`` in its rule's own coordinate:
+    the difference of mirror states below fairness 1 and of ``x_hat`` at 1,
+    and above 1, where the coordinate is ``ln x_hat``, the ratio of the
+    ``x_hat``."""
+    return moved / base if alpha > 1.0 else moved - base
+
+
+def heavy_ball(state: PackingState, base: np.ndarray, truncated: np.ndarray,
+               c: float) -> np.ndarray | None:
+    """The coordinate a step from ``base`` forms with the heavy-ball term:
+    the rule's update at step scale ``c`` plus ``gamma`` times the state's
+    velocity v, which becomes this step's move. Above fairness 1, in
+    ``ln x_hat``, that is the factor ``(1 - c t) v**gamma`` on ``x_hat``,
+    the multiplicative update applied to ``v**gamma``.
+
+    None, counted as a drop, where the mirror state would turn negative,
+    outside its rule's domain.
+    """
+    _, update = state.rule
+    alpha, v = state.kernel.alpha, state.velocity
+    if alpha > 1.0:
+        factor = update(np.power(v, state.gamma), truncated, c)
+        state.velocity = factor
+        return factor * base
+    moved = update(base, truncated, c) + state.gamma * v
+    if alpha < 1.0 and not np.minimum.reduce(moved) >= 0.0:
+        state.drops += 1
+        return None
+    state.velocity = moved - base
+    return moved
+
+
+def move(state: PackingState, base: np.ndarray, truncated: np.ndarray) -> np.ndarray:
+    """The coordinate a step from ``base`` with ``truncated`` forms: the
+    rule's update at the state's multiplier, with the heavy-ball term where
+    the state has a velocity and ``heavy_ball`` keeps the term. A step
+    taken at a multiplier above 1 or with the term keeps its base and
+    gradient in ``retry``. Under early stop every step's move becomes the
+    state's velocity; without it none is kept, and the step is the paper's."""
+    scale, update = state.rule
+    mu = state.mu
+    moved = None if state.velocity is None else heavy_ball(state, base, truncated, scale * mu)
+    heavy = moved is not None
+    if not heavy:
+        moved = update(base, truncated, scale * mu)
+        if state.gamma:
+            state.velocity = velocity(state.kernel.alpha, moved, base)
+    state.retry = (base, truncated, mu, heavy) if mu > 1.0 or heavy else None
+    return moved
 
 
 def step(state: PackingState) -> PackingState:
     """Advance one iteration of the state's update rule, in place, at the
-    rule's step scale times the state's multiplier ``mu``, and leave the
-    state's iterate with its checked loads (``iterate_loads``). The
-    iteration count ``k`` moves first, so a check made in the step is
-    labelled with the iteration the step completes.
+    rule's step scale times the state's multiplier ``mu`` and, under early
+    stop, with the heavy-ball term (see ``move``), and leave the state's
+    iterate with its checked loads (``iterate_loads``). The iteration count
+    ``k`` moves first, so a check made in the step is labelled with the
+    iteration the step completes.
 
     The mirror branch forms its iterate from the mirror state first, checks
     it and evaluates it, then moves the mirror state; the other branches
-    evaluate the state's iterate, replace it and check the new one. Above a
-    multiplier of 1 the step keeps its base and gradient in ``retry`` until
-    ``iterate_loads`` accepts the iterate it leads to: at the end of this
-    step, or for the mirror branch at the start of the next.
+    evaluate the state's iterate, replace it and check the new one. A step
+    taken above a multiplier of 1 or with the heavy-ball term keeps its base
+    and gradient in ``retry`` until ``iterate_loads`` accepts the iterate it
+    leads to: at the end of this step, or for the mirror branch at the start
+    of the next.
     """
     kernel = state.kernel
-    scale, update = state.rule
     state.k += 1
     if kernel.alpha < 1.0:
         state.x_hat = mirror_iterate(state.z, state.params.beta_prime)
         state.u = kernel.allocation(state.x_hat)
         loads = iterate_loads(state)
         truncated = kernel.evaluate(state.x_hat, state.u, loads).truncated
-        base, mu = state.z, state.mu
-        state.z = update(base, truncated, scale * mu)
-        state.retry = (base, truncated, mu) if mu > 1.0 else None
+        state.z = move(state, state.z, truncated)
     else:
         truncated = kernel.evaluate(state.x_hat, state.u, state.loads).truncated
-        base, mu = state.x_hat, state.mu
-        state.x_hat = update(base, truncated, scale * mu)
+        state.x_hat = move(state, state.x_hat, truncated)
         state.u = kernel.allocation(state.x_hat)
-        state.retry = (base, truncated, mu) if mu > 1.0 else None
         iterate_loads(state)
     return state
 
@@ -610,7 +690,7 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
         if traced or proven:   # on the kernel of the stage the check ends
             recorder.record(state)
         while proven:
-            stages.append(Stage(state.params.epsilon, state.k, state.mu))
+            stages.append(Stage(state.params.epsilon, state.k, state.mu, state.drops))
             if len(stages) == len(schedule):
                 return True
             new = stage_params(schedule[len(stages)])
@@ -620,7 +700,7 @@ def solve_packing(instance: PackingInstance, config: SolverConfig,
 
     stopped_early = run_budget(state, step, visit, planned, stride, config.early_stop)
     if config.early_stop and not stopped_early:
-        stages.append(Stage(state.params.epsilon, state.k, state.mu))
+        stages.append(Stage(state.params.epsilon, state.k, state.mu, state.drops))
 
     return finalize_packing(state, params, config, scaling, stopped_early,
                             recorder.reported(), stages if config.early_stop else None)

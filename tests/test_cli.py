@@ -468,7 +468,8 @@ SPARSE34 = ("%%MatrixMarket matrix coordinate real general\n3 4 7\n"
 def test_json_does_not_depend_on_trace(tmp_path, capsys, flags):
     # a run without --trace builds no trace row: its JSON is the traced
     # run's, byte for byte apart from the wall time, on both engines (at
-    # alpha = 2 the early-stop run ends at an untraced check, iteration 200)
+    # alpha = 2 the early-stop run ends its first stage at an untraced
+    # check, iteration 50)
     p = tmp_path / "sparse.mtx"
     p.write_text(SPARSE34)
     outputs = {}
@@ -650,8 +651,9 @@ def test_early_stop_budget_spent_claims_only_its_certified_gap(tmp_path, capsys)
 
 @pytest.mark.parametrize("engine", ["monolithic", "rounds"])
 def test_early_stop_reports_its_stages(tmp_path, capsys, engine):
-    # eps 0.05 at alpha 2 runs the stages 0.1 and 0.05; without the flag the
-    # guarantee block keeps its three fields
+    # eps 0.05 at alpha 2 runs the stages 0.1 and 0.05, each with its count
+    # of dropped heavy-ball terms; without the flag the guarantee block keeps
+    # its three fields
     p = tmp_path / "row5.mtx"
     p.write_text(ROW5)
     args = ["--mode", "pack", "--alpha", "2", "--epsilon", "0.05", "--trace-stride", "25",
@@ -662,8 +664,10 @@ def test_early_stop_reports_its_stages(tmp_path, capsys, engine):
     assert code == 0 and doc["stopped_early"]
     assert [s["epsilon"] for s in stages] == [0.1, 0.05]
     assert 0 <= stages[0]["until"] <= stages[1]["until"] == doc["iterations"]
-    assert all(list(s) == ["epsilon", "until", "multiplier"] for s in stages)
+    assert all(list(s) == ["epsilon", "until", "multiplier", "momentum_drops"] for s in stages)
     assert 8.0 >= stages[0]["multiplier"] >= stages[1]["multiplier"] >= 1.0
+    assert all(isinstance(s["momentum_drops"], int) and s["momentum_drops"] >= 0
+               for s in stages)
     # the reported constants are the target's
     assert doc["params"]["K"] == derive_packing_params(1, 5, 100.0, 2.0, 0.05).K
     opt = single_constraint_packing_optimum([100.0, 100.0, 100.0, 1.0, 1.0], 2.0).objective

@@ -27,7 +27,7 @@ from fairpc import (
 from fairpc import covering, packing, rounds
 from fairpc.errors import FeasibilityViolation
 from fairpc.packing import (
-    MULTIPLIER_START, PackingRunRecorder, enter_stage, epsilon_schedule,
+    MOMENTUM, MULTIPLIER_START, PackingRunRecorder, enter_stage, epsilon_schedule, heavy_ball,
     iterate_loads, mirror_state, update_rule,
 )
 from fairpc.problem import epsilon_upper_bound
@@ -310,8 +310,10 @@ def test_stage_change_keeps_the_iterate(alpha, rounds):
         x_hat, u = state.x_hat, state.u
         before = (x_hat.tobytes(), u.tobytes(), loads.tobytes())
         old_kernel, old_rule = state.kernel, state.rule
+        assert state.velocity is not None
         enter_stage(state, new, make(inst.matrix, alpha, new.beta, new.logC))
     assert state.x_hat is x_hat and state.u is u and state.loads is loads
+    assert state.velocity is None and state.drops == 0   # the new stage starts without history
     assert (x_hat.tobytes(), u.tobytes(), loads.tobytes()) == before
     kernel = state.kernel
     assert type(kernel) is type(old_kernel) and kernel is not old_kernel
@@ -382,8 +384,10 @@ def test_a_flat_gap_does_not_lower_the_multiplier(packing_suite, index, alpha):
 @pytest.mark.parametrize("alpha,eps", [(0.5, 0.1), (1.0, 0.1), (2.0, 0.05)])
 def test_overshooting_multiplier_is_rejected_and_halved(monkeypatch, alpha, eps):
     # from a start of 1024 some trial iterates overload a row: each is redone
-    # from the kept iterate at half the multiplier, with no new gradient, and
-    # only iterates whose loads are at most 1 are accepted; both engines agree
+    # from the kept iterate with no new gradient, first without the heavy-ball
+    # term at the same multiplier (where the trial carried it), then at half
+    # the multiplier; only iterates whose loads are at most 1 are accepted,
+    # and both engines agree
     monkeypatch.setattr(packing, "MULTIPLIER_START", 1024.0)
     inst, _ = instance_from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
     config = SolverConfig(fairness=alpha, epsilon=eps, early_stop=True, trace_stride=25,
@@ -392,13 +396,13 @@ def test_overshooting_multiplier_is_rejected_and_halved(monkeypatch, alpha, eps)
     logs = []
 
     def run(solve):
-        rejected, halved, accepted = [], [], []
+        rejected, redone, accepted = [], [], []
 
         def logged_redo(state):
             rejected.append(float(GradientKernel.loads_of(state.kernel, state.u).max()))
-            before = state.retry[2]
+            _, _, before, heavy = state.retry
             redo(state)
-            halved.append((before, state.mu))
+            redone.append((state.k, heavy, before, state.mu))
 
         def logged_loads(state):
             loads = check(state)
@@ -408,15 +412,23 @@ def test_overshooting_multiplier_is_rejected_and_halved(monkeypatch, alpha, eps)
         monkeypatch.setattr(packing, "redo", logged_redo)
         monkeypatch.setattr(packing, "iterate_loads", logged_loads)
         sol = solve()
-        logs.append((rejected, halved, accepted))
+        logs.append((rejected, redone, accepted))
         return sol
 
     mono = run(lambda: solve_packing(inst, config))
     dist, audit = run(lambda: run_distributed(inst, config))
     assert logs[0] == logs[1]
-    rejected, halved, accepted = logs[0]
+    rejected, redone, accepted = logs[0]
     assert rejected and all(not top <= 1.0 for top in rejected)
-    assert all(after == before / 2.0 for before, after in halved)
+    # a step's redo without the term comes first and keeps mu; every other halves it
+    for i, (k, heavy, before, after) in enumerate(redone):
+        if heavy:
+            assert after == before and (i == 0 or redone[i - 1][0] != k)
+        else:
+            assert after == before / 2.0
+    assert any(heavy for _, heavy, _, _ in redone)
+    assert any(not heavy for _, heavy, _, _ in redone)
+    assert sum(s.momentum_drops for s in mono.stages) >= sum(h for _, h, _, _ in redone)
     assert [k for k, _ in accepted] == list(range(mono.iterations_run + 1))
     assert all(top <= 1.0 for _, top in accepted)
     assert mono.is_feasible
@@ -484,13 +496,15 @@ def test_every_state_carries_its_iterates_loads(mode, fairness, early_stop, engi
 
 
 def test_without_early_stop_the_multiplier_stays_one():
+    # and no heavy-ball history is kept: the step is the paper's
     inst, _ = instance_from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
     params = derive_packing_params(2, 3, inst.rho, 2.0, 0.05)
     state = init_packing(inst, SolverConfig(fairness=2.0, epsilon=0.05), params)
+    assert state.gamma == 0.0
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         for _ in range(20):
             step(state)
-            assert state.mu == 1.0 and state.retry is None
+            assert state.mu == 1.0 and state.retry is None and state.velocity is None
 
 
 @pytest.mark.parametrize("engine", ["monolithic", "rounds"])
@@ -713,12 +727,13 @@ def test_untraced_runs_build_no_trace_row(engine):
             assert len(sol.trace) == rows and sol.trace_dropped == 0
             assert (util, f_r) == (rows + 1, rows)   # + finalize_packing's utility
             assert cert == (11 if alpha > 1.0 else 0)
-    # under early stop every check still certifies: here at 0, 30, 50 (an
-    # untraced check that ends the first stage), 60 and 90, where it stops
+    # under early stop every check still certifies: here at 0, 20, 40 (a
+    # traced check that ends the first stage), 50 (an untraced one) and 60,
+    # where it stops
     counts = []
     for keep in (True, False):
         config = SolverConfig(fairness=2.0, epsilon=0.05, early_stop=True, max_iters=1000,
-                              trace_stride=30, keep_trace=keep)
+                              trace_stride=20, keep_trace=keep)
         sol, util, f_r, cert = _counted_solve(
             solve, single_row_instance([100.0, 100.0, 100.0, 1.0, 1.0]), config)
         counts.append((sol.iterations_run, sol.stages, sol.gap_estimate, cert))
@@ -751,24 +766,120 @@ def test_eps_f_forms():
         assert sol.eps_f_basis == f"certified: the run stopped once g-f <= {rule}"
 
 
-@pytest.mark.parametrize("engine", ["monolithic", "rounds"])
-def test_a_check_that_ends_several_stages_writes_one_row(engine):
-    # on this 30 x 30 instance the untraced check at iteration 150 proves
-    # the radii of stages 0.5, 0.25 and 0.125 at once: it is traced once,
-    # and every stage ends at a row of the trace
-    rng = np.random.default_rng(1)
+def _banded_30(seed):
+    """A seeded 30 x 30 instance with 4 entries per row and column, in [1, 100]."""
+    rng = np.random.default_rng(seed)
     dense = np.zeros((30, 30))
     offsets = rng.choice(30, size=4, replace=False)
     for i in range(30):
         for o in offsets:
             dense[i, (i + o) % 30] = rng.uniform(1.0, 100.0)
-    inst, _ = instance_from_dense(dense)
+    return instance_from_dense(dense)[0]
+
+
+@pytest.mark.parametrize("engine", ["monolithic", "rounds"])
+def test_a_check_that_ends_several_stages_writes_one_row(engine):
+    # on this 30 x 30 instance the untraced check at iteration 100 proves
+    # the radii of stages 0.5, 0.25 and 0.125 at once: it is traced once,
+    # and every stage ends at a row of the trace
+    inst = _banded_30(3)
     config = SolverConfig(fairness=1.0, epsilon=0.05, early_stop=True, trace_stride=1000)
     sol = solve_packing(inst, config) if engine == "monolithic" else \
         run_distributed(inst, config)[0]
-    assert sol.stopped_early
-    assert [(s.epsilon, s.until) for s in sol.stages[:3]] == [(0.5, 150), (0.25, 150),
-                                                              (0.125, 150)]
+    assert sol.stopped_early and sol.iterations_run > 100
+    assert [(s.epsilon, s.until) for s in sol.stages[:3]] == [(0.5, 100), (0.25, 100),
+                                                              (0.125, 100)]
     ks = [row.k for row in sol.trace]
     assert all(a < b for a, b in zip(ks, ks[1:]))
     assert {s.until for s in sol.stages} <= set(ks)
+
+
+# ---- the heavy-ball term on the certified path ----
+
+def _stability_panel():
+    """The 1 x 5 row (100, 100, 100, 1, 1) and 40 seeded instances of 1-3 rows."""
+    panel = [np.array([[100.0, 100.0, 100.0, 1.0, 1.0]])]
+    for seed in range(40):
+        rng = np.random.default_rng([2028, seed])
+        m, n = int(rng.integers(1, 4)), int(rng.integers(2, 9))
+        values = 1.0 + 99.0 * rng.random((m, n)) ** 2
+        dense = np.where(rng.random((m, n)) < 0.5, values, 0.0)
+        for j in range(n):
+            if not dense[:, j].any():
+                dense[rng.integers(m), j] = values[0, j]
+        for i in range(m):
+            if not dense[i].any():
+                dense[i, rng.integers(n)] = values[i, 0]
+        panel.append(dense)
+    return panel
+
+
+@pytest.mark.parametrize("alpha,eps", [(0.0, 0.1), (1.0, 0.1), (3.0, 0.05)])
+def test_momentum_proves_every_few_row_instance_in_both_engines(alpha, eps):
+    # few rows are where a heavy ball is likeliest to overshoot: every run
+    # still proves its stop, every accepted iterate passed the no-tolerance
+    # check, and both engines agree bit for bit
+    config = SolverConfig(fairness=alpha, epsilon=eps, early_stop=True, max_iters=100_000)
+    for dense in _stability_panel():
+        inst, _ = instance_from_dense(dense)
+        mono = solve_packing(inst, config)
+        dist, audit = run_distributed(inst, config)
+        assert mono.stopped_early and mono.is_feasible, dense
+        assert mono.x.tobytes() == dist.x.tobytes() and mono.trace == dist.trace
+        assert mono.stages == dist.stages and mono.gap_estimate == dist.gap_estimate
+        assert mono.iterations_run == audit.rounds
+
+
+@pytest.mark.parametrize("engine", ["monolithic", "rounds"])
+def test_momentum_proves_a_30x30_instance_quickly(engine):
+    # the paper's step at 8 times its scale needs 450 iterations here; with
+    # the heavy-ball term the certificate proves alpha = 2 within 300
+    config = SolverConfig(fairness=2.0, epsilon=0.05, early_stop=True, trace_stride=1000)
+    inst = _banded_30(3)
+    sol = solve_packing(inst, config) if engine == "monolithic" else \
+        run_distributed(inst, config)[0]
+    assert sol.stopped_early and sol.is_feasible
+    assert sol.iterations_run <= 300
+
+
+def _stepped_state(alpha, eps):
+    """An early-stop state after two steps, the second with the heavy-ball term."""
+    inst, _ = instance_from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
+    config = SolverConfig(fairness=alpha, epsilon=eps, early_stop=True)
+    state = init_packing(inst, config, derive_packing_params(2, 3, inst.rho, alpha, eps))
+    assert state.gamma == MOMENTUM and state.velocity is None
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        step(state)
+        step(state)
+    assert state.velocity is not None and state.drops == 0
+    return state
+
+
+@pytest.mark.parametrize("alpha,eps", [(0.5, 0.1), (1.0, 0.1), (2.0, 0.05)])
+def test_heavy_ball_adds_gamma_times_the_last_move(alpha, eps):
+    # in the rule's own coordinate (ln x_hat above 1) a step moves by the
+    # rule's update plus gamma times the state's velocity, its last move,
+    # and its own move becomes the velocity
+    state = _stepped_state(alpha, eps)
+    base = state.z if alpha < 1.0 else state.x_hat
+    last = state.velocity
+    truncated, c = np.array([-0.5, 0.25, 1.0]), 1e-3
+    plain = state.rule[1](base, truncated, c)
+    moved = heavy_ball(state, base, truncated, c)
+    if alpha > 1.0:
+        np.testing.assert_allclose(moved, plain * np.power(last, MOMENTUM), rtol=1e-14)
+        np.testing.assert_allclose(state.velocity, moved / base, rtol=1e-14)
+    else:
+        np.testing.assert_array_equal(moved, plain + MOMENTUM * last)
+        np.testing.assert_array_equal(state.velocity, moved - base)
+    assert state.drops == 0
+
+
+def test_heavy_ball_never_turns_the_mirror_state_negative():
+    # a term that would make any z negative is dropped, and counted
+    state = _stepped_state(0.5, 0.1)
+    base, zero = state.z, np.zeros(3)
+    state.velocity = np.array([0.0, 0.0, -(base.max() + 1.0) / MOMENTUM])
+    assert heavy_ball(state, base, zero, 1e-3) is None and state.drops == 1
+    state.velocity = 0.25 * base
+    assert heavy_ball(state, base, zero, 1e-3) is not None and state.drops == 1
